@@ -9,7 +9,15 @@ degrees <= 2P - (top degree of A).
 
 Conventions: dual generators u_a have cohomological degree 2; the Cartan
 differential is d - sum_a u_a (x) iota_a, built on the joint kernel of
-the Lie derivatives.
+the Lie derivatives.  The Cartan complex is the total complex of
+cartan_double_complex, assembled by homalg.TotalLayout, the one
+totalization.
+
+Routes and oracles: cartan_cohomology is the route.  cartan_E1 computes
+S^p (x) H(A) from the algebra alone and checks the E_1 page of the
+double complex; torus_weyl_check compares the W-invariant cohomology
+with E_infinity and checks E_1 against Weyl-averaged traces, read off
+homalg.induced_cohomology_matrix on H(A).
 """
 
 from __future__ import annotations
@@ -22,10 +30,14 @@ from .errors import (
     InvariantViolation, NonEquivariantInput, NonInvertibleOrder,
     NotClosedUnderOperators,
 )
-from .exactalg import Field, Mat, QQ, mat_from_columns, kernel_basis, \
-    solve_multi
+from .exactalg import (
+    Field, Mat, QQ, joint_kernel, mat_from_columns, rank, solve_multi,
+)
 from .errors import NoSolution
-from .homalg import CochainComplex, DoubleComplex, cohomology, total_complex
+from .homalg import (
+    CochainComplex, DoubleComplex, cohomology, induced_cohomology_matrix,
+    total_complex,
+)
 
 
 @dataclass
@@ -114,6 +126,12 @@ class GDGA:
             return self.L[a][m]
         return Mat.zero(0, 0, self.field)
 
+    def cochain_complex(self) -> CochainComplex:
+        """(A, d) as a complete complex: every degree is certified."""
+        return CochainComplex(self.field, self.dims,
+                              tuple(self.dmat(m) for m in range(self.top)),
+                              boundary_degree=self.top + 1)
+
     def product(self, i: int, j: int, x: int, y: int) -> dict:
         if self.mul is None or (i, j) not in self.mul:
             return {}
@@ -201,34 +219,16 @@ def invariants_subalgebra(lie: LieAlgebraData, algebra: GDGA) -> GDGA:
     """Joint kernel of the Lie derivatives, with the induced operators."""
     f = algebra.field
     top = algebra.top
-    bases = []
-    for m in range(top + 1):
-        if lie.dim == 0 or algebra.dims[m] == 0:
-            bases.append([{i: 1} for i in range(algebra.dims[m])])
-            continue
-        stacked = {}
-        offset = 0
-        for a in range(lie.dim):
-            for (i, j), v in algebra.l_mat(a, m).entries.items():
-                stacked[(offset + i, j)] = v
-            offset += algebra.dims[m]
-        bases.append(kernel_basis(Mat(offset, algebra.dims[m], stacked, f)))
+    bases = [joint_kernel([algebra.l_mat(a, m) for a in range(lie.dim)],
+                          algebra.dims[m], f)
+             for m in range(top + 1)]
     dims = tuple(len(b) for b in bases)
-    basis_mats = [mat_from_columns(b, algebra.dims[m], f)
-                  for m, b in enumerate(bases)]
 
     def restrict(op: Mat, src_m: int, dst_m: int, name: str) -> Mat:
-        if dims[src_m] == 0 or op.rows == 0:
-            return Mat.zero(dims[dst_m] if 0 <= dst_m <= top else 0,
-                            dims[src_m], f)
-        images = [op.mul_vec(v) for v in bases[src_m]]
-        try:
-            coords = solve_multi(basis_mats[dst_m], images)
-        except NoSolution as exc:
-            raise NotClosedUnderOperators(
-                f"{name} does not preserve the invariant subspace "
-                f"at degree {src_m}") from exc
-        return mat_from_columns(coords, dims[dst_m], f)
+        return _restrict(op, bases[src_m], bases[dst_m],
+                         NotClosedUnderOperators(
+                             f"{name} does not preserve the invariant "
+                             f"subspace at degree {src_m}"))
 
     new_d = tuple(restrict(algebra.dmat(m), m, m + 1, "d")
                   for m in range(top))
@@ -242,87 +242,20 @@ def invariants_subalgebra(lie: LieAlgebraData, algebra: GDGA) -> GDGA:
     return GDGA(f, dims, new_d, new_iota, new_l, mul=None)
 
 
+def _restrict(op: Mat, basis: list, target: list, error) -> Mat:
+    """op from span(basis) to span(target), in those bases; raises error
+    when an image leaves span(target)."""
+    try:
+        coords = solve_multi(mat_from_columns(target, op.rows, op.field),
+                             [op.mul_vec(v) for v in basis])
+    except NoSolution as exc:
+        raise error from exc
+    return mat_from_columns(coords, len(target), op.field)
+
+
 def monomials(k: int, p: int) -> list:
     """Degree-p monomials in k dual generators, as sorted index tuples."""
     return list(itertools.combinations_with_replacement(range(k), p))
-
-
-@dataclass
-class CartanLayout:
-    """Basis bookkeeping for the truncated Cartan complex."""
-
-    lie: LieAlgebraData
-    algebra: GDGA
-    poly_trunc: int
-
-    def __post_init__(self):
-        k = self.lie.dim
-        self.monos = [monomials(k, p) for p in range(self.poly_trunc + 1)]
-        self.mono_index = [{m: i for i, m in enumerate(level)}
-                           for level in self.monos]
-        top = self.algebra.top
-        self.top_degree = 2 * self.poly_trunc + top
-        self.blocks = {}
-        self.offsets = {}
-        self.dims = []
-        for s in range(self.top_degree + 1):
-            offset = 0
-            blocks = []
-            for p in range(self.poly_trunc + 1):
-                m = s - 2 * p
-                if not 0 <= m <= top:
-                    continue
-                blocks.append((p, m))
-                self.offsets[(s, p)] = offset
-                offset += len(self.monos[p]) * self.algebra.dims[m]
-            self.blocks[s] = blocks
-            self.dims.append(offset)
-
-    def index(self, s: int, p: int, mono: tuple, a: int) -> int:
-        m = s - 2 * p
-        return self.offsets[(s, p)] + \
-            self.mono_index[p][mono] * self.algebra.dims[m] + a
-
-
-def cartan_complex(lie: LieAlgebraData, algebra: GDGA,
-                   poly_trunc: int) -> CochainComplex:
-    """Total Cartan complex with differential d - sum_a u_a (x) iota_a.
-
-    The input algebra must already have vanishing Lie derivatives (use
-    invariants_subalgebra); otherwise the square-zero check fails.
-    """
-    lay = CartanLayout(lie, algebra, poly_trunc)
-    f = algebra.field
-    top = algebra.top
-    diffs = []
-    for s in range(lay.top_degree):
-        entries = {}
-        for (p, m) in lay.blocks[s]:
-            dmat = algebra.dmat(m)
-            for mono_i, mono in enumerate(lay.monos[p]):
-                col_base = lay.offsets[(s, p)] + mono_i * algebra.dims[m]
-                if m + 1 <= top and (s + 1, p) in lay.offsets:
-                    for (r, c), v in dmat.entries.items():
-                        row = lay.index(s + 1, p, mono, r)
-                        entries[(row, col_base + c)] = v
-                if p + 1 <= poly_trunc and m - 1 >= 0:
-                    for a in range(lie.dim):
-                        imat = algebra.iota_mat(a, m)
-                        if imat.is_zero():
-                            continue
-                        new_mono = tuple(sorted(mono + (a,)))
-                        for (r, c), v in imat.entries.items():
-                            row = lay.index(s + 1, p + 1, new_mono, r)
-                            key = (row, col_base + c)
-                            cur = f.add(entries.get(key, 0), f.neg(v))
-                            if cur:
-                                entries[key] = cur
-                            else:
-                                entries.pop(key, None)
-        diffs.append(Mat(lay.dims[s + 1], lay.dims[s], entries, f))
-    boundary = 2 * poly_trunc - top + 1
-    return CochainComplex(f, tuple(lay.dims), tuple(diffs),
-                          boundary_degree=max(boundary, 0))
 
 
 def cartan_double_complex(lie: LieAlgebraData, algebra: GDGA,
@@ -386,17 +319,15 @@ def cartan_cohomology(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,
                       degrees) -> list:
     """Equivariant Betti numbers on the truncation-safe range."""
     inv = invariants_subalgebra(lie, algebra)
-    complex_ = cartan_complex(lie, inv, poly_trunc)
+    complex_ = total_complex(cartan_double_complex(lie, inv, poly_trunc))
     return [cohomology(complex_, s) for s in degrees]
 
 
 def cartan_E1(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int) -> dict:
     """(p, q) -> dim S^p (x) H^{q-p}(A) for the connected-group convention."""
     inv = invariants_subalgebra(lie, algebra)
-    base = CochainComplex(inv.field, inv.dims,
-                          tuple(inv.dmat(m) for m in range(inv.top)),
-                          boundary_degree=None)
-    h_dims = [cohomology(base, m, override=True) for m in range(inv.top + 1)]
+    base = inv.cochain_complex()
+    h_dims = [cohomology(base, m) for m in range(inv.top + 1)]
     table = {}
     for p in range(poly_trunc + 1):
         s_dim = len(monomials(lie.dim, p))
@@ -410,22 +341,28 @@ def _mat_key(m: Mat):
 
 
 def mulclose_mats(gens: list, limit: int = 4096) -> list:
-    """Multiplicative closure of invertible matrices, in BFS order."""
+    """Multiplicative closure of tuples of invertible matrices.
+
+    Tuples multiply componentwise; the result is in BFS order with the
+    identity tuple first.
+    """
     if not gens:
         return []
-    n = gens[0].rows
-    f = gens[0].field
-    ident = Mat.identity(n, f)
-    seen = {_mat_key(ident): ident}
+
+    def key(t):
+        return tuple(_mat_key(m) for m in t)
+
+    ident = tuple(Mat.identity(m.rows, m.field) for m in gens[0])
+    seen = {key(ident): ident}
     frontier = [ident]
     while frontier:
         new = []
         for w in frontier:
             for g in gens:
-                prod = w * g
-                key = _mat_key(prod)
-                if key not in seen:
-                    seen[key] = prod
+                prod = tuple(a * b for a, b in zip(w, g))
+                k = key(prod)
+                if k not in seen:
+                    seen[k] = prod
                     new.append(prod)
                     if len(seen) > limit:
                         raise InvariantViolation(
@@ -466,8 +403,8 @@ def invariant_polynomials(lie: LieAlgebraData, weyl_gens: list,
                           poly_trunc: int, field: Field = QQ) -> list:
     """Per-degree dimensions of the W-invariant polynomials, by exact
     averaging; an empty generator list means trivial W."""
-    group = mulclose_mats(weyl_gens) if weyl_gens else \
-        [Mat.identity(lie.dim, field)]
+    group = [w for (w,) in mulclose_mats([(g,) for g in weyl_gens])] \
+        if weyl_gens else [Mat.identity(lie.dim, field)]
     if field.p and len(group) % field.p == 0:
         raise NonInvertibleOrder(
             f"|W| = {len(group)} not invertible in characteristic {field.p}")
@@ -481,24 +418,8 @@ def invariant_polynomials(lie: LieAlgebraData, weyl_gens: list,
             total = total + sym_power_matrix(w, p, monos, mono_index)
         reynolds = total.scale(field.coerce(inv_order) if field.p == 0
                                else field.inv(field.coerce(len(group))))
-        from .exactalg import rank
         out.append(rank(reynolds))
     return out
-
-
-def _invariant_basis(mats: list, dim: int, field: Field) -> list:
-    """Basis of the joint fixed space of the given operators."""
-    if not mats:
-        return [{i: 1} for i in range(dim)]
-    stacked = {}
-    offset = 0
-    ident = Mat.identity(dim, field)
-    for m in mats:
-        diff = m + (-ident)
-        for (i, j), v in diff.entries.items():
-            stacked[(offset + i, j)] = v
-        offset += dim
-    return kernel_basis(Mat(offset, dim, stacked, field))
 
 
 @dataclass
@@ -542,29 +463,8 @@ def torus_weyl_check(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,
 
     # close the W action on pairs (dual matrix, per-degree algebra maps)
     if weyl_dual_gens:
-        pairs = {}
-        ident_pair = (Mat.identity(lie.dim, f),
-                      tuple(Mat.identity(inv.dims[m], f)
-                            for m in range(inv.top + 1)))
-        key0 = (_mat_key(ident_pair[0]),
-                tuple(_mat_key(m) for m in ident_pair[1]))
-        pairs[key0] = ident_pair
-        gens = list(zip(weyl_dual_gens, weyl_algebra_gens))
-        frontier = [ident_pair]
-        while frontier:
-            new = []
-            for (wd, wa) in frontier:
-                for (gd, ga) in gens:
-                    nd = wd * gd
-                    na = tuple(wa[m] * ga[m] for m in range(inv.top + 1))
-                    key = (_mat_key(nd), tuple(_mat_key(m) for m in na))
-                    if key not in pairs:
-                        pairs[key] = (nd, na)
-                        new.append((nd, na))
-                        if len(pairs) > 4096:
-                            raise InvariantViolation("W closure exceeds limit")
-            frontier = new
-        group = list(pairs.values())
+        group = [(t[0], t[1:]) for t in mulclose_mats(
+            [(gd, *ga) for gd, ga in zip(weyl_dual_gens, weyl_algebra_gens)])]
     else:
         group = [(Mat.identity(lie.dim, f),
                   tuple(Mat.identity(inv.dims[m], f)
@@ -600,27 +500,15 @@ def torus_weyl_check(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,
             if dc.dim(p, q) == 0:
                 inv_bases[(p, q)] = []
                 continue
-            gens_here = [block_action(pair, p, q) for pair in group]
-            inv_bases[(p, q)] = _invariant_basis(gens_here, dc.dim(p, q), f)
+            ident = Mat.identity(dc.dim(p, q), f)
+            inv_bases[(p, q)] = joint_kernel(
+                [block_action(pair, p, q) + (-ident) for pair in group],
+                dc.dim(p, q), f)
 
     def restrict(op: Mat, src_key, dst_key, name):
-        basis = inv_bases[src_key]
-        target = inv_bases[dst_key]
-        if not basis:
-            return Mat.zero(len(target), 0, f)
-        images = [op.mul_vec(v) for v in basis]
-        if not target:
-            if any(images):
-                raise NonEquivariantInput(
-                    f"{name} leaves the invariant subcomplex at {src_key}")
-            return Mat.zero(0, len(basis), f)
-        try:
-            coords = solve_multi(
-                mat_from_columns(target, op.rows, f), images)
-        except NoSolution as exc:
-            raise NonEquivariantInput(
-                f"{name} leaves the invariant subcomplex at {src_key}") from exc
-        return mat_from_columns(coords, len(target), f)
+        return _restrict(op, inv_bases[src_key], inv_bases[dst_key],
+                         NonEquivariantInput(f"{name} leaves the invariant "
+                                             f"subcomplex at {src_key}"))
 
     dims_w = {k: len(v) for k, v in inv_bases.items()}
     d_h_w = {}
@@ -645,14 +533,10 @@ def torus_weyl_check(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,
     series_einf = [sums.get(s, 0) for s in degrees]
 
     # E_1 identification: averaged dims of (S^p (x) H^{q-p})^W
-    base = CochainComplex(f, inv.dims,
-                          tuple(inv.dmat(m) for m in range(inv.top)),
-                          boundary_degree=None)
-    from .homalg import induced_cohomology_matrix
-    h_data = {}
-    for m in range(inv.top + 1):
-        h_data[m] = [induced_cohomology_matrix(base, m, pair[1][m])
-                     for pair in group]
+    base = inv.cochain_complex()
+    h_data = {m: induced_cohomology_matrix(base, m,
+                                           [pair[1][m] for pair in group])
+              for m in range(inv.top + 1)}
     e1_matches = []
     flag = dc_w.boundary_total_degree
     for (p, q), dim in sorted(e1.entries.items()):
@@ -671,7 +555,9 @@ def torus_weyl_check(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,
                        start=f.zero())
             acc += Fraction(tr_sp) * Fraction(tr_h)
         expected = acc / len(group)
-        assert expected.denominator == 1
+        if expected.denominator != 1:
+            raise InvariantViolation(
+                f"Weyl-averaged E_1 dimension at {(p, q)} is {expected}")
         e1_matches.append({"p": p, "q": q, "page": dim,
                            "expected": int(expected),
                            "ok": dim == int(expected)})

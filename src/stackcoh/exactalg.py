@@ -13,7 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import CompositionNonzero, DimensionMismatch, NoSolution
+from .errors import (
+    CompositionNonzero, DimensionMismatch, InvariantViolation, NoSolution,
+)
 
 
 class Field:
@@ -26,10 +28,6 @@ class Field:
             if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
                 raise ValueError(f"{p} is not prime")
         self.p = p
-
-    @property
-    def char(self) -> int:
-        return self.p
 
     def coerce(self, x):
         if self.p:
@@ -362,12 +360,17 @@ class Sieve:
         return vec, combo
 
 
-def rank(m: Mat) -> int:
-    """Exact rank over the matrix's field."""
+def _column_sieve(m: Mat) -> Sieve:
+    """Untracked sieve loaded with the column space of m."""
     sieve = Sieve(m.field)
     for col in m.columns():
         sieve.insert(col)
-    return sieve.rank
+    return sieve
+
+
+def rank(m: Mat) -> int:
+    """Exact rank over the matrix's field."""
+    return _column_sieve(m).rank
 
 
 def kernel_basis(m: Mat) -> list[dict]:
@@ -386,6 +389,17 @@ def kernel_basis(m: Mat) -> list[dict]:
     return basis
 
 
+def joint_kernel(mats: list, cols: int, field: Field) -> list[dict]:
+    """kernel_basis of the given cols-column matrices stacked vertically."""
+    entries = {}
+    offset = 0
+    for m in mats:
+        for (i, j), v in m.entries.items():
+            entries[(offset + i, j)] = v
+        offset += m.rows
+    return kernel_basis(Mat(offset, cols, entries, field))
+
+
 def _normalise(vec: dict, f: Field) -> dict:
     if not vec:
         return {}
@@ -402,14 +416,6 @@ def _normalise(vec: dict, f: Field) -> dict:
             for i, v in sorted(vec.items())}
 
 
-def image_sieve(m: Mat) -> Sieve:
-    """Untracked sieve loaded with the column space of m."""
-    sieve = Sieve(m.field)
-    for col in m.columns():
-        sieve.insert(col)
-    return sieve
-
-
 def cohomology_dim(d_out: Mat, d_in: Mat, reps: bool = False):
     """dim ker(d_out) - rank(d_in) for the two-step complex d_in then d_out.
 
@@ -422,7 +428,7 @@ def cohomology_dim(d_out: Mat, d_in: Mat, reps: bool = False):
     if not (d_out * d_in).is_zero():
         raise CompositionNonzero("d_out . d_in != 0")
     kernel = kernel_basis(d_out)
-    sieve = image_sieve(d_in)
+    sieve = _column_sieve(d_in)
     dim = len(kernel) - sieve.rank
     if not reps:
         return dim
@@ -431,7 +437,9 @@ def cohomology_dim(d_out: Mat, d_in: Mat, reps: bool = False):
         residual, _ = sieve.insert(v)
         if residual:
             chosen.append(v)
-    assert len(chosen) == dim
+    if len(chosen) != dim:
+        raise InvariantViolation(
+            f"{len(chosen)} representatives for a {dim}-dimensional space")
     return dim, chosen
 
 

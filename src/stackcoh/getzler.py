@@ -7,7 +7,14 @@ through the action on both the base point and the module; the companion
 contraction operator differentiates along one-parameter subgroups and is
 identically zero here because the Lie algebra is zero.  The total
 differential follows the displayed sign pattern (group coboundary plus
-(-1)^p times the simplicial one) and is validated by squaring.
+(-1)^p times the simplicial one), which is exactly the total complex of
+the transposed Borel double complex; homalg.TotalLayout, the one
+totalization, assembles it and CochainComplex checks its square.
+
+Routes and oracles: dbar acts element-wise on cochain tables and never
+reads the double complex, so it is the oracle of dbar_matrix, which is
+read off the Borel blocks.  getzler_total_cohomology is a route, checked
+against the homotopy-quotient computation of stackact.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from .errors import (
     DegreeMismatch, InvariantViolation, UnsupportedRegime,
 )
 from .exactalg import Mat
-from .homalg import CochainComplex, cohomology
+from .homalg import CochainComplex, cohomology, total_complex
 from .spectra import borel_double_complex
 
 
@@ -122,15 +129,6 @@ class GetzlerCochain:
     def is_zero(self) -> bool:
         return not self.table
 
-    def total_degrees(self) -> set:
-        """Total degrees s = p + n of the nonzero components."""
-        out = set()
-        for vec in self.table.values():
-            for idx in vec:
-                n, _, _ = self.ctx.value_component(idx)
-                out.add(self.p + n)
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, GetzlerCochain) and self.p == other.p
                 and self.ctx is other.ctx and self.table == other.table)
@@ -188,52 +186,15 @@ def total_differential_matrices(ctx: GetzlerContext,
                                 max_total: int | None = None) -> tuple:
     """Degree-s matrices of dbar + (-1)^p d_simplicial on the graded pieces.
 
-    Returns (dims, diffs); block (p, n) sits at total degree p + n, laid
-    out by ascending p, and the square of the assembled differential is
-    asserted to vanish.
+    This is the total complex of the transposed Borel double complex, so
+    TotalLayout lays block (p, n) out at total degree p + n in ascending
+    simplicial level n, and CochainComplex checks that D^2 = 0.  Blocks
+    above max_total are never built.  Returns (dims, diffs).
     """
-    dc = ctx.double_complex()
-    if max_total is None:
-        max_total = 2 * ctx.n_top
-    n_min, n_max = 0, min(2 * ctx.n_top, max_total)
-    blocks = {}
-    offsets = {}
-    dims = []
-    for s in range(n_max + 1):
-        offset = 0
-        blks = []
-        for p in range(0, s + 1):
-            n = s - p
-            if n > ctx.n_top or p > ctx.n_top:
-                continue
-            blks.append((p, n))
-            offsets[(p, n)] = offset
-            offset += dc.dim(p, n)
-        blocks[s] = blks
-        dims.append(offset)
-    diffs = []
-    field = ctx.module.field
-    for s in range(n_max):
-        entries = {}
-        targets = set(blocks[s + 1])
-        for (p, n) in blocks[s]:
-            src = offsets[(p, n)]
-            if (p + 1, n) in targets:
-                dst = offsets[(p + 1, n)]
-                for (r, c), v in dc.dh(p, n).entries.items():
-                    entries[(dst + r, src + c)] = v
-            if (p, n + 1) in targets:
-                dst = offsets[(p, n + 1)]
-                sign = -1 if p % 2 else 1
-                for (r, c), v in dc.dv(p, n).entries.items():
-                    val = v if sign == 1 else field.neg(v)
-                    entries[(dst + r, src + c)] = val
-        diffs.append(Mat(dims[s + 1], dims[s], entries, field))
-    for s in range(len(diffs) - 1):
-        if not (diffs[s + 1] * diffs[s]).is_zero():
-            raise InvariantViolation(
-                f"total differential fails to square to zero at degree {s}")
-    return tuple(dims), tuple(diffs)
+    dc = borel_double_complex(ctx.sa, ctx.module, ctx.n_top,
+                              max_total=max_total)
+    total = total_complex(dc.transpose())
+    return total.dims, total.diffs
 
 
 def getzler_total_cohomology(a, coeff, degrees, n_top: int | None = None) -> list:

@@ -6,6 +6,9 @@ inner faces multiply adjacent arguments with alternating signs, and the
 last face acts on the value through rho(g^-1).  With this convention the
 bar complex of a trivial module is entry-for-entry the cochain complex of
 the one-object groupoid nerve.
+
+Everything here is an oracle for the spectral routes: bar_complex and
+action_on_cohomology never read a Borel double complex.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, RepresentativeDriftError
-from .exactalg import Field, Mat, Sieve, mat_from_columns, solve_multi
+from .exactalg import Field, Mat, joint_kernel
 from .errors import NoSolution
-from .homalg import CochainComplex, cohomology
+from .homalg import CochainComplex, induced_cohomology_matrix
 from .simplicial import cochains
 from .stackact import FiniteGroup, as_simplicial_action
 
@@ -139,19 +142,8 @@ def bar_complex(m: GModule, n_top: int) -> CochainComplex:
 
 def invariants_dim(m: GModule) -> int:
     """dim of the joint fixed space ker(rho(g) - id), all g."""
-    rows = []
     ident = Mat.identity(m.dim, m.field)
-    stacked = {}
-    row_offset = 0
-    for gi in range(m.group.order):
-        diff = m.rho[gi] + (-ident)
-        for (i, j), v in diff.entries.items():
-            stacked[(row_offset + i, j)] = v
-        row_offset += m.dim
-    mat = Mat(row_offset, m.dim, stacked, m.field)
-    from .exactalg import kernel_basis
-    del rows
-    return len(kernel_basis(mat))
+    return len(joint_kernel([r + (-ident) for r in m.rho], m.dim, m.field))
 
 
 def cochain_action_matrix(sa, field: Field, n: int) -> list:
@@ -172,39 +164,22 @@ def action_on_cohomology(a, field: Field, n: int,
                          n_top: int | None = None) -> GModule:
     """Induced module structure on H^n of the underlying space.
 
-    Representatives are the deterministic cocycle complement; each group
-    element's matrix is found by solving inside ker(d) against the image
-    basis plus representatives.
+    Representatives are the deterministic cocycle complement; the matrices
+    of all group elements are solved inside ker(d) against the image basis
+    plus representatives (homalg.induced_cohomology_matrix).
     """
     if n_top is None:
         n_top = n + 2
     sa = as_simplicial_action(a, n_top)
     complex_ = cochains(sa.space, field)
-    h_dim, reps = cohomology(complex_, n, reps=True)
-    d_in = complex_.diff_into(n)
-    image_cols = []
-    sieve = Sieve(field)
-    for col in d_in.columns():
-        residual, _ = sieve.insert(col)
-        if residual:
-            image_cols.append(col)
-    basis = mat_from_columns(image_cols + reps, complex_.dims[n], field)
-    action_mats = cochain_action_matrix(sa, field, n)
-    rho = []
-    for gi in range(sa.group.order):
-        images = [action_mats[gi].mul_vec(v) for v in reps]
-        try:
-            coords = solve_multi(basis, images)
-        except NoSolution as exc:
-            raise RepresentativeDriftError(
-                f"induced map of {sa.group.elements[gi]} left the tracked "
-                f"cocycle space in degree {n}") from exc
-        entries = {}
-        for col_idx, x in enumerate(coords):
-            for row_idx, v in x.items():
-                if row_idx >= len(image_cols):
-                    entries[(row_idx - len(image_cols), col_idx)] = v
-        rho.append(Mat(h_dim, h_dim, entries, field))
+    try:
+        rho = induced_cohomology_matrix(
+            complex_, n, cochain_action_matrix(sa, field, n))
+    except NoSolution as exc:
+        raise RepresentativeDriftError(
+            f"an induced map left the tracked cocycle space in degree "
+            f"{n}") from exc
+    h_dim = rho[0].rows
     module = GModule(sa.group, field, h_dim, tuple(rho))
     try:
         module.validate()

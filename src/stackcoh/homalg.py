@@ -5,6 +5,21 @@ Double complexes are stored with commuting differentials; the sign
 D^2 = 0 is a checkable postcondition rather than an input convention.
 Complexes built from truncated simplicial data carry a boundary degree:
 cohomology at or beyond it is refused unless explicitly overridden.
+
+TotalLayout.total_matrix is the one totalization: total_complex, the
+filtered total complex of the spectral pages, the Getzler model (the
+transposed Borel complex), the Cartan model and every face of
+collapse_triple assemble their total differentials through it.
+
+Routes and their oracles: the subquotient pages of spectra.pages and
+its rank table check each other; the E_1 / E_2 identifications are
+checked by spectra.quotient_cohomology_oracle and groupcoh.bar_complex,
+which never build a double complex; the element-wise getzler.dbar
+checks the Borel blocks behind getzler.dbar_matrix.
+induced_cohomology_matrix is the "coordinates in H^n" solve of the
+oracles (groupcoh.action_on_cohomology and the Weyl traces of
+cartan.torus_weyl_check); the d_r solve in spectra.pages is the route
+they check and does not call it.
 """
 
 from __future__ import annotations
@@ -12,7 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, TruncationBoundary
-from .exactalg import Field, Mat, cohomology_dim
+from .exactalg import (
+    Field, Mat, Sieve, cohomology_dim, mat_from_columns, solve_multi,
+)
 
 
 @dataclass
@@ -86,31 +103,26 @@ def betti_table(c: CochainComplex, degrees) -> list[int]:
     return [cohomology(c, n) for n in degrees]
 
 
-def induced_cohomology_matrix(c: CochainComplex, n: int, f_mat: Mat) -> Mat:
-    """Matrix on H^n induced by a degree-n operator commuting with d.
+def induced_cohomology_matrix(c: CochainComplex, n: int, ops: list) -> list:
+    """Matrices on H^n induced by degree-n operators commuting with d.
 
-    Representatives are the deterministic cocycle complement; coordinates
-    are solved against an independent image basis extended by the
-    representatives, so the output is reproducible.
+    Representatives are the deterministic cocycle complement and the
+    image basis is the independent columns of the incoming differential;
+    both are computed once, and every operator's images are solved in one
+    elimination against image basis plus representatives, so the output
+    is reproducible.  Raises NoSolution if an image leaves the cocycles.
     """
-    from .exactalg import Sieve, mat_from_columns, solve_multi
     field = c.field
-    dim, reps = cohomology(c, n, override=True, reps=True)
+    dim, reps = cohomology(c, n, reps=True)
     sieve = Sieve(field)
-    image_cols = []
-    for col in c.diff_into(n).columns():
-        residual, _ = sieve.insert(col)
-        if residual:
-            image_cols.append(col)
+    image_cols = [col for col in c.diff_into(n).columns()
+                  if sieve.insert(col)[0]]
     basis = mat_from_columns(image_cols + reps, c.dims[n], field)
-    images = [f_mat.mul_vec(v) for v in reps]
-    coords = solve_multi(basis, images)
-    entries = {}
-    for col_idx, x in enumerate(coords):
-        for row_idx, v in x.items():
-            if row_idx >= len(image_cols):
-                entries[(row_idx - len(image_cols), col_idx)] = v
-    return Mat(dim, dim, entries, field)
+    coords = solve_multi(basis, [op.mul_vec(v) for op in ops for v in reps])
+    skip = len(image_cols)
+    cols = [{r - skip: v for r, v in x.items() if r >= skip} for x in coords]
+    return [mat_from_columns(cols[o * dim:(o + 1) * dim], dim, field)
+            for o in range(len(ops))]
 
 
 def euler_characteristic(c: CochainComplex) -> int:
@@ -182,8 +194,24 @@ class DoubleComplex:
             return Mat.zero(self.dim(p, q + 1), self.dim(p, q), self.field)
         return m
 
+    @classmethod
+    def _derived(cls, field, p_range, q_range, dims, d_h, d_v,
+                boundary_total_degree=None) -> "DoubleComplex":
+        """Assemble from the blocks of an already validated complex.
+
+        __post_init__ does not run: every check in it is symmetric in the
+        two axes or a subset of TripleComplex.validate(), so a transpose or
+        a face of a validated complex passes it by construction.  dims
+        must already list every block of the rectangle.
+        """
+        dc = cls.__new__(cls)
+        dc.__dict__.update(field=field, p_range=p_range, q_range=q_range,
+                           dims=dims, d_h=d_h, d_v=d_v,
+                           boundary_total_degree=boundary_total_degree)
+        return dc
+
     def transpose(self) -> "DoubleComplex":
-        return DoubleComplex(
+        return DoubleComplex._derived(
             self.field, self.q_range, self.p_range,
             {(q, p): d for (p, q), d in self.dims.items()},
             {(q, p): m for (p, q), m in self.d_v.items()},
@@ -249,7 +277,7 @@ class TotalLayout:
 
 
 def total_complex(dc: DoubleComplex) -> CochainComplex:
-    """Totalize with the (-1)^q convention; asserts D^2 = 0.
+    """Totalize with the (-1)^q convention; CochainComplex checks D^2 = 0.
 
     Degrees are shifted so the result starts at 0 even if the rectangle
     does not contain the origin.
@@ -257,9 +285,6 @@ def total_complex(dc: DoubleComplex) -> CochainComplex:
     layout = TotalLayout(dc)
     dims = [layout.total_dims[n] for n in range(layout.n_min, layout.n_max + 1)]
     diffs = [layout.total_matrix(n) for n in range(layout.n_min, layout.n_max)]
-    for n in range(len(diffs) - 1):
-        if not (diffs[n + 1] * diffs[n]).is_zero():
-            raise InvariantViolation(f"totalization failed: D^2 != 0 at {n}")
     # page reports flag total degree N-1 conservatively, but the total
     # complex itself is complete through degree N, so cohomology is
     # certified strictly below N = boundary_total_degree + 1
@@ -288,121 +313,88 @@ class TripleComplex:
     def dmat(self, axis: int, key) -> Mat:
         m = self.d[axis].get(key)
         if m is None:
-            target = list(key)
-            target[axis] += 1
-            return Mat.zero(self.dim(tuple(target)), self.dim(key), self.field)
+            return Mat.zero(self.dim(_step(key, axis)), self.dim(key),
+                            self.field)
         return m
 
     def validate(self):
-        axes = range(3)
-        keys = [key for key in self.dims if self.dim(key)]
-        for key in keys:
-            for ax in axes:
-                step1 = self.dmat(ax, key)
-                target = list(key)
-                target[ax] += 1
-                step2 = self.dmat(ax, tuple(target))
-                if not (step2 * step1).is_zero():
+        for key in [key for key in self.dims if self.dim(key)]:
+            for ax in range(3):
+                step2 = self.dmat(ax, _step(key, ax))
+                if not (step2 * self.dmat(ax, key)).is_zero():
                     raise InvariantViolation(f"d{ax}^2 != 0 at {key}")
-            for ax1 in axes:
-                for ax2 in axes:
-                    if ax1 >= ax2:
-                        continue
-                    t1 = list(key)
-                    t1[ax1] += 1
-                    t2 = list(key)
-                    t2[ax2] += 1
-                    left = self.dmat(ax2, tuple(t1)) * self.dmat(ax1, key)
-                    right = self.dmat(ax1, tuple(t2)) * self.dmat(ax2, key)
-                    if left != right:
-                        raise InvariantViolation(
-                            f"d{ax1} and d{ax2} do not commute at {key}")
+            for ax1, ax2 in ((0, 1), (0, 2), (1, 2)):
+                left = self.dmat(ax2, _step(key, ax1)) * self.dmat(ax1, key)
+                right = self.dmat(ax1, _step(key, ax2)) * self.dmat(ax2, key)
+                if left != right:
+                    raise InvariantViolation(
+                        f"d{ax1} and d{ax2} do not commute at {key}")
+
+
+def _step(key: tuple, axis: int) -> tuple:
+    """key raised by one along axis."""
+    return key[:axis] + (key[axis] + 1,) + key[axis + 1:]
 
 
 def collapse_triple(tc: TripleComplex, pair=(0, 1),
                     boundary_total_degree: int | None = None) -> DoubleComplex:
     """Totalize two axes of a triple complex into the horizontal index.
 
-    pair = (i, j): axis i acts as the inner horizontal and carries the sign
-    (-1)^(degree along axis j); the remaining axis becomes the vertical of
-    the returned DoubleComplex.  Blocks inside a collapsed degree are laid
-    out by ascending axis-i degree.
+    pair = (i, j): for each degree t of the remaining axis, the (i, j) face
+    is totalized by TotalLayout with axis i as p, so axis i carries the sign
+    (-1)^(degree along axis j) and sub-blocks ascend in the axis-i degree.
+    The remaining axis becomes the vertical of the returned DoubleComplex,
+    acting block-diagonally between consecutive faces.
     """
     i, j = pair
     if i == j or not (0 <= i < 3 and 0 <= j < 3):
         raise ValueError("pair must name two distinct axes")
     k = ({0, 1, 2} - {i, j}).pop()
     tc.validate()
-    (imin, imax) = tc.ranges[i]
-    (jmin, jmax) = tc.ranges[j]
     (kmin, kmax) = tc.ranges[k]
-
-    # layout of each collapsed block (s, t): sub-blocks by ascending axis-i
-    offsets = {}
-    dims = {}
-    for s in range(imin + jmin, imax + jmax + 1):
-        for t in range(kmin, kmax + 1):
-            offset = 0
-            for a in range(imin, imax + 1):
-                b = s - a
-                if not jmin <= b <= jmax:
-                    continue
-                key = _make_key(i, j, k, a, b, t)
-                offsets[(s, t, a)] = offset
-                offset += tc.dim(key)
-            dims[(s, t)] = offset
-
-    d_h = {}
-    d_v = {}
-    f = tc.field
-    for s in range(imin + jmin, imax + jmax + 1):
-        for t in range(kmin, kmax + 1):
-            h_entries = {}
-            v_entries = {}
-            for a in range(imin, imax + 1):
-                b = s - a
-                if not jmin <= b <= jmax:
-                    continue
-                key = _make_key(i, j, k, a, b, t)
-                src = offsets[(s, t, a)]
-                # axis j step: (s, t) -> (s+1, t), lands in sub-block a
-                if b + 1 <= jmax:
-                    dst = offsets.get((s + 1, t, a))
-                    if dst is not None:
-                        for (r, c), v in tc.dmat(j, key).entries.items():
-                            h_entries[(dst + r, src + c)] = v
-                # axis i step with sign (-1)^b: lands in sub-block a+1
-                if a + 1 <= imax:
-                    dst = offsets.get((s + 1, t, a + 1))
-                    if dst is not None:
-                        sign = -1 if b % 2 else 1
-                        for (r, c), v in tc.dmat(i, key).entries.items():
-                            val = v if sign == 1 else f.neg(v)
-                            kk = (dst + r, src + c)
-                            if kk in h_entries:
-                                sm = f.add(h_entries[kk], val)
-                                if sm:
-                                    h_entries[kk] = sm
-                                else:
-                                    del h_entries[kk]
-                            else:
-                                h_entries[kk] = val
-                # axis k step: (s, t) -> (s, t+1)
-                if t + 1 <= kmax:
-                    dst = offsets.get((s, t + 1, a))
-                    if dst is not None:
-                        for (r, c), v in tc.dmat(k, key).entries.items():
-                            v_entries[(dst + r, src + c)] = v
-            if s + 1 <= imax + jmax:
-                d_h[(s, t)] = Mat(dims.get((s + 1, t), 0), dims[(s, t)],
-                                  h_entries, f)
-            if t + 1 <= kmax:
-                d_v[(s, t)] = Mat(dims.get((s, t + 1), 0), dims[(s, t)],
-                                  v_entries, f)
-
-    return DoubleComplex(f, (imin + jmin, imax + jmax), (kmin, kmax),
+    faces = {t: TotalLayout(_face(tc, i, j, k, t))
+             for t in range(kmin, kmax + 1)}
+    n_min, n_max = faces[kmin].n_min, faces[kmin].n_max
+    dims, d_h, d_v = {}, {}, {}
+    for t, lay in faces.items():
+        for s in range(n_min, n_max + 1):
+            dims[(s, t)] = lay.total_dims[s]
+            if s < n_max:
+                d_h[(s, t)] = lay.total_matrix(s)
+            if t < kmax:
+                d_v[(s, t)] = _block_diagonal(tc, (i, j, k), t, s, lay,
+                                              faces[t + 1])
+    return DoubleComplex(tc.field, (n_min, n_max), (kmin, kmax),
                          dims, d_h, d_v,
                          boundary_total_degree=boundary_total_degree)
+
+
+def _face(tc: TripleComplex, i: int, j: int, k: int, t: int) -> DoubleComplex:
+    """Slice at degree t along axis k, with axis i as p and axis j as q."""
+    (imin, imax), (jmin, jmax) = tc.ranges[i], tc.ranges[j]
+    dims, d_h, d_v = {}, {}, {}
+    for a in range(imin, imax + 1):
+        for b in range(jmin, jmax + 1):
+            key = _make_key(i, j, k, a, b, t)
+            dims[(a, b)] = tc.dim(key)
+            if a < imax:
+                d_h[(a, b)] = tc.dmat(i, key)
+            if b < jmax:
+                d_v[(a, b)] = tc.dmat(j, key)
+    return DoubleComplex._derived(tc.field, (imin, imax), (jmin, jmax),
+                                 dims, d_h, d_v)
+
+
+def _block_diagonal(tc: TripleComplex, axes: tuple, t: int, s: int,
+                    src: TotalLayout, dst: TotalLayout) -> Mat:
+    """Axis-k map from degree s of face t to degree s of face t+1."""
+    i, j, k = axes
+    entries = {}
+    for (a, b) in src.blocks[s]:
+        row0, col0 = dst.offsets[(a, b)], src.offsets[(a, b)]
+        for (r, c), v in tc.dmat(k, _make_key(i, j, k, a, b, t)).entries.items():
+            entries[(row0 + r, col0 + c)] = v
+    return Mat(dst.total_dims[s], src.total_dims[s], entries, tc.field)
 
 
 def _make_key(i, j, k, a, b, t):

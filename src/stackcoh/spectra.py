@@ -8,6 +8,10 @@ pass and keeps representative bases, so d_r matrices are reproducible and
 can be compared entrywise against oracles.  An independent rank-table
 formula provides a dims-only fast path; the two agree by property test.
 
+The d_r solve in pages is the route that the "coordinates in H^n"
+oracle (homalg.induced_cohomology_matrix) checks, so it stays a separate
+solve; the homalg docstring lists every route and its oracle.
+
 Filtration naming: "columns" filters by the horizontal index p of the
 DoubleComplex (d_0 is then the vertical differential); "rows" filters by
 the vertical index.
@@ -22,7 +26,8 @@ from math import gcd
 
 from .errors import InvariantViolation
 from .exactalg import (
-    Mat, Sieve, kernel_basis, mat_from_columns, rank, solve_multi,
+    Mat, Sieve, _integerise, kernel_basis, mat_from_columns, rank,
+    solve_multi,
 )
 from .homalg import (
     CochainComplex, CoefficientComplex, DoubleComplex, TotalLayout,
@@ -76,10 +81,6 @@ class _FilteredTotal:
                 return self.layout.offsets[(p, q)]
         return self.total_dim(n)
 
-    def boundary_row(self, n: int, t: int) -> int:
-        """First row of T^n belonging to filtration >= t."""
-        return self.col_start(n, t)
-
     def _snapshot_ts(self, p0: int):
         return list(range(p0, self.pmax + 2))
 
@@ -98,11 +99,7 @@ class _FilteredTotal:
         for j in range(start, d.cols):
             col = d.col(j)
             if f.p == 0:
-                lam = 1
-                for v in col.values():
-                    den = v.denominator
-                    lam = lam // gcd(lam, den) * den
-                vec = {i: int(v * lam) for i, v in col.items()}
+                vec, lam = _integerise(col)
                 combo = {j: lam}
             else:
                 vec = {i: v for i, v in col.items() if v}
@@ -114,7 +111,7 @@ class _FilteredTotal:
         snapshots = {}
         seen_rows = set()
         for t in self._snapshot_ts(p0):
-            boundary = self.boundary_row(n + 1, t)
+            boundary = self.col_start(n + 1, t)
             while heap and heap[0] < boundary:
                 r = heapq.heappop(heap)
                 if r in seen_rows:
@@ -205,7 +202,7 @@ class _FilteredTotal:
         pivot_rows = sorted(sieve.pivots.keys())
         table = {}
         for t in self._snapshot_ts(p0):
-            boundary = self.boundary_row(n + 1, t)
+            boundary = self.col_start(n + 1, t)
             table[t] = sum(1 for r in pivot_rows if r < boundary)
         self._rank_tables[key] = table
         return table
@@ -216,9 +213,6 @@ class _FilteredTotal:
         p0 = max(p0, self.pmin)
         t = min(max(t, p0), self.pmax + 1)
         return self.rank_table(n, p0)[t]
-
-    def dim_f(self, n: int, p0: int) -> int:
-        return self.total_dim(n) - self.col_start(n, max(p0, self.pmin))
 
     def entry_dim_by_ranks(self, p: int, q: int, r: int) -> int:
         """Classical rank formula for dim E_r^{p,q}."""
@@ -242,8 +236,7 @@ def stabilization_page(dc: DoubleComplex) -> int:
 
 
 def pages(dc: DoubleComplex, filtration: str = "columns",
-          r_max: int | None = None, dims_only: bool = False,
-          with_reps: bool = True) -> list:
+          r_max: int | None = None, dims_only: bool = False) -> list:
     """Pages E_0 .. E_stab of the filtered total complex.
 
     The final page carries stabilized=True and equals E_infinity.  Each
@@ -335,7 +328,7 @@ def pages(dc: DoubleComplex, filtration: str = "columns",
         page = SpectralSequencePage(
             r=r, filtration=filtration, entries=entries,
             differentials=differentials,
-            flags=flags, reps=reps if (with_reps and not dims_only) else None,
+            flags=flags, reps=None if dims_only else reps,
             stabilized=(r == r_stab), n_offset=ft.layout.n_min)
         if prev is not None and not dims_only and prev.differentials:
             for (p, q) in keys:
@@ -619,7 +612,10 @@ def discrete_borel_ss(a, coeff, n_top: int, r_max: int | None = None,
 
 def borel_triple_complex(sa, coeffs: CoefficientComplex, n_top: int,
                          max_total: int | None = None) -> TripleComplex:
-    """Axes (group degree, simplicial level, coefficient degree)."""
+    """Axes (group degree, simplicial level, coefficient degree).
+
+    Not validated here: collapse_triple validates it before totalizing.
+    """
     from .groupcoh import GModule
     field = coeffs.modules[0].field
     g = sa.group
@@ -666,10 +662,8 @@ def borel_triple_complex(sa, coeffs: CoefficientComplex, n_top: int,
                 d2[(p, n, r)] = Mat(dims[(p, n, r + 1)], dims[(p, n, r)],
                                     entries, field)
 
-    tc = TripleComplex(field, ((0, n_top), (0, n_top), (0, m - 1)),
-                       dims, (d0, d1, d2))
-    tc.validate()
-    return tc
+    return TripleComplex(field, ((0, n_top), (0, n_top), (0, m - 1)),
+                         dims, (d0, d1, d2))
 
 
 def hyper_ss(a, coeffs: CoefficientComplex, mode: str, n_top: int,

@@ -323,7 +323,10 @@ def borel_object(sa: SimplicialGAction, n_top: int | None = None) -> BorelObject
     except SimplicialIdentityFailure as exc:
         raise SimplicialIdentityFailure(
             f"homotopy-quotient faces are inconsistent: {exc}") from exc
-    assert space.size(0) == s.size(0)
+    if space.size(0) != s.size(0):
+        raise InvariantViolation(
+            f"homotopy quotient has {space.size(0)} vertices, the base "
+            f"{s.size(0)}")
     return BorelObject(space, g, s)
 
 

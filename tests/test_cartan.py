@@ -4,15 +4,15 @@ import pytest
 
 from stackcoh.cartan import (
     GDGA, LieAlgebraData, abelian_lie, cartan_E1, cartan_cohomology,
-    cartan_complex, cartan_double_complex, invariant_polynomials,
-    invariants_subalgebra, torus_weyl_check, validate_gdga,
+    cartan_double_complex, invariant_polynomials, invariants_subalgebra,
+    monomials, torus_weyl_check, validate_gdga,
 )
 from stackcoh.errors import (
     InvariantViolation, NonEquivariantInput, NotClosedUnderOperators,
     TruncationBoundary,
 )
 from stackcoh.exactalg import QQ, Mat
-from stackcoh.homalg import total_complex
+from stackcoh.homalg import TotalLayout, total_complex
 from stackcoh.spectra import convergence_check, pages
 
 
@@ -165,13 +165,39 @@ class TestCartanCohomology:
 
 
 class TestCartanSpectral:
-    def test_complex_is_total_of_double_complex(self):
-        for algebra in (point_algebra(), free_circle(), trivial_circle()):
-            inv = invariants_subalgebra(LIE1, algebra)
-            direct = cartan_complex(LIE1, inv, 4)
-            tot = total_complex(cartan_double_complex(LIE1, inv, 4))
-            assert direct.dims == tot.dims
-            assert direct.diffs == tot.diffs
+    def test_total_differential_is_cartan_formula(self):
+        # D(m (x) x) = m (x) dx - sum_a (m u_a) (x) iota_a x, element-wise,
+        # with block offsets read from TotalLayout
+        cases = [(LIE1, point_algebra()), (LIE1, free_circle()),
+                 (LIE1, trivial_circle()), torus_two()]
+        trunc = 3
+        for lie, algebra in cases:
+            inv = invariants_subalgebra(lie, algebra)
+            dc = cartan_double_complex(lie, inv, trunc)
+            offsets = TotalLayout(dc).offsets
+            diffs = total_complex(dc).diffs
+            monos = [monomials(lie.dim, p) for p in range(trunc + 1)]
+
+            def index(p, m, mono, x):
+                return offsets[(p, p + m)] + \
+                    monos[p].index(mono) * inv.dims[m] + x
+
+            for p in range(trunc + 1):
+                for m in range(inv.top + 1):
+                    if 2 * p + m == len(diffs):
+                        continue
+                    for mono in monos[p]:
+                        for x in range(inv.dims[m]):
+                            want = {index(p, m + 1, mono, r): v
+                                    for r, v in inv.dmat(m).col(x).items()}
+                            for a in range(lie.dim if p < trunc else 0):
+                                up = tuple(sorted(mono + (a,)))
+                                for r, v in inv.iota_mat(a, m).col(x).items():
+                                    key = index(p + 1, m - 1, up, r)
+                                    want[key] = want.get(key, 0) - v
+                            want = {k: v for k, v in want.items() if v}
+                            col = index(p, m, mono, x)
+                            assert diffs[2 * p + m].col(col) == want
 
     def test_e1_identification(self):
         cases = [(LIE1, point_algebra()), (LIE1, free_circle()),

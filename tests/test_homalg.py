@@ -60,6 +60,14 @@ def single_block_dc(field=QQ):
     return DoubleComplex(field, (0, 0), (0, 0), {(0, 0): 1}, {}, {})
 
 
+def identity_square():
+    ident = Mat.identity(1, QQ)
+    return DoubleComplex(QQ, (0, 1), (0, 1),
+                         {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
+                         {(0, 0): ident, (0, 1): ident},
+                         {(0, 0): ident, (1, 0): ident})
+
+
 class TestTotalComplex:
     def test_single_entry(self):
         tot = total_complex(single_block_dc())
@@ -76,12 +84,7 @@ class TestTotalComplex:
     def test_all_identity_square_is_acyclic(self):
         # Tensor square of the acyclic column k -> k: every total degree
         # vanishes (H = 0, 0, 0 by direct four-dimensional computation).
-        ident = Mat.identity(1, QQ)
-        dc = DoubleComplex(QQ, (0, 1), (0, 1),
-                           {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
-                           {(0, 0): ident, (0, 1): ident},
-                           {(0, 0): ident, (1, 0): ident})
-        tot = total_complex(dc)
+        tot = total_complex(identity_square())
         assert [cohomology(tot, n, override=True) for n in range(3)] == [0, 0, 0]
 
     def test_invariant_violation_on_noncommuting(self):
@@ -122,6 +125,16 @@ def triple_from_double(dc: DoubleComplex, axis_dim=0):
                          dims, (d0, d1, {}))
 
 
+def identity_cone(dc: DoubleComplex):
+    """Two copies of a double complex joined by the identity along axis 2."""
+    dims = {(p, q, r): d for (p, q), d in dc.dims.items() for r in (0, 1)}
+    d0 = {(p, q, r): m for (p, q), m in dc.d_h.items() for r in (0, 1)}
+    d1 = {(p, q, r): m for (p, q), m in dc.d_v.items() for r in (0, 1)}
+    d2 = {(p, q, 0): Mat.identity(d, dc.field) for (p, q), d in dc.dims.items()}
+    return TripleComplex(dc.field, (dc.p_range, dc.q_range, (0, 1)),
+                         dims, (d0, d1, d2))
+
+
 class TestCollapseTriple:
     def test_concentrated_origin(self):
         tc = TripleComplex(QQ, ((0, 0), (0, 0), (0, 0)), {(0, 0, 0): 1},
@@ -139,6 +152,28 @@ class TestCollapseTriple:
         tot = total_complex(dc)
         assert [cohomology(tot, n, override=True)
                 for n in range(len(tot.dims))] == [0, 0]
+
+    def test_transpose_and_faces_are_not_revalidated(self, monkeypatch):
+        dc = identity_square()
+        tc = identity_cone(dc)
+        calls = []
+        original = DoubleComplex.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(DoubleComplex, "__post_init__", counting)
+        dc.transpose()
+        assert calls == []
+        for pair in [(0, 1), (1, 2), (2, 0)]:
+            collapsed = collapse_triple(tc, pair=pair)
+            # only the collapsed result is validated, not its faces
+            assert len(calls) == 1 and calls[0] is collapsed
+            calls.clear()
+            tot = total_complex(collapsed)    # a cone on the identity
+            assert not any(cohomology(tot, n, override=True)
+                           for n in range(len(tot.dims)))
 
     @settings(max_examples=30, deadline=None)
     @given(piece_lists, fields, st.randoms(use_true_random=False))
