@@ -65,6 +65,30 @@ def _expect(obj, key, loc, kind=None):
     return val
 
 
+def _indices(value, depth, loc, nullable=False):
+    """Check a depth-fold nested list of indices: every entry an int, not
+    a bool (or null where nullable), else exit 2 at its pointer."""
+    if depth:
+        if not isinstance(value, list):
+            _fail("expected a list of indices", loc)
+        for k, v in enumerate(value):
+            _indices(v, depth - 1, f"{loc}/{k}", nullable)
+    elif type(value) is not int and not (nullable and value is None):
+        _fail("index entries must be integers", loc)
+
+
+def _names(values, loc) -> list:
+    """Names as strings; two equal names would make name-keyed tables
+    ambiguous, so a repeat exits 2 at its pointer."""
+    names = [str(v) for v in values]
+    seen = set()
+    for k, name in enumerate(names):
+        if name in seen:
+            _fail(f"duplicate name '{name}'", f"{loc}/{k}")
+        seen.add(name)
+    return names
+
+
 def parse_scalar(field: Field, value, loc):
     try:
         if field.p:
@@ -96,8 +120,10 @@ def parse_group(obj, loc="/group") -> FiniteGroup:
     if len(mul) != n or any(not isinstance(r, list) or len(r) != n
                             for r in mul):
         _fail("mul must be an n x n index table", f"{loc}/mul")
+    _indices(mul, 2, f"{loc}/mul")
+    names = _names(elements, f"{loc}/elements")
     try:
-        return group_from_table([str(e) for e in elements], mul)
+        return group_from_table(names, mul)
     except InvariantViolation as exc:
         raise InvariantViolation(str(exc), location=f"{loc}/mul") from exc
 
@@ -119,13 +145,15 @@ def parse_groupoid(obj, loc="/groupoid"):
                                  for r in comp_raw):
         _fail("comp must be an n x n table (null when undefined)",
               f"{loc}/comp")
+    _indices(comp_raw, 2, f"{loc}/comp", nullable=True)
+    names = _names(objects, f"{loc}/objects")
     comp = {}
     for a in range(n):
         for b in range(n):
             if comp_raw[a][b] is not None:
                 comp[(a, b)] = comp_raw[a][b]
     try:
-        return groupoid_from_tables([str(o) for o in objects], src, tgt, comp)
+        return groupoid_from_tables(names, src, tgt, comp)
     except InvariantViolation as exc:
         raise InvariantViolation(str(exc), location=f"{loc}/comp") from exc
 
@@ -139,6 +167,7 @@ def _parse_perm_table(obj, group, length, loc):
         if not isinstance(perm, list) or len(perm) != length:
             _fail(f"permutation for '{name}' must have length {length}",
                   f"{loc}/{name}")
+        _indices(perm, 1, f"{loc}/{name}")
         perms.append(tuple(perm))
     return tuple(perms)
 
@@ -164,6 +193,7 @@ def parse_complex(obj, loc="/complex") -> SemiSimplicialSet:
     if len(faces_raw) != max(len(cells) - 1, 0):
         _fail("faces must list one level of maps per positive level",
               f"{loc}/faces")
+    _indices(faces_raw, 3, f"{loc}/faces")
     faces = [()]
     for n, level in enumerate(faces_raw, start=1):
         faces.append(tuple(tuple(fm) for fm in level))
@@ -181,6 +211,7 @@ def parse_complex_action(obj, group, space, loc="/action_on_complex"):
         levels = obj[name]
         if not isinstance(levels, list) or len(levels) != space.trunc + 1:
             _fail(f"element '{name}' must map every level", f"{loc}/{name}")
+        _indices(levels, 2, f"{loc}/{name}")
         maps.append(tuple(tuple(level) for level in levels))
     try:
         return SimplicialGAction(group, space, tuple(maps)).validate()
@@ -570,7 +601,10 @@ def main(argv=None) -> int:
         elif args.field == "Fp":
             if args.p is None:
                 raise SchemaError("--field Fp requires --p", location="--p")
-            field = GF(args.p)
+            try:
+                field = GF(args.p)
+            except ValueError as exc:
+                raise SchemaError(str(exc), location="--p") from exc
         data = parse_input(payload, field=field)
         if field is None:
             field = data.get("field", QQ)

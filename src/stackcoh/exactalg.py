@@ -1,21 +1,56 @@
 """Exact sparse linear algebra over Q and prime fields.
 
 Matrices are sparse triplet maps with Fraction (Q) or reduced-int (F_p)
-entries.  Elimination is fraction-free over Q: vectors are cleared to
-integers and every reduction step renormalises by the gcd, so no rounding
-and no runaway coefficient growth.  Pivoting is deterministic (columns left
-to right, smallest pivot row index), which makes every kernel and
+entries.  All elimination in the package (Sieve, hence rank, kernels,
+cohomology_dim and solve_multi, and the filtered kernels of
+spectra._FilteredTotal) goes through two module-level steps: _prepare
+clears a vector to integers over Q (returning the multiplier) or reduces
+it mod p, and _eliminate clears one pivot entry.  Elimination is
+fraction-free over Q: _eliminate forms a*vec - b*w and divides vec and
+its combination by the gcd of all their entries, so there is no rounding
+and no runaway coefficient growth.  Pivoting is deterministic (columns
+left to right, smallest pivot row index), which makes every kernel and
 representative basis reproducible across runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, lcm
 
 from .errors import (
     CompositionNonzero, DimensionMismatch, InvariantViolation, NoSolution,
 )
+
+
+# Miller-Rabin with the first thirteen primes as bases is exact below
+# 3317044064679887385961981, the least strong pseudoprime to all of them
+# (OEIS A014233); larger moduli are refused rather than guessed.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class Field:
@@ -25,11 +60,16 @@ class Field:
 
     def __init__(self, p: int = 0):
         if p:
-            if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+            if p >= _MR_LIMIT:
+                raise ValueError(f"{p} is too large: primality is only "
+                                 f"certified below {_MR_LIMIT}")
+            if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
         self.p = p
 
     def coerce(self, x):
+        if type(x) is int:
+            return x % self.p if self.p else x
         if self.p:
             if isinstance(x, Fraction):
                 den = pow(x.denominator % self.p, self.p - 2, self.p)
@@ -56,9 +96,6 @@ class Field:
 
     def add(self, a, b):
         return (a + b) % self.p if self.p else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
 
     def mul(self, a, b):
         return (a * b) % self.p if self.p else a * b
@@ -220,15 +257,20 @@ class Mat:
         return f"Mat({self.rows}x{self.cols} over {self.field}, nnz={len(self.entries)})"
 
 
-def _integerise(vec: dict) -> tuple[dict, int]:
-    """Scale a rational sparse vector by the lcm of denominators.
+def _prepare(vec: dict, field: Field) -> tuple[dict, int]:
+    """The one preparation of a vector for elimination.
 
-    Returns (integer vector, multiplier lam) with result == lam * vec.
+    Over Q: (integer vector, lam) with result == lam * vec, lam the lcm
+    of the denominators.  Over F_p: (reduced nonzero entries, 1).
     """
-    lam = 1
-    for v in vec.values():
-        d = v.denominator
-        lam = lam // gcd(lam, d) * d
+    if field.p:
+        out = {}
+        for i, v in vec.items():
+            c = field.coerce(v)
+            if c:
+                out[i] = c
+        return out, 1
+    lam = reduce(lcm, (v.denominator for v in vec.values()), 1)
     out = {}
     for i, v in vec.items():
         w = int(v * lam)
@@ -237,22 +279,63 @@ def _integerise(vec: dict) -> tuple[dict, int]:
     return out, lam
 
 
+def _eliminate(vec: dict, combo: dict | None, w: dict, cw: dict | None,
+               piv, p: int):
+    """The one elimination step: clear vec[piv] with the pivot vector w.
+
+    combo (may be None) follows by the same column operation with cw.
+    Over F_p, vec and combo are updated in place over the support of w.
+    Over Q the step builds a*vec - b*w (a = w[piv], b = vec[piv]) as new
+    dicts and divides vec and combo by the gcd of all their entries, so
+    the result is vec - (b/a)*w up to a nonzero integer scalar.
+    Returns (vec, combo).
+    """
+    b = vec[piv]
+    pairs = ((vec, w),) if combo is None else ((vec, w), (combo, cw))
+    if p:
+        factor = b * pow(w[piv], p - 2, p) % p
+        for u, x in pairs:
+            for i, y in x.items():
+                s = (u.get(i, 0) - factor * y) % p
+                if s:
+                    u[i] = s
+                else:
+                    u.pop(i, None)
+        return vec, combo
+    a = w[piv]
+    out = []
+    g = 0
+    for u, x in pairs:
+        new = {}
+        for i, y in u.items():
+            s = a * y - b * x.get(i, 0)
+            if s:
+                new[i] = s
+        for i, y in x.items():
+            if i not in u:
+                new[i] = -b * y
+        g = reduce(gcd, new.values(), g)
+        out.append(new)
+    if g > 1:
+        out = [{i: s // g for i, s in new.items()} for new in out]
+    return out[0], (out[1] if combo is not None else None)
+
+
 class Sieve:
     """Incremental column echelon with optional combination tracking.
 
-    Vectors are sparse dicts.  Over Q all stored data is integer and every
-    reduction renormalises by the gcd (fraction-free).  The pivot of a
+    Vectors are sparse dicts, prepared by _prepare and reduced by
+    _eliminate, so over Q all stored data is integer.  The pivot of a
     reduced vector is its smallest support index; columns are offered left
     to right, so the elimination order is deterministic.
 
-    A sieve must be used either fully tracked or fully untracked.
+    Either every insert into a sieve passes a combo or none does.
     Tracked pivots maintain the invariant  A . combo == vec  where A is the
     implicit matrix whose columns were inserted.
     """
 
-    def __init__(self, field: Field, track: bool = False):
+    def __init__(self, field: Field):
         self.field = field
-        self.track = track
         self.pivots: dict = {}   # pivot index -> (vec, combo)
         self.order: list = []    # pivot indices in insertion order
 
@@ -261,89 +344,13 @@ class Sieve:
         return len(self.order)
 
     def _reduce(self, vec: dict, combo: dict | None):
-        """Reduce an integer (or mod-p) vector against all pivots.
-
-        Returns (vec, combo, mult): over Q the output satisfies
-        reduced == mult * input - (pivot combination), and combo is updated
-        by the same column operations.
-        """
+        """Reduce a prepared vector against all pivots: (vec, combo)."""
         p = self.field.p
-        vec = dict(vec)
-        combo = dict(combo) if combo is not None else None
-        mult = 1
         for piv in self.order:
-            if piv not in vec:
-                continue
-            w, cw = self.pivots[piv]
-            b = vec[piv]
-            if p:
-                factor = (b * pow(w[piv], p - 2, p)) % p
-                for i, x in w.items():
-                    s = (vec.get(i, 0) - factor * x) % p
-                    if s:
-                        vec[i] = s
-                    else:
-                        vec.pop(i, None)
-                if combo is not None:
-                    for i, x in (cw or {}).items():
-                        s = (combo.get(i, 0) - factor * x) % p
-                        if s:
-                            combo[i] = s
-                        else:
-                            combo.pop(i, None)
-            else:
-                a = w[piv]
-                new = {}
-                for i, x in vec.items():
-                    s = a * x - b * w.get(i, 0)
-                    if s:
-                        new[i] = s
-                for i, x in w.items():
-                    if i not in vec:
-                        s = -b * x
-                        if s:
-                            new[i] = s
-                vec = new
-                mult *= a
-                if combo is not None:
-                    newc = {}
-                    cw = cw or {}
-                    for i, x in combo.items():
-                        s = a * x - b * cw.get(i, 0)
-                        if s:
-                            newc[i] = s
-                    for i, x in cw.items():
-                        if i not in combo:
-                            s = -b * x
-                            if s:
-                                newc[i] = s
-                    combo = newc
-                g = mult
-                for x in vec.values():
-                    g = gcd(g, x)
-                if combo is not None:
-                    for x in combo.values():
-                        g = gcd(g, x)
-                if g > 1:
-                    vec = {i: x // g for i, x in vec.items()}
-                    mult //= g
-                    if combo is not None:
-                        combo = {i: x // g for i, x in combo.items()}
-        return vec, combo, mult
-
-    def _prepare(self, vec: dict, combo: dict | None):
-        p = self.field.p
-        if p:
-            out = {}
-            for i, v in vec.items():
-                c = self.field.coerce(v)
-                if c:
-                    out[i] = c
-            return out, combo
-        ivec, lam = _integerise(vec)
-        if combo is not None and lam != 1:
-            combo = {i: v * lam for i, v in combo.items()}
-        return ivec, combo
+            if piv in vec:
+                w, cw = self.pivots[piv]
+                vec, combo = _eliminate(vec, combo, w, cw, piv, p)
+        return vec, combo
 
     def insert(self, vec: dict, combo: dict | None = None):
         """Reduce vec and store it if independent.
@@ -351,8 +358,10 @@ class Sieve:
         Returns (residual, combo); an empty residual means vec was in the
         span and, when tracking, combo gives the dependency.
         """
-        vec, combo = self._prepare(vec, combo)
-        vec, combo, _ = self._reduce(vec, combo)
+        vec, lam = _prepare(vec, self.field)
+        if combo is not None:
+            combo = {i: v * lam for i, v in combo.items()}
+        vec, combo = self._reduce(vec, combo)
         if vec:
             piv = min(vec)
             self.pivots[piv] = (vec, combo)
@@ -380,10 +389,10 @@ def kernel_basis(m: Mat) -> list[dict]:
     (smallest-index) entry 1 over F_p, primitive with positive lead over Q.
     """
     f = m.field
-    sieve = Sieve(f, track=True)
+    sieve = Sieve(f)
     basis = []
     for j, col in enumerate(m.columns()):
-        vec, combo = sieve.insert(col, {j: 1 if not f.p else f.one()})
+        vec, combo = sieve.insert(col, {j: 1})
         if not vec:
             basis.append(_normalise(combo, f))
     return basis
@@ -407,11 +416,9 @@ def _normalise(vec: dict, f: Field) -> dict:
     if f.p:
         inv = pow(vec[lead] % f.p, f.p - 2, f.p)
         return {i: (v * inv) % f.p for i, v in sorted(vec.items())}
-    g = 0
-    for v in vec.values():
-        g = gcd(g, v)
-    sign = -1 if vec[lead] < 0 else 1
-    g *= sign
+    g = reduce(gcd, vec.values())
+    if vec[lead] < 0:
+        g = -g
     return {i: v // g if v % g == 0 else Fraction(v, g)
             for i, v in sorted(vec.items())}
 
@@ -447,38 +454,26 @@ def solve_multi(a: Mat, rhs: list[dict]) -> list[dict]:
     """Solve a . x = b exactly for each sparse b in rhs.
 
     Requires a to have full column rank; raises NoSolution otherwise or if
-    some b is not in the column space.
+    some b is not in the column space.  Each b is inserted as one extra
+    column a.cols, so a zero residual gives  a . combo + c * b == 0.
     """
     f = a.field
-    sieve = Sieve(f, track=True)
+    sieve = Sieve(f)
     for j, col in enumerate(a.columns()):
-        vec, _ = sieve.insert(col, {j: 1 if not f.p else f.one()})
+        vec, _ = sieve.insert(col, {j: 1})
         if not vec:
             raise NoSolution("matrix does not have full column rank")
     sols = []
     for b in rhs:
-        if f.p:
-            bvec = {i: f.coerce(v) for i, v in b.items()}
-            bvec = {i: v for i, v in bvec.items() if v}
-            lam = 1
-        else:
-            bvec, lam = _integerise(b)
-        vec, combo, mult = sieve._reduce(bvec, {})
+        vec, combo = sieve.insert(b, {a.cols: 1})
         if vec:
             raise NoSolution("inconsistent system")
-        # invariant: reduced == mult*lam*b - a*(-combo) and reduced == 0
-        x = {}
+        c = combo.pop(a.cols)
         if f.p:
-            for i, v in combo.items():
-                val = (-v) % f.p
-                if val:
-                    x[i] = val
+            inv = f.inv(c)
+            sols.append({i: -v * inv % f.p for i, v in combo.items()})
         else:
-            for i, v in combo.items():
-                val = Fraction(-v, mult * lam)
-                if val:
-                    x[i] = val
-        sols.append(x)
+            sols.append({i: Fraction(-v, c) for i, v in combo.items()})
     return sols
 
 

@@ -38,7 +38,9 @@ class CochainComplex:
 
     diffs[n] maps degree n to degree n+1 and has shape dims[n+1] x dims[n];
     boundary_degree is the first degree whose cohomology the truncation no
-    longer certifies (None when every degree is certified).
+    longer certifies.  None means the top degree: every degree below it is
+    certified, and cohomology at the top degree (whose outgoing map is not
+    stored) is refused unless overridden.
     """
 
     field: Field

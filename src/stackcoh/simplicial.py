@@ -237,6 +237,24 @@ def nerve(g: FiniteGroupoid, n_top: int) -> SemiSimplicialSet:
     return SemiSimplicialSet(tuple(cells), tuple(faces)).validate()
 
 
+def _face_sum(face_maps, rows: int, cols: int, module_dim: int,
+              field: Field) -> Mat:
+    """The alternating face sum  sum_i (-1)^i d_i^*  on module_dim-valued
+    cochains; face_maps[i][c] is the i-th face of source cell c."""
+    entries = {}
+    for c, faces in enumerate(zip(*face_maps)):
+        for i, tgt in enumerate(faces):
+            sign = -1 if i % 2 else 1
+            for t in range(module_dim):
+                key = (c * module_dim + t, tgt * module_dim + t)
+                cur = entries.get(key, 0) + sign
+                if cur:
+                    entries[key] = cur
+                else:
+                    entries.pop(key, None)
+    return Mat(rows, cols, entries, field)
+
+
 def cochains(s: SemiSimplicialSet, field: Field,
              module_dim: int = 1) -> CochainComplex:
     """Field-valued cochains; the differential is the alternating face sum.
@@ -245,21 +263,8 @@ def cochains(s: SemiSimplicialSet, field: Field,
     """
     s.validate()
     dims = [s.size(n) * module_dim for n in range(s.trunc + 1)]
-    diffs = []
-    for n in range(s.trunc):
-        entries = {}
-        for c in range(s.size(n + 1)):
-            for i in range(n + 2):
-                tgt = s.face(n + 1, i, c)
-                sign = -1 if i % 2 else 1
-                for t in range(module_dim):
-                    key = (c * module_dim + t, tgt * module_dim + t)
-                    cur = entries.get(key, 0) + sign
-                    if cur:
-                        entries[key] = cur
-                    else:
-                        entries.pop(key, None)
-        diffs.append(Mat(dims[n + 1], dims[n], entries, field))
+    diffs = [_face_sum(s.faces[n + 1], dims[n + 1], dims[n], module_dim, field)
+             for n in range(s.trunc)]
     labels = s.cells if module_dim == 1 else None
     return CochainComplex(field, tuple(dims), tuple(diffs), labels=labels,
                           boundary_degree=s.trunc)
@@ -371,34 +376,14 @@ def total_cochains(b: BiSemiSimplicialSet, field: Field,
     for p in range(b.trunc_h + 1):
         for n in range(b.trunc_v + 1):
             dims[(p, n)] = b.size(p, n) * module_dim
-
-    def face_matrix(src_dim, dst_dim, n_faces, face_fn):
-        entries = {}
-        for c in range(src_dim):
-            for i in range(n_faces):
-                tgt = face_fn(i, c)
-                sign = -1 if i % 2 else 1
-                for t in range(module_dim):
-                    key = (c * module_dim + t, tgt * module_dim + t)
-                    cur = entries.get(key, 0) + sign
-                    if cur:
-                        entries[key] = cur
-                    else:
-                        entries.pop(key, None)
-        return entries
-
     for p in range(b.trunc_h):
         for n in range(b.trunc_v + 1):
-            entries = face_matrix(
-                b.size(p + 1, n), b.size(p, n), p + 2,
-                lambda i, c: b.face_h(p + 1, n, i, c))
-            d_h[(p, n)] = Mat(dims[(p + 1, n)], dims[(p, n)], entries, field)
+            d_h[(p, n)] = _face_sum(b.faces_h[(p + 1, n)], dims[(p + 1, n)],
+                                    dims[(p, n)], module_dim, field)
     for p in range(b.trunc_h + 1):
         for n in range(b.trunc_v):
-            entries = face_matrix(
-                b.size(p, n + 1), b.size(p, n), n + 2,
-                lambda j, c: b.face_v(p, n + 1, j, c))
-            d_v[(p, n)] = Mat(dims[(p, n + 1)], dims[(p, n)], entries, field)
+            d_v[(p, n)] = _face_sum(b.faces_v[(p, n + 1)], dims[(p, n + 1)],
+                                    dims[(p, n)], module_dim, field)
 
     return DoubleComplex(field, (0, b.trunc_h), (0, b.trunc_v), dims, d_h, d_v,
                          boundary_total_degree=min(b.trunc_h, b.trunc_v) - 1)

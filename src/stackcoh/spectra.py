@@ -7,6 +7,10 @@ kernel elimination per (degree, filtration start) yields every Z_r in one
 pass and keeps representative bases, so d_r matrices are reproducible and
 can be compared entrywise against oracles.  An independent rank-table
 formula provides a dims-only fast path; the two agree by property test.
+Both routes share only the arithmetic: the filtered kernels reduce rows
+in filtration order with exactalg._prepare and exactalg._eliminate, the
+rank table runs a column Sieve built on the same two steps, and neither
+route calls the other.
 
 The d_r solve in pages is the route that the "coordinates in H^n"
 oracle (homalg.induced_cohomology_matrix) checks, so it stays a separate
@@ -22,11 +26,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import InvariantViolation
 from .exactalg import (
-    Mat, Sieve, _integerise, kernel_basis, mat_from_columns, rank,
+    Mat, Sieve, _eliminate, _prepare, kernel_basis, mat_from_columns, rank,
     solve_multi,
 )
 from .homalg import (
@@ -97,14 +100,8 @@ class _FilteredTotal:
         row_index = {}
         heap = []
         for j in range(start, d.cols):
-            col = d.col(j)
-            if f.p == 0:
-                vec, lam = _integerise(col)
-                combo = {j: lam}
-            else:
-                vec = {i: v for i, v in col.items() if v}
-                combo = {j: 1}
-            active[j] = [vec, combo]
+            vec, lam = _prepare(d.columns()[j], f)
+            active[j] = (vec, {j: lam})
             for r in vec:
                 row_index.setdefault(r, set()).add(j)
                 heapq.heappush(heap, r)
@@ -121,67 +118,18 @@ class _FilteredTotal:
                 if not ids:
                     continue
                 seen_rows.add(r)
-                piv = ids[0]
-                wvec, wcombo = active.pop(piv)
+                w, cw = active.pop(ids[0])
                 for j in ids[1:]:
-                    vec, combo = active[j]
-                    self._eliminate(vec, combo, wvec, wcombo, r,
-                                    row_index, heap, j, boundary_hint=r)
-                del wvec, wcombo
-            snapshots[t] = [dict(entry[1]) for _, entry in
+                    active[j] = _eliminate(*active[j], w, cw, r, f.p)
+                    # active[j] may gain rows of w: each is already queued
+                    # in heap (no active vector holds a popped row), so
+                    # only the row index needs j
+                    for i in w:
+                        row_index[i].add(j)
+            snapshots[t] = [dict(combo) for _, (_, combo) in
                             sorted(active.items())]
         self._kernels[key] = snapshots
         return snapshots
-
-    def _eliminate(self, vec, combo, wvec, wcombo, r, row_index, heap, j,
-                   boundary_hint):
-        f = self.field
-        if f.p:
-            p = f.p
-            factor = (vec[r] * pow(wvec[r], p - 2, p)) % p
-            for i, x in wvec.items():
-                s = (vec.get(i, 0) - factor * x) % p
-                if s:
-                    if i not in vec:
-                        row_index.setdefault(i, set()).add(j)
-                        heapq.heappush(heap, i)
-                    vec[i] = s
-                else:
-                    vec.pop(i, None)
-            for i, x in wcombo.items():
-                s = (combo.get(i, 0) - factor * x) % p
-                if s:
-                    combo[i] = s
-                else:
-                    combo.pop(i, None)
-        else:
-            a = wvec[r]
-            b = vec[r]
-            for i in set(vec) | set(wvec):
-                s = a * vec.get(i, 0) - b * wvec.get(i, 0)
-                if s:
-                    if i not in vec:
-                        row_index.setdefault(i, set()).add(j)
-                        heapq.heappush(heap, i)
-                    vec[i] = s
-                else:
-                    vec.pop(i, None)
-            for i in set(combo) | set(wcombo):
-                s = a * combo.get(i, 0) - b * wcombo.get(i, 0)
-                if s:
-                    combo[i] = s
-                else:
-                    combo.pop(i, None)
-            g = 0
-            for x in vec.values():
-                g = gcd(g, x)
-            for x in combo.values():
-                g = gcd(g, x)
-            if g > 1:
-                for i in list(vec):
-                    vec[i] //= g
-                for i in list(combo):
-                    combo[i] //= g
 
     def kernel_at(self, n: int, p0: int, t: int) -> list:
         p0 = max(p0, self.pmin)

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from stackcoh.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -63,6 +65,66 @@ class TestParsing:
              "--degrees", "0..4", "--trunc", "3"], capsys)
         assert code == 2
         assert "--trunc" in err or "truncation" in err
+
+
+def _mutated(tmp_path, name, path, value):
+    """A copy of fixture name with the entry at path replaced by value."""
+    with open(fixture(name)) as handle:
+        data = json.load(handle)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    out = tmp_path / name
+    out.write_text(json.dumps(data))
+    return str(out)
+
+
+# (fixture, path to the bad entry, bad value, expected pointer)
+BAD_INDEX_TABLES = {
+    "mul": ("z2_point.json", ["group", "mul", 0, 1], "x", "/group/mul/0/1"),
+    "mul-bool": ("z2_point.json", ["group", "mul", 1, 0], True,
+                 "/group/mul/1/0"),
+    "comp": ("s0_swap.json", ["groupoid", "comp", 1, 1], "b",
+             "/groupoid/comp/1/1"),
+    "faces": ("circle_action.json", ["complex", "faces", 1, 2, 3], "c",
+              "/complex/faces/1/2/3"),
+    "on_objects": ("s0_swap.json", ["action", "on_objects", "s", 0], "1",
+                   "/action/on_objects/s/0"),
+    "on_morphisms": ("s0_swap.json", ["action", "on_morphisms", "s", 1],
+                     0.0, "/action/on_morphisms/s/1"),
+    "level_maps": ("circle_action.json", ["action_on_complex", "r", 2, 5],
+                   False, "/action_on_complex/r/2/5"),
+    "elements": ("z2_point.json", ["group", "elements"], ["e", "e"],
+                 "/group/elements/1"),
+    "objects": ("s0_swap.json", ["groupoid", "objects"], ["a", "a"],
+                "/groupoid/objects/1"),
+}
+
+
+class TestIndexTables:
+    @pytest.mark.parametrize("case", sorted(BAD_INDEX_TABLES))
+    def test_bad_entry_exits_2_with_pointer(self, case, capsys, tmp_path):
+        name, path, value, pointer = BAD_INDEX_TABLES[case]
+        code, out, err = run_cli(
+            ["check", _mutated(tmp_path, name, path, value)], capsys)
+        assert code == 2
+        assert f"(at {pointer})" in err
+        assert "Traceback" not in err
+
+    def test_composite_p_exits_2_with_pointer(self, capsys):
+        code, out, err = run_cli(
+            ["check", fixture("z2_point.json"), "--field", "Fp",
+             "--p", "1000000000000000001"], capsys)
+        assert code == 2
+        assert "(at --p)" in err
+        assert "Traceback" not in err
+
+    def test_large_prime_p_is_accepted(self, capsys):
+        code, out, err = run_cli(
+            ["check", fixture("z2_point.json"), "--field", "Fp",
+             "--p", "1000000000000000003", "--check-only"], capsys)
+        assert code == 0, err
 
 
 class TestJobs:

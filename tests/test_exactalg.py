@@ -1,6 +1,7 @@
 """Exact linear algebra: frozen examples, brute-force oracles, properties."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from stackcoh.errors import CompositionNonzero, DimensionMismatch, NoSolution
 from stackcoh.exactalg import (
-    GF, QQ, Mat, cohomology_dim, kernel_basis, mat_from_columns, rank,
-    solve_multi,
+    GF, QQ, Mat, _eliminate, cohomology_dim, kernel_basis, mat_from_columns,
+    rank, solve_multi,
 )
 
 F2 = GF(2)
@@ -59,6 +60,34 @@ def brute_rank_q(m: Mat) -> int:
         if found:
             best = k
     return best
+
+
+class TestField:
+    def test_large_prime_builds_fast(self):
+        start = time.perf_counter()
+        assert GF(10**18 + 3).p == 10**18 + 3
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("p", [561, 10**18 + 1, 1, -7, 3215031751,
+                                   3317044064679887385961981])
+    def test_rejected(self, p):
+        # 561 is a Carmichael number, 3215031751 a strong pseudoprime to
+        # bases 2, 3, 5 and 7; the last is beyond the certified range
+        with pytest.raises(ValueError):
+            GF(p)
+
+    def test_zero_is_rationals(self):
+        assert GF(0) == QQ
+
+    def test_agrees_with_trial_division(self):
+        for p in range(2, 3000):
+            prime = all(p % d for d in range(2, int(p**0.5) + 1))
+            try:
+                GF(p)
+                built = True
+            except ValueError:
+                built = False
+            assert built == prime, p
 
 
 class TestRank:
@@ -208,24 +237,118 @@ class TestProperties:
         assert rank(m) == rank(m.transpose())
 
     @settings(max_examples=40, deadline=None)
-    @given(sparse_mats(QQ))
-    def test_solve_roundtrip(self, m):
-        basis = kernel_basis(m.transpose())
+    @given(sparse_mats(QQ), st.data())
+    def test_solve_roundtrip(self, m, data):
         # solve on the column space: A . x = A . e_j must recover something
         # that maps to the same image vector
         cols = m.columns()
-        if rank(m) != m.cols or m.cols == 0:
-            return
-        targets = [dict(c) for c in cols]
-        sols = solve_multi(m, targets)
-        for j, x in enumerate(sols):
-            assert m.mul_vec(x) == {i: v for i, v in cols[j].items()}
-        del basis
+        if rank(m) == m.cols and m.cols:
+            targets = [dict(c) for c in cols]
+            sols = solve_multi(m, targets)
+            for j, x in enumerate(sols):
+                assert m.mul_vec(x) == {i: v for i, v in cols[j].items()}
+        # targets A . x for fractional x: the solution is unique
+        a = _full_column_rank(m)
+        xs = data.draw(st.lists(sparse_vecs(a.cols, QQ), max_size=3))
+        assert solve_multi(a, [a.mul_vec(x) for x in xs]) == xs
+
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_mats(F3), st.data())
+    def test_solve_roundtrip_f3(self, m, data):
+        a = _full_column_rank(m)
+        xs = data.draw(st.lists(sparse_vecs(a.cols, F3), max_size=3))
+        assert solve_multi(a, [a.mul_vec(x) for x in xs]) == xs
 
     def test_solve_inconsistent(self):
         a = Mat.from_rows([[1], [0]], QQ)
         with pytest.raises(NoSolution):
             solve_multi(a, [{1: 1}])
+        # rank-deficient: column 1 is twice column 0, even for b in the span
+        deficient = Mat.from_rows([[1, 2], [2, 4]], QQ)
+        with pytest.raises(NoSolution):
+            solve_multi(deficient, [{0: 1, 1: 2}])
+
+
+def _full_column_rank(m: Mat) -> Mat:
+    """m with an identity block stacked below it."""
+    entries = dict(m.entries)
+    entries.update({(m.rows + j, j): 1 for j in range(m.cols)})
+    return Mat(m.rows + m.cols, m.cols, entries, m.field)
+
+
+@st.composite
+def sparse_vecs(draw, size, field):
+    """Sparse vectors with fractional entries (coerced into field)."""
+    fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    vec = {}
+    for i in range(size):
+        v = field.coerce(draw(fracs))
+        if v:
+            vec[i] = v
+    return vec
+
+
+def _quotient(a, b, p):
+    return Fraction(a, b) if not p else a * pow(b, p - 2, p) % p
+
+
+def _scaled(vec, lam, p):
+    return {i: v * lam % p if p else v * lam for i, v in vec.items()}
+
+
+@st.composite
+def elimination_steps(draw, field):
+    """(vec, combo, w, cw, piv) with vec[piv] and w[piv] nonzero;
+    combo and cw are None for an untracked step."""
+    p = field.p
+    entry = st.integers(1, p - 1) if p else \
+        st.integers(-6, 6).filter(lambda v: v != 0)
+
+    def vector():
+        keys = draw(st.sets(st.integers(0, 6), max_size=5))
+        return {i: draw(entry) for i in keys}
+
+    piv = draw(st.integers(0, 6))
+    vec, w = vector(), vector()
+    vec[piv], w[piv] = draw(entry), draw(entry)
+    if not draw(st.booleans()):
+        return vec, None, w, None, piv
+    return vec, vector(), w, vector(), piv
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=["QQ", "GF3"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_elimination_step_matches_fraction_reference(field, data):
+    vec, combo, w, cw, piv = data.draw(elimination_steps(field))
+    p = field.p
+    factor = _quotient(vec[piv], w[piv], p)
+
+    def reference(u, x):
+        out = {}
+        for i in set(u) | set(x):
+            v = u.get(i, 0) - factor * x.get(i, 0)
+            v = v % p if p else v
+            if v:
+                out[i] = v
+        return out
+
+    ref_vec = reference(vec, w)
+    ref_combo = reference(combo, cw) if combo is not None else {}
+    got_vec, got_combo = _eliminate(
+        dict(vec), dict(combo) if combo is not None else None, w, cw, piv, p)
+    assert piv not in got_vec
+    assert (got_combo is None) == (combo is None)
+    got_combo = got_combo or {}
+    lead = next(iter(ref_vec or ref_combo), None)
+    if lead is None:
+        assert got_vec == {} and got_combo == {}
+        return
+    got_lead = (got_vec if ref_vec else got_combo)[lead]
+    lam = _quotient(got_lead, (ref_vec or ref_combo)[lead], p)
+    assert lam
+    assert got_vec == _scaled(ref_vec, lam, p)
+    assert got_combo == _scaled(ref_combo, lam, p)
 
 
 def test_mat_from_columns_roundtrip():
