@@ -53,6 +53,7 @@ class LieAlgebraData:
                                for row in self.structure)
         if self.labels is None:
             self.labels = tuple(f"xi_{a + 1}" for a in range(self.dim))
+        self.validate()
 
     def bracket(self, a: int, b: int) -> dict:
         return self.structure[a][b]
@@ -80,12 +81,11 @@ class LieAlgebraData:
                     if any(v != 0 for v in acc.values()):
                         raise InvariantViolation(
                             f"Jacobi identity fails at ({a},{b},{c})")
-        return self
 
 
 def abelian_lie(dim: int) -> LieAlgebraData:
     empty = tuple(tuple({} for _ in range(dim)) for _ in range(dim))
-    return LieAlgebraData(dim, empty).validate()
+    return LieAlgebraData(dim, empty)
 
 
 @dataclass
@@ -140,7 +140,6 @@ class GDGA:
 
 def validate_gdga(lie: LieAlgebraData, algebra: GDGA) -> dict:
     """Check every Cartan calculus identity; returns an itemised report."""
-    lie.validate()
     failures = []
     a_count = lie.dim
     top = algebra.top

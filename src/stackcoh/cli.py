@@ -180,7 +180,7 @@ def parse_action(obj, group, atlas, loc="/action") -> GroupoidAction:
     act_mor = _parse_perm_table(on_mor, group, atlas.n_morphisms,
                                 f"{loc}/on_morphisms")
     try:
-        return GroupoidAction(group, atlas, act_obj, act_mor).validate()
+        return GroupoidAction(group, atlas, act_obj, act_mor)
     except StackcohError as exc:
         raise InvariantViolation(str(exc), location=loc) from exc
 
@@ -198,7 +198,7 @@ def parse_complex(obj, loc="/complex") -> SemiSimplicialSet:
     for n, level in enumerate(faces_raw, start=1):
         faces.append(tuple(tuple(fm) for fm in level))
     try:
-        return SemiSimplicialSet(tuple(cells), tuple(faces)).validate()
+        return SemiSimplicialSet(tuple(cells), tuple(faces))
     except StackcohError as exc:
         raise InvariantViolation(str(exc), location=loc) from exc
 
@@ -214,7 +214,7 @@ def parse_complex_action(obj, group, space, loc="/action_on_complex"):
         _indices(levels, 2, f"{loc}/{name}")
         maps.append(tuple(tuple(level) for level in levels))
     try:
-        return SimplicialGAction(group, space, tuple(maps)).validate()
+        return SimplicialGAction(group, space, tuple(maps))
     except StackcohError as exc:
         raise InvariantViolation(str(exc), location=loc) from exc
 
@@ -239,9 +239,13 @@ def parse_lie(obj, loc="/lie") -> LieAlgebraData:
     structure_raw = obj.get("structure", [])
     structure = [[{} for _ in range(dim)] for _ in range(dim)]
     if structure_raw:
-        if len(structure_raw) != dim:
+        if not isinstance(structure_raw, list) or len(structure_raw) != dim:
             _fail("structure must be a k x k table of vectors", f"{loc}/structure")
         for a in range(dim):
+            if not isinstance(structure_raw[a], list) or \
+                    len(structure_raw[a]) != dim:
+                _fail("structure rows must have k entries",
+                      f"{loc}/structure/{a}")
             for b in range(dim):
                 vec = structure_raw[a][b]
                 if not isinstance(vec, list) or len(vec) != dim:
@@ -251,7 +255,7 @@ def parse_lie(obj, loc="/lie") -> LieAlgebraData:
                                                    f"{loc}/structure/{a}/{b}/{c}")
                                    for c, v in enumerate(vec) if v}
     try:
-        return LieAlgebraData(dim, tuple(tuple(r) for r in structure)).validate()
+        return LieAlgebraData(dim, tuple(tuple(r) for r in structure))
     except StackcohError as exc:
         raise InvariantViolation(str(exc), location=loc) from exc
 
@@ -268,7 +272,7 @@ def parse_gdga(obj, field, loc="/gdga") -> GDGA:
     lie_dim = len(iota_raw)
     iota = []
     for a in range(lie_dim):
-        if len(iota_raw[a]) != top:
+        if not isinstance(iota_raw[a], list) or len(iota_raw[a]) != top:
             _fail(f"iota[{a}] must have {top} matrices", f"{loc}/iota/{a}")
         iota.append(tuple(
             parse_matrix(iota_raw[a][m], dims[m], dims[m + 1], field,
@@ -278,7 +282,7 @@ def parse_gdga(obj, field, loc="/gdga") -> GDGA:
         _fail("L must align with iota", f"{loc}/L")
     lie_der = []
     for a in range(lie_dim):
-        if len(l_raw[a]) != top + 1:
+        if not isinstance(l_raw[a], list) or len(l_raw[a]) != top + 1:
             _fail(f"L[{a}] must have {top + 1} matrices", f"{loc}/L/{a}")
         lie_der.append(tuple(
             parse_matrix(l_raw[a][m], dims[m], dims[m], field,
@@ -357,7 +361,14 @@ def parse_input(payload: dict, field: Field | None = None) -> dict:
                                 f"/coefficient_complex/modules/{k}")
                    for k, m in enumerate(_expect(cc, "modules",
                                                  "/coefficient_complex", list))]
+        if not modules:
+            _fail("a coefficient complex needs at least one module",
+                  "/coefficient_complex/modules")
         diffs_raw = cc.get("diffs", [])
+        if not isinstance(diffs_raw, list) or \
+                len(diffs_raw) != len(modules) - 1:
+            _fail("one differential per pair of consecutive modules",
+                  "/coefficient_complex/diffs")
         diffs = [parse_matrix(diffs_raw[r], modules[r + 1].dim, modules[r].dim,
                               active, f"/coefficient_complex/diffs/{r}")
                  for r in range(len(modules) - 1)]
@@ -372,6 +383,9 @@ def parse_input(payload: dict, field: Field | None = None) -> dict:
     if "gdga" in payload:
         data["gdga"] = parse_gdga(payload["gdga"], active)
         if "lie" in data:
+            if len(data["gdga"].iota) != data["lie"].dim:
+                _fail("iota and L need one entry per Lie generator",
+                      "/gdga/iota")
             report = validate_gdga(data["lie"], data["gdga"])
             if not report["valid"]:
                 raise InvariantViolation(
@@ -390,7 +404,7 @@ def parse_input(payload: dict, field: Field | None = None) -> dict:
         dims = data["gdga"].dims
         gens = []
         for k, per_degree in enumerate(payload["weyl_on_algebra"]):
-            if len(per_degree) != len(dims):
+            if not isinstance(per_degree, list) or len(per_degree) != len(dims):
                 _fail("one matrix per degree required",
                       f"/weyl_on_algebra/{k}")
             gens.append(tuple(
@@ -622,13 +636,8 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         sys.stderr.write(f"input error: invalid JSON: {exc}\n")
         return 2
-    except (SchemaError, InvariantViolation) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
-    except ValueError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
-    except TruncationBoundary as exc:
+    except (SchemaError, InvariantViolation, ValueError,
+            TruncationBoundary) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except StackcohError as exc:

@@ -35,6 +35,7 @@ class GModule:
 
     def __post_init__(self):
         self.rho = tuple(self.rho)
+        self.validate()
 
     def rho_mat(self, gi: int) -> Mat:
         return self.rho[gi]
@@ -56,26 +57,23 @@ class GModule:
                     raise InvariantViolation(
                         f"rho({g.elements[a]}) rho({g.elements[b]}) != "
                         f"rho({g.elements[g.mul[a][b]]})")
-        return self
 
 
 def trivial_module(group: FiniteGroup, field: Field, dim: int = 1) -> GModule:
     ident = Mat.identity(dim, field)
-    return GModule(group, field, dim, tuple(ident for _ in
-                                            range(group.order))).validate()
+    return GModule(group, field, dim, tuple(ident for _ in range(group.order)))
 
 
 def module_from_matrices(group: FiniteGroup, field: Field,
                          matrices) -> GModule:
     mats = tuple(matrices)
     dim = mats[0].rows if mats else 0
-    return GModule(group, field, dim, mats).validate()
+    return GModule(group, field, dim, mats)
 
 
 def restrict_module(m: GModule, members: list, sub: FiniteGroup) -> GModule:
     """Restriction along a subgroup given by its member indices."""
-    return GModule(sub, m.field, m.dim,
-                   tuple(m.rho[i] for i in members)).validate()
+    return GModule(sub, m.field, m.dim, tuple(m.rho[i] for i in members))
 
 
 def kron(a: Mat, b: Mat) -> Mat:
@@ -92,7 +90,7 @@ def module_tensor(a: GModule, b: GModule) -> GModule:
     if a.group != b.group or a.field != b.field:
         raise InvariantViolation("tensor of modules over different groups")
     mats = tuple(kron(a.rho[gi], b.rho[gi]) for gi in range(a.group.order))
-    return GModule(a.group, a.field, a.dim * b.dim, mats).validate()
+    return GModule(a.group, a.field, a.dim * b.dim, mats)
 
 
 def bar_complex(m: GModule, n_top: int) -> CochainComplex:
@@ -179,10 +177,7 @@ def action_on_cohomology(a, field: Field, n: int,
         raise RepresentativeDriftError(
             f"an induced map left the tracked cocycle space in degree "
             f"{n}") from exc
-    h_dim = rho[0].rows
-    module = GModule(sa.group, field, h_dim, tuple(rho))
     try:
-        module.validate()
+        return GModule(sa.group, field, rho[0].rows, tuple(rho))
     except InvariantViolation as exc:
         raise RepresentativeDriftError(str(exc)) from exc
-    return module

@@ -201,10 +201,11 @@ class DoubleComplex:
                 boundary_total_degree=None) -> "DoubleComplex":
         """Assemble from the blocks of an already validated complex.
 
-        __post_init__ does not run: every check in it is symmetric in the
-        two axes or a subset of TripleComplex.validate(), so a transpose or
-        a face of a validated complex passes it by construction.  dims
-        must already list every block of the rectangle.
+        The one path that skips the construction check: __post_init__
+        does not run.  Every check in it is symmetric in the two axes or
+        a subset of TripleComplex.validate(), so a transpose or a face of
+        a validated complex passes it by construction.  dims must already
+        list every block of the rectangle.
         """
         dc = cls.__new__(cls)
         dc.__dict__.update(field=field, p_range=p_range, q_range=q_range,
@@ -309,6 +310,9 @@ class TripleComplex:
     dims: dict
     d: tuple               # (d0, d1, d2), each dict keyed by (a, b, c)
 
+    def __post_init__(self):
+        self.validate()
+
     def dim(self, key) -> int:
         return self.dims.get(key, 0)
 
@@ -352,7 +356,6 @@ def collapse_triple(tc: TripleComplex, pair=(0, 1),
     if i == j or not (0 <= i < 3 and 0 <= j < 3):
         raise ValueError("pair must name two distinct axes")
     k = ({0, 1, 2} - {i, j}).pop()
-    tc.validate()
     (kmin, kmax) = tc.ranges[k]
     faces = {t: TotalLayout(_face(tc, i, j, k, t))
              for t in range(kmin, kmax + 1)}

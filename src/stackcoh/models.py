@@ -67,7 +67,7 @@ def pair_swap_action() -> GroupoidAction:
     ident_obj = (0, 1)
     ident_mor = tuple(range(4))
     return GroupoidAction(group, atlas, (ident_obj, swap_obj),
-                          (ident_mor, swap_mor)).validate()
+                          (ident_mor, swap_mor))
 
 
 @dataclass

@@ -2,8 +2,10 @@
 
 Only face maps are stored: the homotopy type in use is the fat geometric
 realisation, which quotients by face relations alone, so degeneracy data
-would be dead weight.  Every constructed object is checked exhaustively
-against the face identities before use.
+would be dead weight.  Each object is checked once, at construction:
+__post_init__ runs the exhaustive face-identity (or groupoid-axiom)
+check, so consumers such as cochains and total_cochains trust what they
+are handed.
 
 Cells are kept as opaque, canonically ordered labels; a nerve cell at
 level n is the tuple of its n morphism indices.
@@ -49,6 +51,7 @@ class SemiSimplicialSet:
                     if not 0 <= target < len(self.cells[n - 1]):
                         raise SimplicialIdentityFailure(
                             f"face target out of range at level {n}")
+        self.validate()
 
     @property
     def trunc(self) -> int:
@@ -75,7 +78,6 @@ class SemiSimplicialSet:
                             raise SimplicialIdentityFailure(
                                 f"d_{i} d_{j} != d_{j - 1} d_{i} on cell {c} "
                                 f"at level {n}")
-        return self
 
 
 @dataclass
@@ -88,6 +90,9 @@ class FiniteGroupoid:
     comp: dict
     ids: tuple
     inv: tuple
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def n_objects(self) -> int:
@@ -138,7 +143,6 @@ class FiniteGroupoid:
                             self.comp[(a, self.comp[(b, c)])]:
                         raise InvariantViolation(
                             f"associativity fails at ({a},{b},{c})")
-        return self
 
 
 def groupoid_from_tables(objects, src, tgt, comp) -> FiniteGroupoid:
@@ -165,9 +169,8 @@ def groupoid_from_tables(objects, src, tgt, comp) -> FiniteGroupoid:
                 break
     if any(i is None for i in inv):
         raise InvariantViolation("some morphism has no inverse")
-    g = FiniteGroupoid(tuple(objects), tuple(src), tuple(tgt), dict(comp),
-                       tuple(ids), tuple(inv))
-    return g.validate()
+    return FiniteGroupoid(tuple(objects), tuple(src), tuple(tgt), dict(comp),
+                          tuple(ids), tuple(inv))
 
 
 def trivial_groupoid(k: int, labels=None) -> FiniteGroupoid:
@@ -175,7 +178,7 @@ def trivial_groupoid(k: int, labels=None) -> FiniteGroupoid:
     objects = tuple(labels) if labels is not None else tuple(range(k))
     comp = {(m, m): m for m in range(k)}
     return FiniteGroupoid(objects, tuple(range(k)), tuple(range(k)), comp,
-                          tuple(range(k)), tuple(range(k))).validate()
+                          tuple(range(k)), tuple(range(k)))
 
 
 def pair_groupoid(k: int) -> FiniteGroupoid:
@@ -192,7 +195,7 @@ def pair_groupoid(k: int) -> FiniteGroupoid:
                 comp[(a, b)] = index[(ta, sb)]
     ids = tuple(index[(i, i)] for i in range(k))
     inv = tuple(index[(s, t)] for (t, s) in mor)
-    return FiniteGroupoid(objects, src, tgt, comp, ids, inv).validate()
+    return FiniteGroupoid(objects, src, tgt, comp, ids, inv)
 
 
 def nerve(g: FiniteGroupoid, n_top: int) -> SemiSimplicialSet:
@@ -234,7 +237,7 @@ def nerve(g: FiniteGroupoid, n_top: int) -> SemiSimplicialSet:
                 fm.append(prev_index[target])
             level_faces.append(tuple(fm))
         faces.append(tuple(level_faces))
-    return SemiSimplicialSet(tuple(cells), tuple(faces)).validate()
+    return SemiSimplicialSet(tuple(cells), tuple(faces))
 
 
 def _face_sum(face_maps, rows: int, cols: int, module_dim: int,
@@ -261,7 +264,6 @@ def cochains(s: SemiSimplicialSet, field: Field,
 
     module_dim > 1 gives vector-valued (untwisted) cochains.
     """
-    s.validate()
     dims = [s.size(n) * module_dim for n in range(s.trunc + 1)]
     diffs = [_face_sum(s.faces[n + 1], dims[n + 1], dims[n], module_dim, field)
              for n in range(s.trunc)]
@@ -283,6 +285,9 @@ class BiSemiSimplicialSet:
     cells: dict
     faces_h: dict
     faces_v: dict
+
+    def __post_init__(self):
+        self.validate()
 
     def size(self, p: int, n: int) -> int:
         if 0 <= p <= self.trunc_h and 0 <= n <= self.trunc_v:
@@ -339,7 +344,6 @@ class BiSemiSimplicialSet:
                                 if lhs != rhs:
                                     raise SimplicialIdentityFailure(
                                         f"faces do not commute at {(p, n)}")
-        return self
 
 
 def diagonal(b: BiSemiSimplicialSet) -> SemiSimplicialSet:
@@ -359,7 +363,7 @@ def diagonal(b: BiSemiSimplicialSet) -> SemiSimplicialSet:
                 fm.append(b.face_h(n, n - 1, i, via_v))
             level_faces.append(tuple(fm))
         faces.append(tuple(level_faces))
-    return SemiSimplicialSet(tuple(cells), tuple(faces)).validate()
+    return SemiSimplicialSet(tuple(cells), tuple(faces))
 
 
 def total_cochains(b: BiSemiSimplicialSet, field: Field,
@@ -369,7 +373,6 @@ def total_cochains(b: BiSemiSimplicialSet, field: Field,
     The truncation flag marks total degrees >= min(trunc) - 1 as
     boundary-unreliable for spectral sequence reports.
     """
-    b.validate()
     dims = {}
     d_h = {}
     d_v = {}
@@ -409,8 +412,7 @@ def product_bisimplicial(s1: SemiSimplicialSet,
                 faces_v[(p, n)] = tuple(
                     tuple(a * s2.size(n - 1) + s2.face(n, j, b) for a, b in pairs)
                     for j in range(n + 1))
-    return BiSemiSimplicialSet(s1.trunc, s2.trunc, cells, faces_h,
-                               faces_v).validate()
+    return BiSemiSimplicialSet(s1.trunc, s2.trunc, cells, faces_h, faces_v)
 
 
 def cycle_space(k: int, n_top: int) -> SemiSimplicialSet:
@@ -447,4 +449,4 @@ def cycle_space(k: int, n_top: int) -> SemiSimplicialSet:
                 fm.append(prev_index[target])
             level_faces.append(tuple(fm))
         faces.append(tuple(level_faces))
-    return SemiSimplicialSet(tuple(cells), tuple(faces)).validate()
+    return SemiSimplicialSet(tuple(cells), tuple(faces))

@@ -560,10 +560,7 @@ def discrete_borel_ss(a, coeff, n_top: int, r_max: int | None = None,
 
 def borel_triple_complex(sa, coeffs: CoefficientComplex, n_top: int,
                          max_total: int | None = None) -> TripleComplex:
-    """Axes (group degree, simplicial level, coefficient degree).
-
-    Not validated here: collapse_triple validates it before totalizing.
-    """
+    """Axes (group degree, simplicial level, coefficient degree)."""
     from .groupcoh import GModule
     field = coeffs.modules[0].field
     g = sa.group

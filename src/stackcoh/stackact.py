@@ -3,9 +3,11 @@
 The homotopy-quotient machinery runs on a level-wise group action on a
 truncated semi-simplicial set (SimplicialGAction); a functorial action on
 a groupoid atlas induces one on the nerve.  Face conventions follow the
-two-sided bar construction and are never trusted: every constructed
-object passes the exhaustive simplicial-identity check or the build
-aborts with SimplicialIdentityFailure.
+two-sided bar construction and are never trusted.  Each object is
+checked once, at construction: groups, actions and the Borel objects run
+their exhaustive axiom, functoriality or simplicial-identity check in
+__post_init__ (a failing build aborts with SimplicialIdentityFailure or
+NotFunctorial), and no consumer checks an argument again.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ class FiniteGroup:
     def __post_init__(self):
         self.elements = tuple(self.elements)
         self.mul = tuple(tuple(row) for row in self.mul)
+        self.validate()
 
     @property
     def order(self) -> int:
@@ -48,39 +51,33 @@ class FiniteGroup:
                 if not 0 <= self.mul[i][j] < n:
                     raise InvariantViolation(
                         f"product ({i},{j}) out of range")
-        identity = None
-        for e in range(n):
-            if all(self.mul[e][i] == i and self.mul[i][e] == i
-                   for i in range(n)):
-                identity = e
-                break
-        if identity is None:
+        e = next((e for e in range(n)
+                  if all(self.mul[e][i] == i and self.mul[i][e] == i
+                         for i in range(n))), None)
+        if e is None:
             raise InvariantViolation("no identity element")
+        inverses = []
         for i in range(n):
-            if not any(self.mul[i][j] == identity and self.mul[j][i] == identity
-                       for j in range(n)):
+            j = next((j for j in range(n)
+                      if self.mul[i][j] == e and self.mul[j][i] == e), None)
+            if j is None:
                 raise InvariantViolation(f"element {i} has no inverse")
+            inverses.append(j)
+        # kept for the identity and inverse lookups
+        self._identity, self._inverses = e, tuple(inverses)
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     if self.mul[self.mul[i][j]][k] != self.mul[i][self.mul[j][k]]:
                         raise InvariantViolation(
                             f"associativity fails at ({i},{j},{k})")
-        return self
 
     @property
     def identity(self) -> int:
-        for e in range(self.order):
-            if all(self.mul[e][i] == i for i in range(self.order)):
-                return e
-        raise InvariantViolation("no identity element")
+        return self._identity
 
     def inverse(self, i: int) -> int:
-        e = self.identity
-        for j in range(self.order):
-            if self.mul[i][j] == e:
-                return j
-        raise InvariantViolation(f"element {i} has no inverse")
+        return self._inverses[i]
 
     def __eq__(self, other):
         return (isinstance(other, FiniteGroup)
@@ -90,7 +87,7 @@ class FiniteGroup:
 def cyclic_group(n: int) -> FiniteGroup:
     elements = tuple(f"r{i}" if i else "e" for i in range(n))
     mul = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return FiniteGroup(elements, mul).validate()
+    return FiniteGroup(elements, mul)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -99,11 +96,11 @@ def symmetric_group(n: int) -> FiniteGroup:
     elements = tuple("".join(str(x) for x in p) for p in perms)
     mul = tuple(tuple(index[tuple(a[b[i]] for i in range(n))] for b in perms)
                 for a in perms)
-    return FiniteGroup(elements, mul).validate()
+    return FiniteGroup(elements, mul)
 
 
 def group_from_table(elements, mul) -> FiniteGroup:
-    return FiniteGroup(tuple(elements), tuple(tuple(r) for r in mul)).validate()
+    return FiniteGroup(tuple(elements), tuple(tuple(r) for r in mul))
 
 
 def subgroup(group: FiniteGroup, members) -> tuple[FiniteGroup, list]:
@@ -115,7 +112,7 @@ def subgroup(group: FiniteGroup, members) -> tuple[FiniteGroup, list]:
             if group.mul[a][b] not in pos:
                 raise InvariantViolation("subset is not closed")
     mul = tuple(tuple(pos[group.mul[a][b]] for b in members) for a in members)
-    sub = FiniteGroup(tuple(group.elements[m] for m in members), mul).validate()
+    sub = FiniteGroup(tuple(group.elements[m] for m in members), mul)
     return sub, members
 
 
@@ -124,7 +121,7 @@ def one_object_groupoid(group: FiniteGroup) -> FiniteGroupoid:
     comp = {(a, b): group.mul[a][b] for a in range(n) for b in range(n)}
     return FiniteGroupoid((0,), (0,) * n, (0,) * n, comp,
                           (group.identity,),
-                          tuple(group.inverse(i) for i in range(n))).validate()
+                          tuple(group.inverse(i) for i in range(n)))
 
 
 @dataclass
@@ -139,11 +136,10 @@ class GroupoidAction:
     def __post_init__(self):
         self.act_obj = tuple(tuple(p) for p in self.act_obj)
         self.act_mor = tuple(tuple(p) for p in self.act_mor)
+        self.validate()
 
     def validate(self):
         g, a = self.group, self.atlas
-        g.validate()
-        a.validate()
         if len(self.act_obj) != g.order or len(self.act_mor) != g.order:
             raise NotFunctorial("one permutation per group element required")
         e = g.identity
@@ -179,7 +175,6 @@ class GroupoidAction:
                 for m in range(a.n_morphisms):
                     if self.act_mor[gi][self.act_mor[hi][m]] != self.act_mor[gh][m]:
                         raise NotFunctorial("morphism action is not a group action")
-        return self
 
 
 @dataclass
@@ -193,13 +188,13 @@ class SimplicialGAction:
     def __post_init__(self):
         self.maps = tuple(tuple(tuple(level) for level in per_g)
                           for per_g in self.maps)
+        self.validate()
 
     def act(self, gi: int, n: int, c: int) -> int:
         return self.maps[gi][n][c]
 
     def validate(self):
         g, s = self.group, self.space
-        s.validate()
         if len(self.maps) != g.order:
             raise NotFunctorial("one map per group element required")
         e = g.identity
@@ -226,12 +221,10 @@ class SimplicialGAction:
                             raise NotFunctorial(
                                 f"action does not commute with face {i} "
                                 f"at level {n}")
-        return self
 
 
 def induced_nerve_action(a: GroupoidAction, n_top: int) -> SimplicialGAction:
     """g . (m_1, .., m_n) = (g m_1, .., g m_n) on nerve chains."""
-    a.validate()
     space = nerve(a.atlas, n_top)
     maps = []
     for gi in range(a.group.order):
@@ -247,12 +240,12 @@ def induced_nerve_action(a: GroupoidAction, n_top: int) -> SimplicialGAction:
                 level.append(index[image])
             per_level.append(tuple(level))
         maps.append(tuple(per_level))
-    return SimplicialGAction(a.group, space, tuple(maps)).validate()
+    return SimplicialGAction(a.group, space, tuple(maps))
 
 
 def simplicial_action(group: FiniteGroup, space: SemiSimplicialSet,
                       maps) -> SimplicialGAction:
-    return SimplicialGAction(group, space, maps).validate()
+    return SimplicialGAction(group, space, maps)
 
 
 def as_simplicial_action(a, n_top: int) -> SimplicialGAction:
@@ -319,7 +312,7 @@ def borel_object(sa: SimplicialGAction, n_top: int | None = None) -> BorelObject
             level_faces.append(tuple(fm))
         faces.append(tuple(level_faces))
     try:
-        space = SemiSimplicialSet(tuple(cells), tuple(faces)).validate()
+        space = SemiSimplicialSet(tuple(cells), tuple(faces))
     except SimplicialIdentityFailure as exc:
         raise SimplicialIdentityFailure(
             f"homotopy-quotient faces are inconsistent: {exc}") from exc
@@ -383,8 +376,7 @@ def borel_bisimplicial(sa: SimplicialGAction, n_top: int | None = None,
                     per_j.append(tuple(fm))
                 faces_v[(p, n)] = tuple(per_j)
     try:
-        return BiSemiSimplicialSet(n_top, n_top, cells, faces_h,
-                                   faces_v).validate()
+        return BiSemiSimplicialSet(n_top, n_top, cells, faces_h, faces_v)
     except SimplicialIdentityFailure as exc:
         raise SimplicialIdentityFailure(
             f"bisimplicial faces are inconsistent: {exc}") from exc
@@ -453,21 +445,20 @@ def transformation_groupoid(group: FiniteGroup, perms) -> FiniteGroupoid:
     e = group.identity
     ids = tuple(index[(e, x)] for x in range(npts))
     inv = tuple(index[(group.inverse(gi), perms[gi][x])] for (gi, x) in mor)
-    return FiniteGroupoid(tuple(range(npts)), src, tgt, comp, ids,
-                          inv).validate()
+    return FiniteGroupoid(tuple(range(npts)), src, tgt, comp, ids, inv)
 
 
 def set_action_on_trivial_groupoid(group: FiniteGroup, perms) -> GroupoidAction:
     """The same set action, packaged as an action on the trivial groupoid."""
     perms = validate_set_action(group, perms)
     atlas = trivial_groupoid(len(perms[0]))
-    return GroupoidAction(group, atlas, perms, perms).validate()
+    return GroupoidAction(group, atlas, perms, perms)
 
 
 def trivial_action(group: FiniteGroup, atlas: FiniteGroupoid) -> GroupoidAction:
     obj = tuple(tuple(range(atlas.n_objects)) for _ in range(group.order))
     mor = tuple(tuple(range(atlas.n_morphisms)) for _ in range(group.order))
-    return GroupoidAction(group, atlas, obj, mor).validate()
+    return GroupoidAction(group, atlas, obj, mor)
 
 
 def orbit_space(sa: SimplicialGAction) -> SemiSimplicialSet:
@@ -499,7 +490,7 @@ def orbit_space(sa: SimplicialGAction) -> SemiSimplicialSet:
                 fm.append(orbit_of[n - 1][s.face(n, i, r)])
             level_faces.append(tuple(fm))
         faces.append(tuple(level_faces))
-    return SemiSimplicialSet(tuple(cells), tuple(faces)).validate()
+    return SemiSimplicialSet(tuple(cells), tuple(faces))
 
 
 def is_free(sa: SimplicialGAction) -> bool:

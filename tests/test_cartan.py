@@ -57,9 +57,8 @@ class TestLieData:
         abelian_lie(3).validate()
 
     def test_antisymmetry_enforced(self):
-        bad = LieAlgebraData(2, (({}, {0: 1}), ({0: 1}, {})))
         with pytest.raises(InvariantViolation):
-            bad.validate()
+            LieAlgebraData(2, (({}, {0: 1}), ({0: 1}, {})))
 
     def test_su2_structure_constants(self):
         # [x1,x2]=x3, [x2,x3]=x1, [x3,x1]=x2

@@ -99,6 +99,22 @@ BAD_INDEX_TABLES = {
                  "/group/elements/1"),
     "objects": ("s0_swap.json", ["groupoid", "objects"], ["a", "a"],
                 "/groupoid/objects/1"),
+    "lie-structure": ("cartan_point.json", ["lie", "structure"], 5,
+                      "/lie/structure"),
+    "lie-structure-row": ("cartan_point.json", ["lie", "structure", 0], [],
+                          "/lie/structure/0"),
+    "iota-entry": ("cartan_point.json", ["gdga", "iota", 0], 3,
+                   "/gdga/iota/0"),
+    "L-entry": ("cartan_point.json", ["gdga", "L", 0], 3, "/gdga/L/0"),
+    "iota-count": ("cartan_point.json", ["lie"], {"dim": 2}, "/gdga/iota"),
+    "weyl-on-algebra": ("cartan_point.json", ["weyl_on_algebra", 0], 1,
+                        "/weyl_on_algebra/0"),
+    "coefficient-modules": ("hyper_z2_point.json",
+                            ["coefficient_complex", "modules"], [],
+                            "/coefficient_complex/modules"),
+    "coefficient-diffs": ("hyper_z2_point.json",
+                          ["coefficient_complex", "diffs"], 7,
+                          "/coefficient_complex/diffs"),
 }
 
 

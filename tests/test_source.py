@@ -37,3 +37,25 @@ def test_one_elimination_kernel():
     found = sorted({name for name, node in _nodes()
                     if _elimination_arithmetic(node)})
     assert found == ["exactalg.py"]
+
+
+def _is_self_validate(node) -> bool:
+    return isinstance(node, ast.Call) and not node.args and \
+        isinstance(node.func, ast.Attribute) and \
+        node.func.attr == "validate" and \
+        isinstance(node.func.value, ast.Name) and node.func.value.id == "self"
+
+
+def test_validate_only_at_construction():
+    # each object is checked once, by its own constructor; a validate()
+    # call anywhere else re-checks an object that was checked when built
+    nodes = list(_nodes())
+    allowed = {id(call) for _, node in nodes
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "__post_init__"
+               for call in ast.walk(node) if _is_self_validate(call)}
+    found = [f"{name}:{node.lineno}" for name, node in nodes
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "validate" and id(node) not in allowed]
+    assert found == []

@@ -2,17 +2,23 @@
 
 import pytest
 
+from stackcoh.cartan import LieAlgebraData
 from stackcoh.errors import NotFunctorial
 from stackcoh.exactalg import GF, QQ
-from stackcoh.homalg import cohomology, total_complex
+from stackcoh.getzler import getzler_total_cohomology
+from stackcoh.groupcoh import GModule
+from stackcoh.homalg import TripleComplex, cohomology, total_complex
+from stackcoh.models import corpus_by_name
 from stackcoh.simplicial import (
-    cochains, cycle_space, diagonal, nerve, total_cochains, trivial_groupoid,
+    BiSemiSimplicialSet, FiniteGroupoid, SemiSimplicialSet, cochains,
+    cycle_space, diagonal, nerve, total_cochains, trivial_groupoid,
 )
+from stackcoh.spectra import atlas_ss, discrete_borel_ss
 from stackcoh.stackact import (
-    GroupoidAction, borel_bisimplicial, borel_object, cyclic_group,
-    equivariant_cohomology, induced_nerve_action, is_free, orbit_space,
-    set_action_on_trivial_groupoid, simplicial_action, symmetric_group,
-    subgroup, transformation_groupoid, trivial_action,
+    FiniteGroup, GroupoidAction, SimplicialGAction, borel_bisimplicial,
+    borel_object, cyclic_group, equivariant_cohomology, induced_nerve_action,
+    is_free, orbit_space, set_action_on_trivial_groupoid, simplicial_action,
+    symmetric_group, subgroup, transformation_groupoid, trivial_action,
 )
 
 F2 = GF(2)
@@ -212,3 +218,48 @@ class TestTransformationGroupoid:
         t = transformation_groupoid(g, perms)
         c = cochains(nerve(t, 6), QQ)
         assert equi == [cohomology(c, n) for n in range(4)]
+
+
+VALIDATED = (SemiSimplicialSet, BiSemiSimplicialSet, FiniteGroupoid,
+             FiniteGroup, GroupoidAction, SimplicialGAction, GModule,
+             LieAlgebraData, TripleComplex)
+
+
+def test_each_object_validated_once(monkeypatch):
+    action = corpus_by_name("z2_s0_swap_q").action(3)
+    built, counts = [], {}
+
+    def counted(cls):
+        init, validate = cls.__init__, cls.validate
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def counted_validate(self):
+            counts[id(self)] = counts.get(id(self), 0) + 1
+            return validate(self)
+        monkeypatch.setattr(cls, "__init__", counted_init)
+        monkeypatch.setattr(cls, "validate", counted_validate)
+
+    for cls in VALIDATED:
+        counted(cls)
+    runs = {
+        "equivariant": lambda: equivariant_cohomology(
+            action, QQ, range(2), n_top=3, check_total=True),
+        "discrete_borel": lambda: discrete_borel_ss(action, QQ, 3),
+        "atlas": lambda: atlas_ss(action, QQ, 3),
+        "getzler": lambda: getzler_total_cohomology(action, QQ, range(2),
+                                                    n_top=3),
+    }
+    for name, run in runs.items():
+        built.clear()
+        counts.clear()
+        run()
+        assert built, name
+        wrong = [(type(obj).__name__, counts.get(id(obj), 0))
+                 for obj in built if counts.get(id(obj), 0) != 1]
+        assert wrong == [], name
+        # the action handed in, its group and its atlas were checked when
+        # they were built, before the run
+        assert set(counts) == {id(obj) for obj in built}, name
