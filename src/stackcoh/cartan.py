@@ -31,7 +31,8 @@ from .errors import (
     NotClosedUnderOperators,
 )
 from .exactalg import (
-    Field, Mat, QQ, joint_kernel, mat_from_columns, rank, solve_multi,
+    Field, Mat, QQ, joint_kernel, mat_from_columns, rank, reduced,
+    solve_multi,
 )
 from .errors import NoSolution
 from .homalg import (
@@ -186,7 +187,6 @@ def validate_gdga(lie: LieAlgebraData, algebra: GDGA) -> dict:
                 -(algebra.l_mat(a, m + 1) * algebra.dmat(m))
             check(f"[L_{a}, d] = 0 at degree {m}", comm.is_zero())
     if algebra.mul is not None:
-        f = algebra.field
         for i in range(top + 1):
             for j in range(top + 1):
                 for x in range(algebra.dims[i]):
@@ -198,15 +198,13 @@ def validate_gdga(lie: LieAlgebraData, algebra: GDGA) -> dict:
                         dx = algebra.dmat(i).col(x) if algebra.dims[i] else {}
                         for z, coef in dx.items():
                             for w, coef2 in algebra.product(i + 1, j, z, y).items():
-                                rhs[w] = f.add(rhs.get(w, 0),
-                                               f.mul(coef, coef2))
+                                rhs[w] = rhs.get(w, 0) + coef * coef2
                         dy = algebra.dmat(j).col(y) if algebra.dims[j] else {}
                         sign = -1 if i % 2 else 1
                         for z, coef in dy.items():
                             for w, coef2 in algebra.product(i, j + 1, x, z).items():
-                                rhs[w] = f.add(rhs.get(w, 0),
-                                               f.mul(f.mul(f.coerce(sign),
-                                                           coef), coef2))
+                                rhs[w] = rhs.get(w, 0) + sign * coef * coef2
+                        rhs = reduced(rhs, algebra.field)
                         keys = set(lhs) | set(rhs)
                         if any(lhs.get(k, 0) != rhs.get(k, 0) for k in keys):
                             failures.append(
@@ -302,12 +300,7 @@ def cartan_double_complex(lie: LieAlgebraData, algebra: GDGA,
                             algebra.dims[m - 1]
                         for (r, c), v in imat.entries.items():
                             key = (row_base + r, col_base + c)
-                            cur = f.add(entries.get(key, 0),
-                                        f.mul(f.coerce(sign), v))
-                            if cur:
-                                entries[key] = cur
-                            else:
-                                entries.pop(key, None)
+                            entries[key] = entries.get(key, 0) + sign * v
             d_h[(p, q)] = Mat(dims.get((p + 1, q), 0), dims[(p, q)], entries, f)
     return DoubleComplex(f, (0, poly_trunc), (0, poly_trunc + top),
                          dims, d_h, d_v,
@@ -372,22 +365,16 @@ def mulclose_mats(gens: list, limit: int = 4096) -> list:
 
 def sym_power_matrix(w: Mat, p: int, monos: list, mono_index: dict) -> Mat:
     """Action of w on S^p via multiplicative extension of w.u_a = sum w[b,a] u_b."""
-    f = w.field
-    k = w.rows
     cols = {}
     for mono in monos:
-        poly = {(): f.one()}
+        poly = {(): 1}
         for var in mono:
             image = {b: v for (b, a), v in w.entries.items() if a == var}
             new = {}
             for term, coef in poly.items():
                 for b, v in image.items():
                     key = tuple(sorted(term + (b,)))
-                    cur = f.add(new.get(key, 0), f.mul(coef, v))
-                    if cur:
-                        new[key] = cur
-                    else:
-                        new.pop(key, None)
+                    new[key] = new.get(key, 0) + coef * v
             poly = new
         cols[mono] = poly
     entries = {}
@@ -395,7 +382,7 @@ def sym_power_matrix(w: Mat, p: int, monos: list, mono_index: dict) -> Mat:
         j = mono_index[mono]
         for term, coef in poly.items():
             entries[(mono_index[term], j)] = coef
-    return Mat(len(monos), len(monos), entries, f)
+    return Mat(len(monos), len(monos), entries, w.field)
 
 
 def invariant_polynomials(lie: LieAlgebraData, weyl_gens: list,
@@ -408,16 +395,13 @@ def invariant_polynomials(lie: LieAlgebraData, weyl_gens: list,
         raise NonInvertibleOrder(
             f"|W| = {len(group)} not invertible in characteristic {field.p}")
     out = []
-    inv_order = Fraction(1, len(group))
     for p in range(poly_trunc + 1):
         monos = monomials(lie.dim, p)
         mono_index = {m: i for i, m in enumerate(monos)}
         total = Mat.zero(len(monos), len(monos), field)
         for w in group:
             total = total + sym_power_matrix(w, p, monos, mono_index)
-        reynolds = total.scale(field.coerce(inv_order) if field.p == 0
-                               else field.inv(field.coerce(len(group))))
-        out.append(rank(reynolds))
+        out.append(rank(total.scale(Fraction(1, len(group)))))
     return out
 
 
@@ -547,11 +531,9 @@ def torus_weyl_check(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,
         acc = Fraction(0)
         for idx, pair in enumerate(group):
             sp = sym_power_matrix(pair[0], p, monos[p], mono_index[p])
-            tr_sp = sum((v for (i, j), v in sp.entries.items() if i == j),
-                        start=f.zero())
+            tr_sp = sum(v for (i, j), v in sp.entries.items() if i == j)
             hm = h_data[m][idx]
-            tr_h = sum((v for (i, j), v in hm.entries.items() if i == j),
-                       start=f.zero())
+            tr_h = sum(v for (i, j), v in hm.entries.items() if i == j)
             acc += Fraction(tr_sp) * Fraction(tr_h)
         expected = acc / len(group)
         if expected.denominator != 1:

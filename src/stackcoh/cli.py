@@ -56,7 +56,16 @@ def _fail(message, location):
     raise SchemaError(message, location=location)
 
 
+def _container(value, kind, loc):
+    """value when it is a JSON object (kind dict) or list (kind list),
+    else exit 2 at loc."""
+    if not isinstance(value, kind):
+        _fail(f"expected a JSON {'object' if kind is dict else 'list'}", loc)
+    return value
+
+
 def _expect(obj, key, loc, kind=None):
+    _container(obj, dict, loc)
     if key not in obj:
         _fail(f"missing required key '{key}'", loc)
     val = obj[key]
@@ -204,6 +213,7 @@ def parse_complex(obj, loc="/complex") -> SemiSimplicialSet:
 
 
 def parse_complex_action(obj, group, space, loc="/action_on_complex"):
+    _container(obj, dict, loc)
     maps = []
     for gi, name in enumerate(group.elements):
         if name not in obj:
@@ -263,12 +273,12 @@ def parse_lie(obj, loc="/lie") -> LieAlgebraData:
 def parse_gdga(obj, field, loc="/gdga") -> GDGA:
     dims = tuple(_expect(obj, "dims", loc, list))
     top = len(dims) - 1
-    d_raw = obj.get("d", [])
+    d_raw = _container(obj.get("d", []), list, f"{loc}/d")
     if len(d_raw) != max(top, 0):
         _fail(f"expected {top} differentials", f"{loc}/d")
     d = tuple(parse_matrix(d_raw[m], dims[m + 1], dims[m], field,
                            f"{loc}/d/{m}") for m in range(top))
-    iota_raw = obj.get("iota", [])
+    iota_raw = _container(obj.get("iota", []), list, f"{loc}/iota")
     lie_dim = len(iota_raw)
     iota = []
     for a in range(lie_dim):
@@ -277,7 +287,7 @@ def parse_gdga(obj, field, loc="/gdga") -> GDGA:
         iota.append(tuple(
             parse_matrix(iota_raw[a][m], dims[m], dims[m + 1], field,
                          f"{loc}/iota/{a}/{m}") for m in range(top)))
-    l_raw = obj.get("L", [])
+    l_raw = _container(obj.get("L", []), list, f"{loc}/L")
     if len(l_raw) != lie_dim:
         _fail("L must align with iota", f"{loc}/L")
     lie_der = []
@@ -290,16 +300,20 @@ def parse_gdga(obj, field, loc="/gdga") -> GDGA:
     mul = None
     if "mul" in obj:
         mul = {}
-        for k, item in enumerate(obj["mul"]):
-            i = _expect(item, "i", f"{loc}/mul/{k}", int)
-            j = _expect(item, "j", f"{loc}/mul/{k}", int)
-            table = _expect(item, "table", f"{loc}/mul/{k}", list)
+        for k, item in enumerate(_container(obj["mul"], list,
+                                            f"{loc}/mul")):
+            at = f"{loc}/mul/{k}"
+            i = _expect(item, "i", at, int)
+            j = _expect(item, "j", at, int)
+            table = _expect(item, "table", at, list)
             parsed = []
             for x, row in enumerate(table):
+                row = _container(row, list, f"{at}/table/{x}")
                 prow = []
                 for y, vec in enumerate(row):
+                    vec = _container(vec, list, f"{at}/table/{x}/{y}")
                     prow.append({c: parse_scalar(field, v,
-                                                 f"{loc}/mul/{k}/table/{x}/{y}/{c}")
+                                                 f"{at}/table/{x}/{y}/{c}")
                                  for c, v in enumerate(vec) if v})
                 parsed.append(prow)
             mul[(i, j)] = parsed
@@ -394,8 +408,9 @@ def parse_input(payload: dict, field: Field | None = None) -> dict:
     if "weyl" in payload:
         lie_dim = data["lie"].dim if "lie" in data else None
         mats = []
-        for k, m in enumerate(payload["weyl"]):
-            size = lie_dim if lie_dim is not None else len(m)
+        for k, m in enumerate(_container(payload["weyl"], list, "/weyl")):
+            size = lie_dim if lie_dim is not None else \
+                len(_container(m, list, f"/weyl/{k}"))
             mats.append(parse_matrix(m, size, size, QQ, f"/weyl/{k}"))
         data["weyl"] = mats
     if "weyl_on_algebra" in payload:
@@ -403,7 +418,8 @@ def parse_input(payload: dict, field: Field | None = None) -> dict:
             _fail("weyl_on_algebra requires a gdga", "/weyl_on_algebra")
         dims = data["gdga"].dims
         gens = []
-        for k, per_degree in enumerate(payload["weyl_on_algebra"]):
+        for k, per_degree in enumerate(_container(
+                payload["weyl_on_algebra"], list, "/weyl_on_algebra")):
             if not isinstance(per_degree, list) or len(per_degree) != len(dims):
                 _fail("one matrix per degree required",
                       f"/weyl_on_algebra/{k}")

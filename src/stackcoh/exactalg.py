@@ -1,7 +1,12 @@
 """Exact sparse linear algebra over Q and prime fields.
 
 Matrices are sparse triplet maps with Fraction (Q) or reduced-int (F_p)
-entries.  All elimination in the package (Sieve, hence rank, kernels,
+entries.  A Mat holds reduced nonzero entries only: Mat.__init__ is the
+one place where matrix entries are normalised (coerced into the field by
+Field.coerce, zeros dropped), so every producer, here and in the other
+modules, passes plain Python sums and products and reduces nothing
+itself.  A sparse vector that never becomes a Mat goes through reduced(),
+the same step.  All elimination in the package (Sieve, hence rank, kernels,
 cohomology_dim and solve_multi, and the filtered kernels of
 spectra._FilteredTotal) goes through two module-level steps: _prepare
 clears a vector to integers over Q (returning the multiplier) or reduces
@@ -88,28 +93,6 @@ class Field:
             return int(text) % self.p
         return self.coerce(Fraction(str(text)))
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.p else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.p else -a
-
-    def inv(self, a):
-        if self.p:
-            if a % self.p == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return pow(a, self.p - 2, self.p)
-        return 1 / Fraction(a)
-
     def __eq__(self, other):
         return isinstance(other, Field) and other.p == self.p
 
@@ -127,6 +110,17 @@ def GF(p: int) -> Field:
     return Field(p)
 
 
+def reduced(vec: dict, field: Field) -> dict:
+    """vec with every entry coerced into field and the zeros dropped."""
+    coerce = field.coerce
+    out = {}
+    for k, v in vec.items():
+        v = coerce(v)
+        if v:
+            out[k] = v
+    return out
+
+
 class Mat:
     """Immutable sparse matrix: entries maps (row, col) -> nonzero scalar."""
 
@@ -136,14 +130,10 @@ class Mat:
         self.rows = rows
         self.cols = cols
         self.field = field
-        clean = {}
-        for (i, j), v in entries.items():
+        for (i, j) in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise DimensionMismatch(f"entry ({i},{j}) outside {rows}x{cols}")
-            v = field.coerce(v)
-            if v:
-                clean[(i, j)] = v
-        self.entries = clean
+        self.entries = reduced(entries, field)
         self._col_cache = None
 
     @classmethod
@@ -160,7 +150,7 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int, field: Field) -> "Mat":
-        return cls(n, n, {(i, i): field.one() for i in range(n)}, field)
+        return cls(n, n, {(i, i): 1 for i in range(n)}, field)
 
     @classmethod
     def zero(cls, rows: int, cols: int, field: Field) -> "Mat":
@@ -179,61 +169,47 @@ class Mat:
 
     def mul_vec(self, vec: dict) -> dict:
         """Matrix times sparse column vector (dict index -> value)."""
-        f = self.field
         out: dict = {}
         cols = self.columns()
         for j, x in vec.items():
-            if not x:
-                continue
             for i, a in cols[j].items():
-                s = f.add(out.get(i, 0), f.mul(a, x))
-                if s:
-                    out[i] = s
-                else:
-                    out.pop(i, None)
-        return out
+                out[i] = out.get(i, 0) + a * x
+        return reduced(out, self.field)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} * {other.shape}")
         if self.field != other.field:
             raise DimensionMismatch("field mismatch")
-        f = self.field
         out: dict = {}
         cols = self.columns()
         for (k, j), b in other.entries.items():
             for i, a in cols[k].items():
                 key = (i, j)
-                s = f.add(out.get(key, 0), f.mul(a, b))
+                # drop a running sum that cancels exactly: the d^2 and
+                # commutation products cancel, and dead keys cost memory
+                s = out.get(key, 0) + a * b
                 if s:
                     out[key] = s
                 else:
                     out.pop(key, None)
-        return Mat(self.rows, other.cols, out, f)
+        return Mat(self.rows, other.cols, out, self.field)
 
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape or self.field != other.field:
             raise DimensionMismatch("shape or field mismatch in add")
-        f = self.field
         out = dict(self.entries)
         for key, v in other.entries.items():
-            s = f.add(out.get(key, 0), v)
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return Mat(self.rows, self.cols, out, f)
+            out[key] = out.get(key, 0) + v
+        return Mat(self.rows, self.cols, out, self.field)
 
     def __neg__(self) -> "Mat":
-        f = self.field
         return Mat(self.rows, self.cols,
-                   {k: f.neg(v) for k, v in self.entries.items()}, f)
+                   {k: -v for k, v in self.entries.items()}, self.field)
 
     def scale(self, c) -> "Mat":
-        f = self.field
-        c = f.coerce(c)
         return Mat(self.rows, self.cols,
-                   {k: f.mul(v, c) for k, v in self.entries.items()}, f)
+                   {k: v * c for k, v in self.entries.items()}, self.field)
 
     def transpose(self) -> "Mat":
         return Mat(self.cols, self.rows,
@@ -264,12 +240,7 @@ def _prepare(vec: dict, field: Field) -> tuple[dict, int]:
     of the denominators.  Over F_p: (reduced nonzero entries, 1).
     """
     if field.p:
-        out = {}
-        for i, v in vec.items():
-            c = field.coerce(v)
-            if c:
-                out[i] = c
-        return out, 1
+        return reduced(vec, field), 1
     lam = reduce(lcm, (v.denominator for v in vec.values()), 1)
     out = {}
     for i, v in vec.items():
@@ -434,11 +405,11 @@ def cohomology_dim(d_out: Mat, d_in: Mat, reps: bool = False):
             f"cols(d_out)={d_out.cols} != rows(d_in)={d_in.rows}")
     if not (d_out * d_in).is_zero():
         raise CompositionNonzero("d_out . d_in != 0")
+    if not reps:
+        return d_out.cols - rank(d_out) - rank(d_in)
     kernel = kernel_basis(d_out)
     sieve = _column_sieve(d_in)
     dim = len(kernel) - sieve.rank
-    if not reps:
-        return dim
     chosen = []
     for v in kernel:
         residual, _ = sieve.insert(v)
@@ -470,7 +441,7 @@ def solve_multi(a: Mat, rhs: list[dict]) -> list[dict]:
             raise NoSolution("inconsistent system")
         c = combo.pop(a.cols)
         if f.p:
-            inv = f.inv(c)
+            inv = pow(c, f.p - 2, f.p)
             sols.append({i: -v * inv % f.p for i, v in combo.items()})
         else:
             sols.append({i: Fraction(-v, c) for i, v in combo.items()})

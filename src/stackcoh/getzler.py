@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .errors import (
     DegreeMismatch, InvariantViolation, UnsupportedRegime,
 )
-from .exactalg import Mat
+from .exactalg import Mat, reduced
 from .homalg import CochainComplex, cohomology, total_complex
 from .spectra import borel_double_complex
 
@@ -76,7 +76,6 @@ class GetzlerContext:
         g = self.group
         rho = self.module.rho[g.inverse(gi)]
         out = {}
-        f = self.module.field
         for idx, v in vec.items():
             n, cell, coord = self.value_component(idx)
             moved = self.sa.act(gi, n, cell)
@@ -84,12 +83,8 @@ class GetzlerContext:
                 if c != coord:
                     continue
                 key = self.value_index(n, moved, r)
-                cur = f.add(out.get(key, 0), f.mul(u, v))
-                if cur:
-                    out[key] = cur
-                else:
-                    out.pop(key, None)
-        return out
+                out[key] = out.get(key, 0) + u * v
+        return reduced(out, self.module.field)
 
     def cochain(self, p: int, table: dict) -> "GetzlerCochain":
         return GetzlerCochain(self, p, table)
@@ -106,6 +101,8 @@ class GetzlerCochain:
 
     The total-degree bookkeeping is s = p + m + n with m = 0 in this
     set-level model (no positive form degree) and no polynomial part.
+    Construction reduces the values into the module's field and drops
+    zeros, so dbar accumulates plain sums.
     """
 
     ctx: GetzlerContext
@@ -118,7 +115,7 @@ class GetzlerCochain:
             if len(t) != self.p:
                 raise DegreeMismatch(
                     f"table key {t} does not have length {self.p}")
-            vec = {i: v for i, v in vec.items() if v}
+            vec = reduced(vec, self.ctx.module.field)
             if vec:
                 clean[t] = vec
         self.table = clean
@@ -143,20 +140,12 @@ def dbar(f_cochain: GetzlerCochain) -> GetzlerCochain:
     ctx = f_cochain.ctx
     g = ctx.group
     p = f_cochain.p
-    field = ctx.module.field
     out = {}
 
     def add_into(t, vec, sign):
-        if not vec:
-            return
         acc = out.setdefault(t, {})
         for i, v in vec.items():
-            cur = field.add(acc.get(i, 0),
-                            field.mul(field.coerce(sign), v))
-            if cur:
-                acc[i] = cur
-            else:
-                acc.pop(i, None)
+            acc[i] = acc.get(i, 0) + sign * v
 
     for t in itertools.product(range(g.order), repeat=p + 1):
         add_into(t, f_cochain.value(t[1:]), 1)

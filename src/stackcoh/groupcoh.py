@@ -78,11 +78,10 @@ def restrict_module(m: GModule, members: list, sub: FiniteGroup) -> GModule:
 
 def kron(a: Mat, b: Mat) -> Mat:
     entries = {}
-    f = a.field
     for (i, j), u in a.entries.items():
         for (k, l), v in b.entries.items():
-            entries[(i * b.rows + k, j * b.cols + l)] = f.mul(u, v)
-    return Mat(a.rows * b.rows, a.cols * b.cols, entries, f)
+            entries[(i * b.rows + k, j * b.cols + l)] = u * v
+    return Mat(a.rows * b.rows, a.cols * b.cols, entries, a.field)
 
 
 def module_tensor(a: GModule, b: GModule) -> GModule:
@@ -110,11 +109,7 @@ def bar_complex(m: GModule, n_top: int) -> CochainComplex:
         entries = {}
 
         def add(row, col, value):
-            cur = field.add(entries.get((row, col), 0), field.coerce(value))
-            if cur:
-                entries[(row, col)] = cur
-            else:
-                entries.pop((row, col), None)
+            entries[(row, col)] = entries.get((row, col), 0) + value
 
         for t_idx, t in enumerate(tuples[p + 1]):
             row_base = t_idx * m.dim
@@ -131,8 +126,7 @@ def bar_complex(m: GModule, n_top: int) -> CochainComplex:
             sign = -1 if (p + 1) % 2 else 1
             twist = m.rho[g.inverse(t[p])]
             for (r, c), v in twist.entries.items():
-                add(row_base + r, col * m.dim + c,
-                    field.mul(field.coerce(sign), v))
+                add(row_base + r, col * m.dim + c, sign * v)
         diffs.append(Mat(dims[p + 1], dims[p], entries, field))
     return CochainComplex(field, tuple(dims), tuple(diffs),
                           boundary_degree=n_top)

@@ -263,18 +263,11 @@ class TotalLayout:
                     entries[(dst + i, src_off + j)] = v
             if (p + 1, q) in targets:
                 dst = self.offsets[(p + 1, q)]
+                # no entry gets two terms: source blocks own disjoint
+                # columns, targets (p, q + 1) and (p + 1, q) disjoint rows
                 sign = -1 if q % 2 else 1
                 for (i, j), v in dc.dh(p, q).entries.items():
-                    val = v if sign == 1 else dc.field.neg(v)
-                    key = (dst + i, src_off + j)
-                    if key in entries:
-                        s = dc.field.add(entries[key], val)
-                        if s:
-                            entries[key] = s
-                        else:
-                            del entries[key]
-                    else:
-                        entries[key] = val
+                    entries[(dst + i, src_off + j)] = sign * v
         return Mat(self.total_dims.get(n + 1, 0), self.total_dims.get(n, 0),
                    entries, dc.field)
 

@@ -250,11 +250,7 @@ def _face_sum(face_maps, rows: int, cols: int, module_dim: int,
             sign = -1 if i % 2 else 1
             for t in range(module_dim):
                 key = (c * module_dim + t, tgt * module_dim + t)
-                cur = entries.get(key, 0) + sign
-                if cur:
-                    entries[key] = cur
-                else:
-                    entries.pop(key, None)
+                entries[key] = entries.get(key, 0) + sign
     return Mat(rows, cols, entries, field)
 
 

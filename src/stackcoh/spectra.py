@@ -381,11 +381,7 @@ def borel_double_complex(sa, module, n_top: int | None = None,
             entries = {}
 
             def add(row, col, value):
-                cur = field.add(entries.get((row, col), 0), field.coerce(value))
-                if cur:
-                    entries[(row, col)] = cur
-                else:
-                    entries.pop((row, col), None)
+                entries[(row, col)] = entries.get((row, col), 0) + value
 
             for t_idx, t in enumerate(tuples1):
                 for x in range(size):
@@ -403,8 +399,7 @@ def borel_double_complex(sa, module, n_top: int | None = None,
                     col = (index_src[t[:p]] * size + gx) * mdim
                     sign = -1 if (p + 1) % 2 else 1
                     for (rr, cc), v in rho_inv[t[p]].entries.items():
-                        add(row_base + rr, col + cc,
-                            field.mul(field.coerce(sign), v))
+                        add(row_base + rr, col + cc, sign * v)
             d_h[(p, n)] = Mat(dims[(p + 1, n)], dims[(p, n)], entries, field)
 
     for p in range(n_top + 1):
@@ -424,19 +419,14 @@ def borel_double_complex(sa, module, n_top: int | None = None,
                         sign = -1 if j % 2 else 1
                         for c in range(mdim):
                             key = (row_base + c, col + c)
-                            cur = field.add(entries.get(key, 0),
-                                            field.coerce(sign))
-                            if cur:
-                                entries[key] = cur
-                            else:
-                                entries.pop(key, None)
+                            entries[key] = entries.get(key, 0) + sign
             d_v[(p, n)] = Mat(dims[(p, n + 1)], dims[(p, n)], entries, field)
 
     return DoubleComplex(field, (0, n_top), (0, n_top), dims, d_h, d_v,
                          boundary_total_degree=n_top - 1)
 
 
-def _as_module(coeff, group, field_hint=None):
+def _as_module(coeff, group):
     from .groupcoh import GModule, trivial_module
     if isinstance(coeff, GModule):
         return coeff
@@ -512,12 +502,15 @@ def atlas_ss(a, coeff, n_top: int, r_max: int | None = None,
     e1 = next(p for p in page_list if p.r == 1)
     identification = []
     flag_bound = dc.boundary_total_degree
+    perms = {}
     for (n, r), dim in sorted(e1.entries.items()):
         if flag_bound is not None and n + r >= flag_bound:
             continue
-        perms = [tuple(sa.act(gi, n, c) for c in range(sa.space.size(n)))
-                 for gi in range(sa.group.order)]
-        expected = quotient_cohomology_oracle(sa.group, perms, module, r)
+        if n not in perms:
+            perms[n] = [tuple(sa.act(gi, n, c)
+                              for c in range(sa.space.size(n)))
+                        for gi in range(sa.group.order)]
+        expected = quotient_cohomology_oracle(sa.group, perms[n], module, r)
         identification.append({"level": n, "degree": r, "page": dim,
                                "oracle": expected, "ok": dim == expected})
     convergence = convergence_check(page_list, total)
@@ -561,7 +554,6 @@ def discrete_borel_ss(a, coeff, n_top: int, r_max: int | None = None,
 def borel_triple_complex(sa, coeffs: CoefficientComplex, n_top: int,
                          max_total: int | None = None) -> TripleComplex:
     """Axes (group degree, simplicial level, coefficient degree)."""
-    from .groupcoh import GModule
     field = coeffs.modules[0].field
     g = sa.group
     s = sa.space

@@ -20,7 +20,7 @@ fields = st.sampled_from([QQ, GF(2), GF(3), GF(5)])
 
 def random_invertible(n, field, rng):
     """Invertible matrix and its inverse, via random elementary row ops."""
-    s = {(i, i): field.one() for i in range(n)}
+    s = {(i, i): 1 for i in range(n)}
     ops = []
     for _ in range(2 * n):
         kind = rng.randrange(3)
@@ -38,15 +38,15 @@ def random_invertible(n, field, rng):
     for op in ops:
         if op[0] == "add":
             _, i, j, lam = op
-            e = Mat(n, n, {(k, k): field.one() for k in range(n)} |
-                    {(j, i): field.coerce(lam)}, field)
-            e_inv = Mat(n, n, {(k, k): field.one() for k in range(n)} |
-                        {(j, i): field.neg(field.coerce(lam))}, field)
+            e = Mat(n, n, {(k, k): 1 for k in range(n)} |
+                    {(j, i): lam}, field)
+            e_inv = Mat(n, n, {(k, k): 1 for k in range(n)} |
+                        {(j, i): -lam}, field)
         else:
             _, i, j = op
-            perm = {(k, k): field.one() for k in range(n) if k not in (i, j)}
-            perm[(i, j)] = field.one()
-            perm[(j, i)] = field.one()
+            perm = {(k, k): 1 for k in range(n) if k not in (i, j)}
+            perm[(i, j)] = 1
+            perm[(j, i)] = 1
             e = Mat(n, n, perm, field)
             e_inv = Mat(n, n, dict(perm), field)
         mat = e * mat
@@ -107,21 +107,21 @@ def build_double_complex(pieces, field, rng, conjugate=True):
             col = find((p, q), role, tag)
             if role == "h0":
                 row = find((p + 1, q), "h1", tag)
-                d_h[(p, q)][(row, col)] = field.one()
+                d_h[(p, q)][(row, col)] = 1
             elif role == "v0":
                 row = find((p, q + 1), "v1", tag)
-                d_v[(p, q)][(row, col)] = field.one()
+                d_v[(p, q)][(row, col)] = 1
             elif role == "s00":
                 row = find((p + 1, q), "s10", tag)
-                d_h[(p, q)][(row, col)] = field.one()
+                d_h[(p, q)][(row, col)] = 1
                 row = find((p, q + 1), "s01", tag)
-                d_v[(p, q)][(row, col)] = field.one()
+                d_v[(p, q)][(row, col)] = 1
             elif role == "s10":
                 row = find((p, q + 1), "s11", tag)
-                d_v[(p, q)][(row, col)] = field.one()
+                d_v[(p, q)][(row, col)] = 1
             elif role == "s01":
                 row = find((p + 1, q), "s11", tag)
-                d_h[(p, q)][(row, col)] = field.one()
+                d_h[(p, q)][(row, col)] = 1
 
     dmats_h = {}
     dmats_v = {}

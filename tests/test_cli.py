@@ -115,6 +115,35 @@ BAD_INDEX_TABLES = {
     "coefficient-diffs": ("hyper_z2_point.json",
                           ["coefficient_complex", "diffs"], 7,
                           "/coefficient_complex/diffs"),
+    "group-type": ("z2_point.json", ["group"], 7, "/group"),
+    "groupoid-type": ("z2_point.json", ["groupoid"], 7, "/groupoid"),
+    "action-type": ("z2_point.json", ["action"], 7, "/action"),
+    "coefficients-type": ("z2_point.json", ["coefficients"], 7,
+                          "/coefficients"),
+    "coefficient-complex-type": ("hyper_z2_point.json",
+                                 ["coefficient_complex"], 7,
+                                 "/coefficient_complex"),
+    "complex-type": ("circle_action.json", ["complex"], 7, "/complex"),
+    "action-on-complex-type": ("circle_action.json", ["action_on_complex"],
+                               7, "/action_on_complex"),
+    "lie-type": ("cartan_point.json", ["lie"], 7, "/lie"),
+    "gdga-type": ("cartan_point.json", ["gdga"], 7, "/gdga"),
+    "gdga-d-type": ("cartan_point.json", ["gdga", "d"], 5, "/gdga/d"),
+    "gdga-iota-type": ("cartan_point.json", ["gdga", "iota"], 5,
+                       "/gdga/iota"),
+    "gdga-L-type": ("cartan_point.json", ["gdga", "L"], 5, "/gdga/L"),
+    "gdga-mul-type": ("cartan_point.json", ["gdga", "mul"], 5, "/gdga/mul"),
+    "gdga-mul-item": ("cartan_point.json", ["gdga", "mul"], [5],
+                      "/gdga/mul/0"),
+    "gdga-mul-table-row": ("cartan_point.json", ["gdga", "mul", 0, "table"],
+                           [5], "/gdga/mul/0/table/0"),
+    "gdga-mul-table-entry": ("cartan_point.json",
+                             ["gdga", "mul", 0, "table"], [[5]],
+                             "/gdga/mul/0/table/0/0"),
+    "weyl-type": ("cartan_point.json", ["weyl"], 5, "/weyl"),
+    "weyl-entry-without-lie": ("z2_point.json", ["weyl"], [5], "/weyl/0"),
+    "weyl-on-algebra-type": ("cartan_point.json", ["weyl_on_algebra"], 5,
+                             "/weyl_on_algebra"),
 }
 
 

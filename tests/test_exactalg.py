@@ -12,6 +12,8 @@ from stackcoh.exactalg import (
     GF, QQ, Mat, _eliminate, cohomology_dim, kernel_basis, mat_from_columns,
     rank, solve_multi,
 )
+from stackcoh.groupcoh import kron
+from stackcoh.homalg import DoubleComplex, TotalLayout
 
 F2 = GF(2)
 F3 = GF(3)
@@ -355,3 +357,106 @@ def test_mat_from_columns_roundtrip():
     m = Mat.from_rows([[1, 0], [2, 5]], QQ)
     rebuilt = mat_from_columns(m.columns(), m.rows, QQ)
     assert rebuilt == m
+
+
+# -- normalisation: Mat.__init__ reduces every entry once ------------------
+
+
+def _assert_reduced(m: Mat, raw: dict):
+    """m holds exactly the nonzero entries of raw, each reduced once into
+    m.field from its Fraction value: an int in 1..p-1 over F_p; over Q an
+    int when integral, else a Fraction."""
+    p = m.field.p
+    want = {}
+    for key, x in raw.items():
+        x = Fraction(x)
+        v = x.numerator * pow(x.denominator, -1, p) % p if p else x
+        if v:
+            want[key] = v
+    assert m.entries == want
+    for v in m.entries.values():
+        if p:
+            assert type(v) is int and 0 < v < p
+        else:
+            assert v != 0
+            assert type(v) is (int if Fraction(v).denominator == 1
+                               else Fraction)
+
+
+def raw_entries(p):
+    """Unreduced scalars: ints beyond 0..p-1 and fractions whose
+    denominators are invertible mod p."""
+    dens = [d for d in (1, 2, 3, 4) if not p or d % p]
+    bound = 2 * max(p, 3) + 1
+    return st.one_of(st.integers(-bound, bound),
+                     st.builds(Fraction, st.integers(-7, 7),
+                               st.sampled_from(dens)))
+
+
+@st.composite
+def raw_mats(draw, field, rows, cols):
+    raw = {}
+    for i in range(rows):
+        for j in range(cols):
+            if draw(st.booleans()):
+                raw[(i, j)] = draw(raw_entries(field.p))
+    return Mat(rows, cols, raw, field), raw
+
+
+NORMALISATION_FIELDS = pytest.mark.parametrize(
+    "field", [QQ, F2, F3], ids=["QQ", "GF2", "GF3"])
+
+
+@NORMALISATION_FIELDS
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_producers_hold_reduced_nonzero_entries(field, data):
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, ra = data.draw(raw_mats(field, r, k))
+    a2, ra2 = data.draw(raw_mats(field, r, k))
+    b, rb = data.draw(raw_mats(field, k, c))
+    s = data.draw(raw_entries(field.p))
+    _assert_reduced(a, ra)
+    prod = {}
+    for (i, t), x in ra.items():
+        for (t2, j), y in rb.items():
+            if t == t2:
+                prod[(i, j)] = prod.get((i, j), 0) + Fraction(x) * y
+    _assert_reduced(a * b, prod)
+    _assert_reduced(a + a2, {key: Fraction(ra.get(key, 0)) + ra2.get(key, 0)
+                             for key in ra.keys() | ra2.keys()})
+    _assert_reduced(-a, {key: -x for key, x in ra.items()})
+    _assert_reduced(a.scale(s), {key: Fraction(x) * s
+                                 for key, x in ra.items()})
+    _assert_reduced(a.transpose(), {(j, i): x for (i, j), x in ra.items()})
+    _assert_reduced(kron(a, b), {(i * k + i2, j * c + j2): Fraction(x) * y
+                                 for (i, j), x in ra.items()
+                                 for (i2, j2), y in rb.items()})
+    # square complex: a on both rows, identities up; D^0 stacks I_k over
+    # a, and D^1 is [-a | I_r] (the q = 1 row carries the sign)
+    one = {(0, 0): Mat.identity(k, field), (1, 0): Mat.identity(r, field)}
+    dc = DoubleComplex(field, (0, 1), (0, 1),
+                       {(0, 0): k, (0, 1): k, (1, 0): r, (1, 1): r},
+                       {(0, 0): a, (0, 1): a}, one)
+    layout = TotalLayout(dc)
+    ident_k = {(i, i): 1 for i in range(k)}
+    ident_r = {(i, k + i): 1 for i in range(r)}
+    _assert_reduced(layout.total_matrix(0),
+                    ident_k | {(k + i, j): x for (i, j), x in ra.items()})
+    _assert_reduced(layout.total_matrix(1),
+                    ident_r | {key: -Fraction(x) for key, x in ra.items()})
+
+
+@NORMALISATION_FIELDS
+def test_raw_entries_come_out_normalised(field):
+    p = field.p
+    raw = {(0, 0): p, (0, 1): p + 1, (0, 2): -1, (0, 3): Fraction(4, 2)}
+    if p != 2:
+        raw[(0, 4)] = Fraction(1, 2)
+    m = Mat(1, 5, raw, field)
+    expected = {QQ: {(0, 1): 1, (0, 2): -1, (0, 3): 2,
+                     (0, 4): Fraction(1, 2)},
+                F2: {(0, 1): 1, (0, 2): 1},
+                F3: {(0, 1): 1, (0, 2): 2, (0, 3): 2, (0, 4): 2}}[field]
+    assert m.entries == expected
+    _assert_reduced(m, raw)

@@ -59,3 +59,13 @@ def test_validate_only_at_construction():
              and isinstance(node.func, ast.Attribute)
              and node.func.attr == "validate" and id(node) not in allowed]
     assert found == []
+
+
+def test_coerce_only_in_exactalg():
+    # Mat.__init__ and exactalg.reduced are the one normalisation of
+    # entries; a producer that coerces its own terms reduces them twice
+    found = sorted({name for name, node in _nodes()
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "coerce"})
+    assert found == ["exactalg.py"]
