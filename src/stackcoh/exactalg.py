@@ -13,15 +13,21 @@ clears a vector to integers over Q (returning the multiplier) or reduces
 it mod p, and _eliminate clears one pivot entry.  Elimination is
 fraction-free over Q: _eliminate forms a*vec - b*w and divides vec and
 its combination by the gcd of all their entries, so there is no rounding
-and no runaway coefficient growth.  Pivoting is deterministic (columns
-left to right, smallest pivot row index), which makes every kernel and
-representative basis reproducible across runs.
+and no runaway coefficient growth.  Pivoting is deterministic: a stored
+vector's pivot is its smallest row index, and an inserted vector is
+cleared against the stored pivots in their insertion order, found from
+its support through a heap rather than by scanning every pivot.  Columns
+go in left to right everywhere except the rank table of spectra, which
+inserts them right to left; every kernel and representative basis is
+therefore reproducible across runs.  A Mat's rank is computed at most
+once and kept on the (immutable) matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import (
@@ -77,6 +83,9 @@ class Field:
             return x % self.p if self.p else x
         if self.p:
             if isinstance(x, Fraction):
+                if x.denominator % self.p == 0:
+                    raise ZeroDivisionError(
+                        f"{x} has no value mod {self.p}")
                 den = pow(x.denominator % self.p, self.p - 2, self.p)
                 return (x.numerator % self.p) * den % self.p
             return int(x) % self.p
@@ -122,9 +131,15 @@ def reduced(vec: dict, field: Field) -> dict:
 
 
 class Mat:
-    """Immutable sparse matrix: entries maps (row, col) -> nonzero scalar."""
+    """Immutable sparse matrix: entries maps (row, col) -> nonzero scalar.
 
-    __slots__ = ("rows", "cols", "entries", "field", "_col_cache")
+    Two slots are filled lazily and never invalidated, which is safe
+    because a Mat is never mutated: _col_cache holds the columns and
+    _rank the rank, filled by rank() or kernel_basis(), so rank() sieves
+    a matrix at most once.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "field", "_col_cache", "_rank")
 
     def __init__(self, rows: int, cols: int, entries: dict, field: Field):
         self.rows = rows
@@ -135,6 +150,7 @@ class Mat:
                 raise DimensionMismatch(f"entry ({i},{j}) outside {rows}x{cols}")
         self.entries = reduced(entries, field)
         self._col_cache = None
+        self._rank = None
 
     @classmethod
     def from_rows(cls, rows_data, field: Field, cols: int | None = None) -> "Mat":
@@ -297,8 +313,18 @@ class Sieve:
 
     Vectors are sparse dicts, prepared by _prepare and reduced by
     _eliminate, so over Q all stored data is integer.  The pivot of a
-    reduced vector is its smallest support index; columns are offered left
-    to right, so the elimination order is deterministic.
+    reduced vector is its smallest support index; rank_of maps each pivot
+    to its position in order, the insertion order.
+
+    An inserted vector is cleared against the stored pivots in insertion
+    order.  _reduce finds them by support: it heapifies the ranks of the
+    pivots present in the vector, pops them smallest first, skips a pivot
+    the vector no longer holds, and after each step pushes the ranks of
+    the later pivots that the pivot vector w brought in.  A stored pivot
+    vector holds no earlier pivot index (it was cleared against all of
+    them), so w brings in no pivot already passed, and the steps are
+    exactly those of a scan of every pivot in order: the same pivots,
+    residuals and combinations, over Q and F_p.
 
     Either every insert into a sieve passes a combo or none does.
     Tracked pivots maintain the invariant  A . combo == vec  where A is the
@@ -309,6 +335,7 @@ class Sieve:
         self.field = field
         self.pivots: dict = {}   # pivot index -> (vec, combo)
         self.order: list = []    # pivot indices in insertion order
+        self.rank_of: dict = {}  # pivot index -> its position in order
 
     @property
     def rank(self) -> int:
@@ -317,10 +344,20 @@ class Sieve:
     def _reduce(self, vec: dict, combo: dict | None):
         """Reduce a prepared vector against all pivots: (vec, combo)."""
         p = self.field.p
-        for piv in self.order:
-            if piv in vec:
-                w, cw = self.pivots[piv]
-                vec, combo = _eliminate(vec, combo, w, cw, piv, p)
+        order, pivots, rank_of = self.order, self.pivots, self.rank_of
+        heap = [rank_of[i] for i in vec if i in rank_of]
+        heapify(heap)
+        while heap:
+            k = heappop(heap)
+            piv = order[k]
+            if piv not in vec:
+                continue
+            w, cw = pivots[piv]
+            vec, combo = _eliminate(vec, combo, w, cw, piv, p)
+            for i in w:
+                j = rank_of.get(i)
+                if j is not None and j > k:
+                    heappush(heap, j)
         return vec, combo
 
     def insert(self, vec: dict, combo: dict | None = None):
@@ -336,28 +373,33 @@ class Sieve:
         if vec:
             piv = min(vec)
             self.pivots[piv] = (vec, combo)
+            self.rank_of[piv] = len(self.order)
             self.order.append(piv)
         return vec, combo
 
 
 def _column_sieve(m: Mat) -> Sieve:
-    """Untracked sieve loaded with the column space of m."""
+    """Untracked sieve loaded with the column space of m; fills m._rank."""
     sieve = Sieve(m.field)
     for col in m.columns():
         sieve.insert(col)
+    m._rank = sieve.rank
     return sieve
 
 
 def rank(m: Mat) -> int:
-    """Exact rank over the matrix's field."""
-    return _column_sieve(m).rank
+    """Exact rank over the matrix's field, sieved once per matrix."""
+    if m._rank is None:
+        _column_sieve(m)
+    return m._rank
 
 
 def kernel_basis(m: Mat) -> list[dict]:
     """Basis of the right kernel, as sparse column vectors.
 
-    The count always equals cols - rank.  Vectors are normalised: leading
-    (smallest-index) entry 1 over F_p, primitive with positive lead over Q.
+    The count always equals cols - rank, so m keeps the rank too.  Vectors
+    are normalised: leading (smallest-index) entry 1 over F_p, primitive
+    with positive lead over Q.
     """
     f = m.field
     sieve = Sieve(f)
@@ -366,6 +408,7 @@ def kernel_basis(m: Mat) -> list[dict]:
         vec, combo = sieve.insert(col, {j: 1})
         if not vec:
             basis.append(_normalise(combo, f))
+    m._rank = sieve.rank
     return basis
 
 
@@ -405,6 +448,11 @@ def cohomology_dim(d_out: Mat, d_in: Mat, reps: bool = False):
             f"cols(d_out)={d_out.cols} != rows(d_in)={d_in.rows}")
     if not (d_out * d_in).is_zero():
         raise CompositionNonzero("d_out . d_in != 0")
+    return _cohomology_dim(d_out, d_in, reps)
+
+
+def _cohomology_dim(d_out: Mat, d_in: Mat, reps: bool):
+    """cohomology_dim for a pair already known to compose to zero."""
     if not reps:
         return d_out.cols - rank(d_out) - rank(d_in)
     kernel = kernel_basis(d_out)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, TruncationBoundary
 from .exactalg import (
-    Field, Mat, Sieve, cohomology_dim, mat_from_columns, solve_multi,
+    Field, Mat, Sieve, _cohomology_dim, mat_from_columns, solve_multi,
 )
 
 
@@ -98,7 +98,8 @@ def cohomology(c: CochainComplex, n: int, override: bool = False,
         raise TruncationBoundary(
             f"degree {n} is beyond the certified range (< {bound}); "
             "pass override=True to force")
-    return cohomology_dim(c.diff(n), c.diff_into(n), reps=reps)
+    # __post_init__ checked the shapes and d.d = 0 at every degree
+    return _cohomology_dim(c.diff(n), c.diff_into(n), reps)
 
 
 def betti_table(c: CochainComplex, degrees) -> list[int]:

@@ -12,6 +12,17 @@ in filtration order with exactalg._prepare and exactalg._eliminate, the
 rank table runs a column Sieve built on the same two steps, and neither
 route calls the other.
 
+The rank table sieves each total degree once.  The columns of D^n go
+into one Sieve last to first, and every independent column is paired
+with its pivot, the smallest row of its reduced vector.  In the reversed
+column order the submatrix "columns in F_{p0}, rows below F_t" is a
+lower-left corner, and the rank of every such corner is the number of
+pairs inside it: the pairing does not depend on how the columns were
+reduced (Cohen-Steiner, Edelsbrunner and Morozov, "Vines and vineyards
+by updating persistence in linear time", SoCG 2006; Bauer et al.,
+"PHAT", J. Symb. Comput. 78, 2017).  So one pass per degree gives the
+rank for every filtration start p0 and every boundary t.
+
 The d_r solve in pages is the route that the "coordinates in H^n"
 oracle (homalg.induced_cohomology_matrix) checks, so it stays a separate
 solve; the homalg docstring lists every route and its oracle.
@@ -25,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
@@ -67,6 +79,7 @@ class _FilteredTotal:
         self.qmin, self.qmax = dc.q_range
         self._dmats = {}
         self._kernels = {}
+        self._pairs = {}
         self._rank_tables = {}
 
     def dmat(self, n: int) -> Mat:
@@ -136,22 +149,39 @@ class _FilteredTotal:
         t = min(max(t, p0), self.pmax + 1)
         return self.kernels(n, p0)[t]
 
+    def pairs(self, n: int) -> list:
+        """(column, pivot row) of every independent column of D^n.
+
+        The columns go into one untracked Sieve last to first, so a
+        column is reduced only by the columns to its right.
+        """
+        if n not in self._pairs:
+            d = self.dmat(n)
+            cols = d.columns()
+            sieve = Sieve(self.field)
+            pairs = []
+            for j in range(d.cols - 1, -1, -1):
+                vec, _ = sieve.insert(cols[j])
+                if vec:
+                    pairs.append((j, min(vec)))
+            self._pairs[n] = pairs
+        return self._pairs[n]
+
     def rank_table(self, n: int, p0: int) -> dict:
-        """t -> rank of D^n restricted to columns F_{p0}, rows < F_t."""
+        """t -> rank of D^n restricted to columns F_{p0}, rows < F_t.
+
+        That submatrix is a lower-left corner for the reversed column
+        order of pairs(n), so its rank is the number of pairs with
+        column >= col_start(n, p0) and row < col_start(n + 1, t).
+        """
         p0 = max(p0, self.pmin)
         key = (n, p0)
         if key in self._rank_tables:
             return self._rank_tables[key]
-        d = self.dmat(n)
         start = self.col_start(n, p0)
-        sieve = Sieve(self.field)
-        for j in range(start, d.cols):
-            sieve.insert(d.col(j))
-        pivot_rows = sorted(sieve.pivots.keys())
-        table = {}
-        for t in self._snapshot_ts(p0):
-            boundary = self.col_start(n + 1, t)
-            table[t] = sum(1 for r in pivot_rows if r < boundary)
+        pivot_rows = sorted(r for j, r in self.pairs(n) if j >= start)
+        table = {t: bisect_left(pivot_rows, self.col_start(n + 1, t))
+                 for t in self._snapshot_ts(p0)}
         self._rank_tables[key] = table
         return table
 

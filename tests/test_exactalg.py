@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from stackcoh.errors import CompositionNonzero, DimensionMismatch, NoSolution
 from stackcoh.exactalg import (
-    GF, QQ, Mat, _eliminate, cohomology_dim, kernel_basis, mat_from_columns,
-    rank, solve_multi,
+    GF, QQ, Mat, Sieve, _eliminate, _prepare, cohomology_dim, kernel_basis,
+    mat_from_columns, rank, reduced, solve_multi,
 )
 from stackcoh.groupcoh import kron
 from stackcoh.homalg import DoubleComplex, TotalLayout
@@ -77,6 +77,12 @@ class TestField:
         # bases 2, 3, 5 and 7; the last is beyond the certified range
         with pytest.raises(ValueError):
             GF(p)
+
+    @pytest.mark.parametrize("p, x", [(3, Fraction(1, 3)),
+                                      (2, Fraction(1, 2))])
+    def test_denominator_divisible_by_p_refused(self, p, x):
+        with pytest.raises(ZeroDivisionError):
+            GF(p).coerce(x)
 
     def test_zero_is_rationals(self):
         assert GF(0) == QQ
@@ -280,8 +286,11 @@ def _full_column_rank(m: Mat) -> Mat:
 
 @st.composite
 def sparse_vecs(draw, size, field):
-    """Sparse vectors with fractional entries (coerced into field)."""
+    """Sparse vectors with fractional entries (coerced into field); over
+    F_p only denominators prime to p, the ones with a value mod p."""
     fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if field.p:
+        fracs = fracs.filter(lambda x: x.denominator % field.p)
     vec = {}
     for i in range(size):
         v = field.coerce(draw(fracs))
@@ -351,6 +360,68 @@ def test_elimination_step_matches_fraction_reference(field, data):
     assert lam
     assert got_vec == _scaled(ref_vec, lam, p)
     assert got_combo == _scaled(ref_combo, lam, p)
+
+
+class ScanSieve:
+    """Reference sieve: reduce against every stored pivot in insertion
+    order, testing each one for membership in the vector."""
+
+    def __init__(self, field):
+        self.field = field
+        self.pivots = {}
+        self.order = []
+
+    def insert(self, vec, combo=None):
+        vec, lam = _prepare(vec, self.field)
+        if combo is not None:
+            combo = {i: v * lam for i, v in combo.items()}
+        for piv in self.order:
+            if piv in vec:
+                w, cw = self.pivots[piv]
+                vec, combo = _eliminate(vec, combo, w, cw, piv, self.field.p)
+        if vec:
+            piv = min(vec)
+            self.pivots[piv] = (vec, combo)
+            self.order.append(piv)
+        return vec, combo
+
+
+@st.composite
+def sieve_inputs(draw, field):
+    """Columns of a random sparse matrix, plus extra vectors drawn as
+    sums of earlier columns (so some inserts land in the span)."""
+    rows = draw(st.integers(1, 9))
+    entry = st.integers(-4, 4).filter(bool)
+    cols = []
+    for _ in range(draw(st.integers(1, 12))):
+        keys = draw(st.sets(st.integers(0, rows - 1), max_size=rows))
+        cols.append({i: draw(entry) for i in keys})
+    for _ in range(draw(st.integers(0, 3))):
+        picked = draw(st.lists(st.sampled_from(cols), max_size=3))
+        total = {}
+        for col in picked:
+            for i, v in col.items():
+                total[i] = total.get(i, 0) + draw(entry) * v
+        cols.append(total)
+    return [reduced(col, field) for col in cols]
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["QQ", "GF2", "GF3"])
+@pytest.mark.parametrize("tracked", [False, True],
+                         ids=["untracked", "tracked"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_heap_sieve_equals_pivot_scan(field, tracked, data):
+    # the heap-driven pivot lookup must replay the scan step for step
+    cols = data.draw(sieve_inputs(field))
+    heap, scan = Sieve(field), ScanSieve(field)
+    for j, col in enumerate(cols):
+        got = heap.insert(dict(col), {j: 1} if tracked else None)
+        want = scan.insert(dict(col), {j: 1} if tracked else None)
+        assert got == want
+        assert heap.order == scan.order
+        assert heap.pivots == scan.pivots
+    assert heap.rank_of == {piv: k for k, piv in enumerate(heap.order)}
 
 
 def test_mat_from_columns_roundtrip():

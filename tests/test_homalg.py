@@ -41,6 +41,23 @@ class TestCochainComplex:
         assert cohomology(c, 0) == 1
         assert cohomology(c, 1) == 1
 
+    def test_cohomology_does_not_remultiply(self, monkeypatch):
+        # __post_init__ checked d.d = 0 once; cohomology trusts it
+        d0 = Mat.from_rows([[1, -1], [-1, 1]], QQ)
+        c = CochainComplex(QQ, (2, 2, 0), (d0, Mat.zero(0, 2, QQ)))
+        calls = []
+        mul = Mat.__mul__
+
+        def counting_mul(a, b):
+            calls.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(Mat, "__mul__", counting_mul)
+        assert [cohomology(c, n, override=True) for n in range(3)] == \
+            [1, 1, 0]
+        assert cohomology(c, 1, reps=True)[0] == 1
+        assert calls == []
+
     def test_truncation_boundary(self):
         c = point_complex()
         with pytest.raises(TruncationBoundary):

@@ -3,14 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stackcoh.exactalg import GF, QQ, Mat
+from stackcoh import exactalg, spectra
+from stackcoh.exactalg import GF, QQ, Mat, rank
 from stackcoh.groupcoh import trivial_module
 from stackcoh.homalg import (
     CoefficientComplex, DoubleComplex, cohomology, total_complex,
 )
 from stackcoh.simplicial import trivial_groupoid
 from stackcoh.spectra import (
-    atlas_ss, convergence_check, discrete_borel_ss,
+    _FilteredTotal, atlas_ss, convergence_check, discrete_borel_ss,
     hyper_ss, pages, quotient_cohomology_oracle,
 )
 from stackcoh.stackact import (
@@ -88,6 +89,65 @@ class TestPages:
                 sums[p + q] = sums.get(p + q, 0) + v
             for n, d in expected.items():
                 assert sums.get(n, 0) == d
+
+
+def corner_rank(ft, n, p0, t):
+    """rank of the explicit submatrix of D^n: columns from F_{p0}, rows
+    below F_t, cut out and ranked on its own."""
+    d = ft.dmat(n)
+    start, stop = ft.col_start(n, p0), ft.col_start(n + 1, t)
+    corner = {(i, j - start): v for (i, j), v in d.entries.items()
+              if j >= start and i < stop}
+    return rank(Mat(stop, d.cols - start, corner, d.field))
+
+
+class TestRankTable:
+    @settings(max_examples=25, deadline=None)
+    @given(piece_lists, fields, st.randoms(use_true_random=False))
+    def test_rank_table_equals_corner_ranks(self, pieces, field, rng):
+        dc, _ = build_double_complex(pieces, field, rng)
+        for work in (dc, dc.transpose()):
+            ft = _FilteredTotal(work)
+            for n, dim in ft.layout.total_dims.items():
+                if not dim:
+                    continue
+                for p0 in range(ft.pmin, ft.pmax + 1):
+                    table = ft.rank_table(n, p0)
+                    assert table == {t: corner_rank(ft, n, p0, t)
+                                     for t in ft._snapshot_ts(p0)}
+
+    def test_one_sieve_per_degree_and_one_rank_per_matrix(self, monkeypatch):
+        sieves = []
+        table_keys = set()
+        sieved = []
+
+        class CountingSieve(exactalg.Sieve):
+            def __init__(self, field):
+                super().__init__(field)
+                sieves.append(self)
+
+        rank_table = spectra._FilteredTotal.rank_table
+        column_sieve = exactalg._column_sieve
+
+        def counting_rank_table(self, n, p0):
+            table_keys.add((n, max(p0, self.pmin)))
+            return rank_table(self, n, p0)
+
+        def recording_column_sieve(m):
+            sieved.append(m)
+            return column_sieve(m)
+
+        monkeypatch.setattr(spectra, "Sieve", CountingSieve)
+        monkeypatch.setattr(spectra._FilteredTotal, "rank_table",
+                            counting_rank_table)
+        monkeypatch.setattr(exactalg, "_column_sieve", recording_column_sieve)
+        rep = discrete_borel_ss(z2_cycle4(3), QQ, 3, dims_only=True)
+        assert rep.ok
+        degrees = {n for n, _ in table_keys}
+        assert len(table_keys) > len(degrees)
+        assert len(sieves) == len(degrees)
+        assert sieved
+        assert len({id(m) for m in sieved}) == len(sieved)
 
 
 class TestDiscreteBorel:
