@@ -2,12 +2,15 @@
 """Compare two checkouts on the benchmark in alternating pairs.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs 10 \\
-        --seconds 40 --out BENCH_6.json
+        --out BENCH_6.json
 
-Each pair runs the unchanged ``perfbench/run.py --workload W --trace 0``
-once in each checkout, in a fresh process, alternating which side goes
-first; pairs are the outer loop and workloads the inner one, so a slow
-spell of the shared host falls on every workload alike.  Both sides run
+Each pair runs the unchanged
+``perfbench/run.py --workload W --seconds S --trace 0`` once in each
+checkout, for every workload W listed in ``BENCHMARK.json``, with S its
+``run_seconds`` and ``run.py``'s own default seed.  Every run is a fresh
+process, and the pairs alternate which side goes first.  Pairs are the
+outer loop and workloads the inner one, so a slow spell of the shared
+host falls on every workload alike.  Both sides run
 with ``PYTHONDONTWRITEBYTECODE=1``, so neither reads a bytecode cache
 the other lacks.  The output file holds every run's end-to-end metrics
 and ``correct`` flag, and for each workload and metric the per-side
@@ -29,15 +32,17 @@ import sys
 import time
 from pathlib import Path
 
-WORKLOADS = ("ss_full", "ss_ranks", "models")
+BENCHMARK = json.loads(
+    (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+COMMAND = ["perfbench/run.py", "--seconds", str(BENCHMARK["run_seconds"]),
+           "--trace", "0"]
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float,
-             env: dict) -> dict:
+def run_once(checkout: Path, workload: str, env: dict) -> dict:
     """One benchmark run: its end-to-end metrics and correct flag."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    cmd = [sys.executable, *COMMAND, "--workload", workload]
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True,
                           text=True, check=False)
     lines = proc.stdout.strip().splitlines()
@@ -86,16 +91,13 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=40)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     record = {
-        "command": ["perfbench/run.py", "--seed", str(args.seed),
-                    "--seconds", str(args.seconds), "--trace", "0"],
+        "command": COMMAND,
         "pairs_requested": args.pairs,
         "host": {"nproc": os.cpu_count(),
                  "python": platform.python_version(),
@@ -108,8 +110,7 @@ def main(argv=None) -> int:
             entry = {"pair": i, "first": order[0]}
             for side in order:
                 start = time.perf_counter()
-                entry[side] = run_once(checkouts[side], workload, args.seed,
-                                       args.seconds, env)
+                entry[side] = run_once(checkouts[side], workload, env)
                 print(f"pair {i} {workload} {side}: "
                       f"pass_s={entry[side].get('pass_s')} "
                       f"correct={entry[side]['correct']} "

@@ -135,8 +135,8 @@ class Mat:
 
     Two slots are filled lazily and never invalidated, which is safe
     because a Mat is never mutated: _col_cache holds the columns and
-    _rank the rank, filled by rank() or kernel_basis(), so rank() sieves
-    a matrix at most once.
+    _rank the rank, filled by the first rank() call, so rank() sieves a
+    matrix at most once.
     """
 
     __slots__ = ("rows", "cols", "entries", "field", "_col_cache", "_rank")
@@ -397,8 +397,7 @@ def rank(m: Mat) -> int:
 def kernel_basis(m: Mat) -> list[dict]:
     """Basis of the right kernel, as sparse column vectors.
 
-    The count always equals cols - rank, so m keeps the rank too.  Vectors
-    are normalised: leading (smallest-index) entry 1 over F_p, primitive
+    Vectors are normalised: leading (smallest-index) entry 1 over F_p, primitive
     with positive lead over Q.
     """
     f = m.field
@@ -408,7 +407,6 @@ def kernel_basis(m: Mat) -> list[dict]:
         vec, combo = sieve.insert(col, {j: 1})
         if not vec:
             basis.append(_normalise(combo, f))
-    m._rank = sieve.rank
     return basis
 
 
