@@ -2,10 +2,13 @@
 
 Subcommands mirror the job kinds (cohomology, equivariant,
 spectral-atlas, spectral-borel, hyper, cartan, getzler, check).  Inputs
-are validated exhaustively before any computation; validation failures
-carry JSON-pointer locations and exit with status 2, failed mathematical
-assertions exit with 1, and a fully passing run exits 0 with
-byte-reproducible output.
+are validated exhaustively before any computation.  The one shape check
+is the recursive walker ``_array``: it checks each list's type and length
+against sizes parsed earlier and hands each innermost entry to a leaf
+parser (an index, a nullable index, a count, a name or a field scalar).
+Validation failures carry JSON-pointer locations and exit with status 2,
+failed mathematical assertions exit with 1, and a fully passing run
+exits 0 with byte-reproducible output.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     InvariantViolation, SchemaError, StackcohError, TruncationBoundary,
@@ -38,6 +42,16 @@ from .cartan import (
 KINDS = ("cohomology", "equivariant", "spectral-atlas", "spectral-borel",
          "hyper", "cartan", "getzler", "check")
 
+# Two counts become objects without a matching list in the input: a cell
+# count builds that many cell names, and a Lie dimension without structure
+# constants builds dim^2 brackets and a dim^3 Jacobi check.  Both are
+# refused above these ceilings before anything is built.  The corpus peaks
+# at 128 cells in a level (z2_pair2_swap at truncation 6) and a Lie algebra
+# of dimension 2; the ceilings leave wide headroom and keep the check of a
+# maximal input well under a second.
+MAX_LEVEL_CELLS = 10_000
+MAX_LIE_DIM = 16
+
 
 @dataclass
 class JobSpec:
@@ -46,8 +60,6 @@ class JobSpec:
     trunc: int
     poly_trunc: int
     degrees: list
-    out_format: str
-    check_only: bool = False
     mode: str = "atlas"
     check_total: bool = False
 
@@ -56,40 +68,68 @@ def _fail(message, location):
     raise SchemaError(message, location=location)
 
 
-def _container(value, kind, loc):
-    """value when it is a JSON object (kind dict) or list (kind list),
-    else exit 2 at loc."""
-    if not isinstance(value, kind):
-        _fail(f"expected a JSON {'object' if kind is dict else 'list'}", loc)
+def _array(value, shape, loc, leaf=None):
+    """The one shape check: value is a list nested len(shape) deep, whose
+    length at each depth is the matching entry of shape (None: any
+    length), and leaf(entry, pointer) parses each innermost entry (no
+    leaf: the entry as it is).  A list's length is checked before its
+    children are visited.  Returns the same nesting of parsed entries,
+    or exits 2 at the pointer of the first wrong node."""
+    if not shape:
+        return value if leaf is None else leaf(value, loc)
+    if not isinstance(value, list):
+        _fail("expected a list", loc)
+    if shape[0] is not None and len(value) != shape[0]:
+        _fail(f"expected {shape[0]} entries, not {len(value)}", loc)
+    return [_array(v, shape[1:], f"{loc}/{k}", leaf)
+            for k, v in enumerate(value)]
+
+
+def _object(value, loc):
+    if not isinstance(value, dict):
+        _fail("expected a JSON object", loc)
     return value
 
 
-def _expect(obj, key, loc, kind=None):
-    _container(obj, dict, loc)
-    if key not in obj:
+def _expect(obj, key, loc, shape=None, leaf=None):
+    """obj[key], walked with shape and leaf when a shape is given."""
+    if key not in _object(obj, loc):
         _fail(f"missing required key '{key}'", loc)
-    val = obj[key]
-    if kind is not None and not isinstance(val, kind):
-        _fail(f"key '{key}' has wrong type", f"{loc}/{key}")
-    return val
+    if shape is None:
+        return obj[key]
+    return _array(obj[key], shape, f"{loc}/{key}", leaf)
 
 
-def _indices(value, depth, loc, nullable=False):
-    """Check a depth-fold nested list of indices: every entry an int, not
-    a bool (or null where nullable), else exit 2 at its pointer."""
-    if depth:
-        if not isinstance(value, list):
-            _fail("expected a list of indices", loc)
-        for k, v in enumerate(value):
-            _indices(v, depth - 1, f"{loc}/{k}", nullable)
-    elif type(value) is not int and not (nullable and value is None):
-        _fail("index entries must be integers", loc)
+def _index(bound, value, loc):
+    """Leaf: an index into a list of length bound."""
+    if type(value) is not int or not 0 <= value < bound:
+        _fail(f"expected an integer index below {bound}", loc)
+    return value
 
 
-def _names(values, loc) -> list:
+def _nullable_index(bound, value, loc):
+    return None if value is None else _index(bound, value, loc)
+
+
+def _count(value, loc, most=None):
+    """Leaf: a nonnegative integer, at most `most` when that is given."""
+    if type(value) is not int or value < 0:
+        _fail("expected a nonnegative integer", loc)
+    if most is not None and value > most:
+        _fail(f"{value} is above the limit of {most}", loc)
+    return value
+
+
+def _name(value, loc):
+    if type(value) not in (str, int):
+        _fail("names must be strings or integers", loc)
+    return str(value)
+
+
+def _names(value, loc) -> list:
     """Names as strings; two equal names would make name-keyed tables
     ambiguous, so a repeat exits 2 at its pointer."""
-    names = [str(v) for v in values]
+    names = _array(value, (None,), loc, _name)
     seen = set()
     for k, name in enumerate(names):
         if name in seen:
@@ -99,244 +139,186 @@ def _names(values, loc) -> list:
 
 
 def parse_scalar(field: Field, value, loc):
+    """Leaf: an integer, or over Q also an integer or "a/b" string."""
+    if type(value) is not int and (field.p or not isinstance(value, str)):
+        _fail("mod-p entries must be integers" if field.p else
+              "rational entries must be integers or 'a/b' strings", loc)
     try:
-        if field.p:
-            if not isinstance(value, int):
-                _fail("mod-p entries must be integers", loc)
-            return value % field.p
-        if isinstance(value, str) or isinstance(value, int):
-            return field.parse(value)
-        _fail("rational entries must be integers or 'a/b' strings", loc)
+        return field.parse(value)
     except (ValueError, ZeroDivisionError):
         _fail(f"cannot parse scalar {value!r}", loc)
 
 
+def _sparse(vec) -> dict:
+    return {c: v for c, v in enumerate(vec) if v}
+
+
+def _per_element(obj, group, loc, what) -> list:
+    """(entry, pointer) for each element of group, in element order, from
+    a JSON object keyed by element name."""
+    for name in group.elements:
+        if name not in _object(obj, loc):
+            _fail(f"missing {what} for element '{name}'", loc)
+    return [(obj[name], f"{loc}/{name}") for name in group.elements]
+
+
+def _requires(data, keys, loc):
+    """Exit 2 at loc unless every section named in keys was given."""
+    if any(key not in data for key in keys):
+        _fail(f"requires {' and '.join(keys)}", loc)
+
+
+def _located(build, loc, *args):
+    """build(*args), with a failed invariant reported at loc."""
+    try:
+        return build(*args)
+    except StackcohError as exc:
+        raise InvariantViolation(str(exc), location=loc) from exc
+
+
 def parse_matrix(data, rows, cols, field, loc) -> Mat:
-    if not isinstance(data, list) or len(data) != rows or \
-            any(not isinstance(r, list) or len(r) != cols for r in data):
-        _fail(f"expected a {rows}x{cols} matrix", loc)
-    entries = {}
-    for i, row in enumerate(data):
-        for j, v in enumerate(row):
-            entries[(i, j)] = parse_scalar(field, v, f"{loc}/{i}/{j}")
-    return Mat(rows, cols, entries, field)
+    table = _array(data, (rows, cols), loc, partial(parse_scalar, field))
+    return Mat(rows, cols, {(i, j): v for i, row in enumerate(table)
+                            for j, v in enumerate(row) if v}, field)
+
+
+def _matrices(data, shapes, field, loc) -> tuple:
+    """One matrix per (rows, cols) of shapes, from a list of that length."""
+    return tuple(parse_matrix(m, rows, cols, field, f"{loc}/{k}")
+                 for k, (m, (rows, cols)) in
+                 enumerate(zip(_array(data, (len(shapes),), loc), shapes)))
 
 
 def parse_group(obj, loc="/group") -> FiniteGroup:
-    elements = _expect(obj, "elements", loc, list)
-    mul = _expect(obj, "mul", loc, list)
-    n = len(elements)
-    if len(mul) != n or any(not isinstance(r, list) or len(r) != n
-                            for r in mul):
-        _fail("mul must be an n x n index table", f"{loc}/mul")
-    _indices(mul, 2, f"{loc}/mul")
-    names = _names(elements, f"{loc}/elements")
-    try:
-        return group_from_table(names, mul)
-    except InvariantViolation as exc:
-        raise InvariantViolation(str(exc), location=f"{loc}/mul") from exc
+    names = _names(_expect(obj, "elements", loc), f"{loc}/elements")
+    n = len(names)
+    mul = _expect(obj, "mul", loc, (n, n), partial(_index, n))
+    return _located(group_from_table, f"{loc}/mul", names, mul)
 
 
 def parse_groupoid(obj, loc="/groupoid"):
-    objects = _expect(obj, "objects", loc, list)
-    morphisms = _expect(obj, "morphisms", loc, list)
-    comp_raw = _expect(obj, "comp", loc, list)
-    src = []
-    tgt = []
-    for k, m in enumerate(morphisms):
-        if not isinstance(m, dict):
-            _fail("morphisms must be objects with src and tgt",
-                  f"{loc}/morphisms/{k}")
-        src.append(_expect(m, "src", f"{loc}/morphisms/{k}", int))
-        tgt.append(_expect(m, "tgt", f"{loc}/morphisms/{k}", int))
+    names = _names(_expect(obj, "objects", loc), f"{loc}/objects")
+
+    def ends(morphism, at):
+        return tuple(_expect(morphism, key, at, (), partial(_index, len(names)))
+                     for key in ("src", "tgt"))
+
+    morphisms = _expect(obj, "morphisms", loc, (None,), ends)
     n = len(morphisms)
-    if len(comp_raw) != n or any(not isinstance(r, list) or len(r) != n
-                                 for r in comp_raw):
-        _fail("comp must be an n x n table (null when undefined)",
-              f"{loc}/comp")
-    _indices(comp_raw, 2, f"{loc}/comp", nullable=True)
-    names = _names(objects, f"{loc}/objects")
-    comp = {}
-    for a in range(n):
-        for b in range(n):
-            if comp_raw[a][b] is not None:
-                comp[(a, b)] = comp_raw[a][b]
-    try:
-        return groupoid_from_tables(names, src, tgt, comp)
-    except InvariantViolation as exc:
-        raise InvariantViolation(str(exc), location=f"{loc}/comp") from exc
-
-
-def _parse_perm_table(obj, group, length, loc):
-    perms = []
-    for gi, name in enumerate(group.elements):
-        if name not in obj:
-            _fail(f"missing permutation for element '{name}'", loc)
-        perm = obj[name]
-        if not isinstance(perm, list) or len(perm) != length:
-            _fail(f"permutation for '{name}' must have length {length}",
-                  f"{loc}/{name}")
-        _indices(perm, 1, f"{loc}/{name}")
-        perms.append(tuple(perm))
-    return tuple(perms)
+    comp = _expect(obj, "comp", loc, (n, n), partial(_nullable_index, n))
+    return _located(groupoid_from_tables, f"{loc}/comp", names,
+                    [src for src, _ in morphisms],
+                    [tgt for _, tgt in morphisms],
+                    {(a, b): c for a, row in enumerate(comp)
+                     for b, c in enumerate(row) if c is not None})
 
 
 def parse_action(obj, group, atlas, loc="/action") -> GroupoidAction:
-    on_obj = _expect(obj, "on_objects", loc, dict)
-    on_mor = _expect(obj, "on_morphisms", loc, dict)
-    act_obj = _parse_perm_table(on_obj, group, atlas.n_objects,
-                                f"{loc}/on_objects")
-    act_mor = _parse_perm_table(on_mor, group, atlas.n_morphisms,
-                                f"{loc}/on_morphisms")
-    try:
-        return GroupoidAction(group, atlas, act_obj, act_mor)
-    except StackcohError as exc:
-        raise InvariantViolation(str(exc), location=loc) from exc
+    tables = []
+    for key, size in (("on_objects", atlas.n_objects),
+                      ("on_morphisms", atlas.n_morphisms)):
+        tables.append([_array(perm, (size,), at, partial(_index, size))
+                       for perm, at in _per_element(
+                           _expect(obj, key, loc), group, f"{loc}/{key}",
+                           "permutation")])
+    return _located(GroupoidAction, loc, group, atlas, *tables)
+
+
+def _cell_level(value, loc):
+    """Leaf of complex.cells: a cell count, or the list of cell names."""
+    if type(value) is int:
+        return _count(value, loc, MAX_LEVEL_CELLS)
+    return tuple(_array(value, (None,), loc, _name))
 
 
 def parse_complex(obj, loc="/complex") -> SemiSimplicialSet:
-    cells_raw = _expect(obj, "cells", loc, list)
-    faces_raw = _expect(obj, "faces", loc, list)
-    cells = [tuple(f"c{n}_{i}" for i in range(count)) if isinstance(count, int)
-             else tuple(count) for n, count in enumerate(cells_raw)]
-    if len(faces_raw) != max(len(cells) - 1, 0):
-        _fail("faces must list one level of maps per positive level",
-              f"{loc}/faces")
-    _indices(faces_raw, 3, f"{loc}/faces")
-    faces = [()]
-    for n, level in enumerate(faces_raw, start=1):
-        faces.append(tuple(tuple(fm) for fm in level))
-    try:
-        return SemiSimplicialSet(tuple(cells), tuple(faces))
-    except StackcohError as exc:
-        raise InvariantViolation(str(exc), location=loc) from exc
+    levels = _expect(obj, "cells", loc, (None,), _cell_level)
+    cells = [tuple(f"c{n}_{i}" for i in range(level))
+             if type(level) is int else level
+             for n, level in enumerate(levels)]
+    faces = _expect(obj, "faces", loc, (max(len(cells) - 1, 0),))
+    faces = [()] + [_array(maps, (n + 1, len(cells[n])),
+                           f"{loc}/faces/{n - 1}",
+                           partial(_index, len(cells[n - 1])))
+                    for n, maps in enumerate(faces, start=1)]
+    return _located(SemiSimplicialSet, loc, cells, faces)
 
 
 def parse_complex_action(obj, group, space, loc="/action_on_complex"):
-    _container(obj, dict, loc)
     maps = []
-    for gi, name in enumerate(group.elements):
-        if name not in obj:
-            _fail(f"missing level maps for element '{name}'", loc)
-        levels = obj[name]
-        if not isinstance(levels, list) or len(levels) != space.trunc + 1:
-            _fail(f"element '{name}' must map every level", f"{loc}/{name}")
-        _indices(levels, 2, f"{loc}/{name}")
-        maps.append(tuple(tuple(level) for level in levels))
-    try:
-        return SimplicialGAction(group, space, tuple(maps))
-    except StackcohError as exc:
-        raise InvariantViolation(str(exc), location=loc) from exc
+    for levels, at in _per_element(obj, group, loc, "level maps"):
+        levels = _array(levels, (space.trunc + 1,), at)
+        maps.append([_array(level, (space.size(n),), f"{at}/{n}",
+                            partial(_index, space.size(n)))
+                     for n, level in enumerate(levels)])
+    return _located(SimplicialGAction, loc, group, space, maps)
 
 
 def parse_module(obj, group, field, loc) -> GModule:
-    dim = _expect(obj, "dim", loc, int)
-    rho_raw = _expect(obj, "rho", loc, dict)
-    mats = []
-    for name in group.elements:
-        if name not in rho_raw:
-            _fail(f"missing matrix for element '{name}'", f"{loc}/rho")
-        mats.append(parse_matrix(rho_raw[name], dim, dim, field,
-                                 f"{loc}/rho/{name}"))
-    try:
-        return module_from_matrices(group, field, mats)
-    except StackcohError as exc:
-        raise InvariantViolation(str(exc), location=loc) from exc
+    dim = _expect(obj, "dim", loc, (), _count)
+    mats = [parse_matrix(rho, dim, dim, field, at) for rho, at in
+            _per_element(_expect(obj, "rho", loc), group, f"{loc}/rho",
+                         "matrix")]
+    return _located(module_from_matrices, loc, group, field, mats)
 
 
 def parse_lie(obj, loc="/lie") -> LieAlgebraData:
-    dim = _expect(obj, "dim", loc, int)
-    structure_raw = obj.get("structure", [])
+    dim = _expect(obj, "dim", loc, (), partial(_count, most=MAX_LIE_DIM))
     structure = [[{} for _ in range(dim)] for _ in range(dim)]
-    if structure_raw:
-        if not isinstance(structure_raw, list) or len(structure_raw) != dim:
-            _fail("structure must be a k x k table of vectors", f"{loc}/structure")
-        for a in range(dim):
-            if not isinstance(structure_raw[a], list) or \
-                    len(structure_raw[a]) != dim:
-                _fail("structure rows must have k entries",
-                      f"{loc}/structure/{a}")
-            for b in range(dim):
-                vec = structure_raw[a][b]
-                if not isinstance(vec, list) or len(vec) != dim:
-                    _fail("structure entries must be length-k vectors",
-                          f"{loc}/structure/{a}/{b}")
-                structure[a][b] = {c: parse_scalar(QQ, v,
-                                                   f"{loc}/structure/{a}/{b}/{c}")
-                                   for c, v in enumerate(vec) if v}
-    try:
-        return LieAlgebraData(dim, tuple(tuple(r) for r in structure))
-    except StackcohError as exc:
-        raise InvariantViolation(str(exc), location=loc) from exc
+    if obj.get("structure", []) != []:
+        table = _expect(obj, "structure", loc, (dim, dim, dim),
+                        partial(parse_scalar, QQ))
+        structure = [[_sparse(vec) for vec in row] for row in table]
+    return _located(LieAlgebraData, loc, dim, structure)
 
 
-def parse_gdga(obj, field, loc="/gdga") -> GDGA:
-    dims = tuple(_expect(obj, "dims", loc, list))
+def parse_gdga(obj, field, lie_dim=None, loc="/gdga") -> GDGA:
+    """The gdga section; iota and L need lie_dim entries when it is given."""
+    dims = _expect(obj, "dims", loc, (None,), _count)
     top = len(dims) - 1
-    d_raw = _container(obj.get("d", []), list, f"{loc}/d")
-    if len(d_raw) != max(top, 0):
-        _fail(f"expected {top} differentials", f"{loc}/d")
-    d = tuple(parse_matrix(d_raw[m], dims[m + 1], dims[m], field,
-                           f"{loc}/d/{m}") for m in range(top))
-    iota_raw = _container(obj.get("iota", []), list, f"{loc}/iota")
-    lie_dim = len(iota_raw)
-    iota = []
-    for a in range(lie_dim):
-        if not isinstance(iota_raw[a], list) or len(iota_raw[a]) != top:
-            _fail(f"iota[{a}] must have {top} matrices", f"{loc}/iota/{a}")
-        iota.append(tuple(
-            parse_matrix(iota_raw[a][m], dims[m], dims[m + 1], field,
-                         f"{loc}/iota/{a}/{m}") for m in range(top)))
-    l_raw = _container(obj.get("L", []), list, f"{loc}/L")
-    if len(l_raw) != lie_dim:
-        _fail("L must align with iota", f"{loc}/L")
-    lie_der = []
-    for a in range(lie_dim):
-        if not isinstance(l_raw[a], list) or len(l_raw[a]) != top + 1:
-            _fail(f"L[{a}] must have {top + 1} matrices", f"{loc}/L/{a}")
-        lie_der.append(tuple(
-            parse_matrix(l_raw[a][m], dims[m], dims[m], field,
-                         f"{loc}/L/{a}/{m}") for m in range(top + 1)))
-    mul = None
-    if "mul" in obj:
-        mul = {}
-        for k, item in enumerate(_container(obj["mul"], list,
-                                            f"{loc}/mul")):
-            at = f"{loc}/mul/{k}"
-            i = _expect(item, "i", at, int)
-            j = _expect(item, "j", at, int)
-            table = _expect(item, "table", at, list)
-            parsed = []
-            for x, row in enumerate(table):
-                row = _container(row, list, f"{at}/table/{x}")
-                prow = []
-                for y, vec in enumerate(row):
-                    vec = _container(vec, list, f"{at}/table/{x}/{y}")
-                    prow.append({c: parse_scalar(field, v,
-                                                 f"{at}/table/{x}/{y}/{c}")
-                                 for c, v in enumerate(vec) if v})
-                parsed.append(prow)
-            mul[(i, j)] = parsed
-    return GDGA(field, dims, d, tuple(iota), tuple(lie_der), mul=mul)
+    steps = [(dims[m + 1], dims[m]) for m in range(top)]
+    squares = [(n, n) for n in dims]
+    d = _matrices(obj.get("d", []), steps, field, f"{loc}/d")
+    iota = _array(obj.get("iota", []), (lie_dim,), f"{loc}/iota",
+                  lambda v, at: _matrices(v, [(r, c) for c, r in steps],
+                                          field, at))
+    lie_der = _array(obj.get("L", []), (len(iota),), f"{loc}/L",
+                     lambda v, at: _matrices(v, squares, field, at))
+
+    def product(item, at):
+        i = _expect(item, "i", at, (), partial(_index, top + 1))
+        j = _expect(item, "j", at, (), partial(_index, top + 1 - i))
+        table = _expect(item, "table", at, (dims[i], dims[j], dims[i + j]),
+                        partial(parse_scalar, field))
+        return (i, j), [[_sparse(vec) for vec in row] for row in table]
+
+    mul = dict(_array(obj["mul"], (None,), f"{loc}/mul", product)) \
+        if "mul" in obj else None
+    return GDGA(field, tuple(dims), d, tuple(iota), tuple(lie_der), mul=mul)
+
+
+def _prime_field(p, loc) -> Field:
+    # GF(0) is Q, so a modulus below 2 is refused here
+    try:
+        if p < 2:
+            raise ValueError(f"{p} is not prime")
+        return GF(p)
+    except ValueError as exc:
+        _fail(str(exc), loc)
 
 
 def parse_field(obj, loc="/coefficients") -> Field:
-    name = _expect(obj, "field", loc, str)
+    name = _expect(obj, "field", loc)
     if name == "Q":
         return QQ
     if name == "Fp":
-        p = _expect(obj, "p", loc, int)
-        try:
-            return GF(p)
-        except ValueError as exc:
-            _fail(str(exc), f"{loc}/p")
+        return _prime_field(_expect(obj, "p", loc, (), _count), f"{loc}/p")
     _fail("field must be 'Q' or 'Fp'", f"{loc}/field")
 
 
 def parse_input(payload: dict, field: Field | None = None) -> dict:
     """Validate the whole payload; all domain invariants are checked here."""
-    if not isinstance(payload, dict):
-        raise SchemaError("top level must be a JSON object", location="/")
+    _object(payload, "/")
     data = {}
     if "coefficients" in payload:
         data["field"] = parse_field(payload["coefficients"])
@@ -350,88 +332,62 @@ def parse_input(payload: dict, field: Field | None = None) -> dict:
     if "complex" in payload:
         data["complex"] = parse_complex(payload["complex"])
     if "action" in payload:
-        if "group" not in data or "groupoid" not in data:
-            _fail("action requires both group and groupoid", "/action")
+        _requires(data, ("group", "groupoid"), "/action")
         data["action"] = parse_action(payload["action"], data["group"],
                                       data["groupoid"])
     if "action_on_complex" in payload:
-        if "group" not in data or "complex" not in data:
-            _fail("action_on_complex requires group and complex",
-                  "/action_on_complex")
+        _requires(data, ("group", "complex"), "/action_on_complex")
         data["complex_action"] = parse_complex_action(
             payload["action_on_complex"], data["group"], data["complex"])
     if "coefficients" in payload and "module" in payload["coefficients"]:
-        if "group" not in data:
-            _fail("module coefficients require a group", "/coefficients/module")
+        _requires(data, ("group",), "/coefficients/module")
         data["module"] = parse_module(payload["coefficients"]["module"],
                                       data["group"], active,
                                       "/coefficients/module")
     if "coefficient_complex" in payload:
-        if "group" not in data:
-            _fail("coefficient complex requires a group",
-                  "/coefficient_complex")
+        loc = "/coefficient_complex"
+        _requires(data, ("group",), loc)
         cc = payload["coefficient_complex"]
-        modules = [parse_module(m, data["group"], active,
-                                f"/coefficient_complex/modules/{k}")
-                   for k, m in enumerate(_expect(cc, "modules",
-                                                 "/coefficient_complex", list))]
+        modules = _expect(cc, "modules", loc, (None,), lambda m, at:
+                          parse_module(m, data["group"], active, at))
         if not modules:
             _fail("a coefficient complex needs at least one module",
-                  "/coefficient_complex/modules")
-        diffs_raw = cc.get("diffs", [])
-        if not isinstance(diffs_raw, list) or \
-                len(diffs_raw) != len(modules) - 1:
-            _fail("one differential per pair of consecutive modules",
-                  "/coefficient_complex/diffs")
-        diffs = [parse_matrix(diffs_raw[r], modules[r + 1].dim, modules[r].dim,
-                              active, f"/coefficient_complex/diffs/{r}")
-                 for r in range(len(modules) - 1)]
-        try:
-            data["coefficient_complex"] = CoefficientComplex(tuple(modules),
-                                                             tuple(diffs))
-        except StackcohError as exc:
-            raise InvariantViolation(str(exc),
-                                     location="/coefficient_complex") from exc
+                  f"{loc}/modules")
+        diffs = _matrices(cc.get("diffs", []),
+                          [(b.dim, a.dim) for a, b in zip(modules, modules[1:])],
+                          active, f"{loc}/diffs")
+        data["coefficient_complex"] = _located(CoefficientComplex, loc,
+                                               modules, diffs)
     if "lie" in payload:
         data["lie"] = parse_lie(payload["lie"])
     if "gdga" in payload:
-        data["gdga"] = parse_gdga(payload["gdga"], active)
-        if "lie" in data:
-            if len(data["gdga"].iota) != data["lie"].dim:
-                _fail("iota and L need one entry per Lie generator",
-                      "/gdga/iota")
-            report = validate_gdga(data["lie"], data["gdga"])
+        lie = data.get("lie")
+        data["gdga"] = parse_gdga(payload["gdga"], active,
+                                  lie.dim if lie is not None else None)
+        if lie is not None:
+            report = validate_gdga(lie, data["gdga"])
             if not report["valid"]:
                 raise InvariantViolation(
                     "gdga fails the calculus identities: "
                     + "; ".join(report["failures"]), location="/gdga")
     if "weyl" in payload:
-        lie_dim = data["lie"].dim if "lie" in data else None
-        mats = []
-        for k, m in enumerate(_container(payload["weyl"], list, "/weyl")):
-            size = lie_dim if lie_dim is not None else \
-                len(_container(m, list, f"/weyl/{k}"))
-            mats.append(parse_matrix(m, size, size, QQ, f"/weyl/{k}"))
-        data["weyl"] = mats
+
+        def weyl_matrix(m, at):
+            size = data["lie"].dim if "lie" in data else \
+                len(_array(m, (None,), at))
+            return parse_matrix(m, size, size, QQ, at)
+
+        data["weyl"] = _array(payload["weyl"], (None,), "/weyl", weyl_matrix)
     if "weyl_on_algebra" in payload:
-        if "gdga" not in data:
-            _fail("weyl_on_algebra requires a gdga", "/weyl_on_algebra")
-        dims = data["gdga"].dims
-        gens = []
-        for k, per_degree in enumerate(_container(
-                payload["weyl_on_algebra"], list, "/weyl_on_algebra")):
-            if not isinstance(per_degree, list) or len(per_degree) != len(dims):
-                _fail("one matrix per degree required",
-                      f"/weyl_on_algebra/{k}")
-            gens.append(tuple(
-                parse_matrix(per_degree[m], dims[m], dims[m], active,
-                             f"/weyl_on_algebra/{k}/{m}")
-                for m in range(len(dims))))
-        data["weyl_on_algebra"] = gens
+        _requires(data, ("gdga",), "/weyl_on_algebra")
+        squares = [(n, n) for n in data["gdga"].dims]
+        data["weyl_on_algebra"] = _array(
+            payload["weyl_on_algebra"], (None,), "/weyl_on_algebra",
+            lambda v, at: _matrices(v, squares, active, at))
     return data
 
 
-def _action_for(data, kind):
+def _action_for(data):
     if "action" in data:
         return data["action"]
     if "complex_action" in data:
@@ -440,13 +396,9 @@ def _action_for(data, kind):
 
 
 def _pages_rows(page_list):
-    rows = []
-    for page in page_list:
-        for (p, q) in sorted(page.entries):
-            rows.append({"p": p, "q": q, "r": page.r,
-                         "dim": page.entries[(p, q)],
-                         "boundary": (p, q) in page.flags})
-    return rows
+    return [{"p": p, "q": q, "r": page.r, "dim": page.entries[(p, q)],
+             "boundary": (p, q) in page.flags}
+            for page in page_list for (p, q) in sorted(page.entries)]
 
 
 def run(job: JobSpec, data: dict) -> dict:
@@ -470,9 +422,8 @@ def run(job: JobSpec, data: dict) -> dict:
         report["betti"] = [{"degree": n, "dim": cohomology(complex_, n)}
                            for n in job.degrees]
     elif job.kind == "equivariant":
-        action = _action_for(data, job.kind)
-        coeff = job.field
-        dims = equivariant_cohomology(action, coeff, job.degrees,
+        action = _action_for(data)
+        dims = equivariant_cohomology(action, job.field, job.degrees,
                                       n_top=job.trunc,
                                       check_total=job.check_total)
         report["betti"] = [{"degree": n, "dim": d}
@@ -480,7 +431,7 @@ def run(job: JobSpec, data: dict) -> dict:
         if job.check_total:
             note("diagonal-vs-totalization", True, "asserted during run")
     elif job.kind in ("spectral-atlas", "spectral-borel"):
-        action = _action_for(data, job.kind)
+        action = _action_for(data)
         coeff = data.get("module", job.field)
         runner = atlas_ss if job.kind == "spectral-atlas" else discrete_borel_ss
         ss = runner(action, coeff, job.trunc)
@@ -493,17 +444,15 @@ def run(job: JobSpec, data: dict) -> dict:
              f"{len(ss.identification)} entries")
         note("convergence", ss.convergence["ok"])
     elif job.kind == "hyper":
-        action = _action_for(data, job.kind)
-        if "coefficient_complex" not in data:
-            _fail("hyper requires coefficient_complex", "/coefficient_complex")
+        action = _action_for(data)
+        _requires(data, ("coefficient_complex",), "/coefficient_complex")
         ss = hyper_ss(action, data["coefficient_complex"], job.mode,
                       job.trunc)
         report["pages"] = _pages_rows(ss.pages)
         report["convergence"] = ss.convergence
         note("convergence", ss.convergence["ok"])
     elif job.kind == "cartan":
-        if "lie" not in data or "gdga" not in data:
-            _fail("cartan requires lie and gdga", "/")
+        _requires(data, ("lie", "gdga"), "/")
         lie = data["lie"]
         algebra = data["gdga"]
         dims = cartan_cohomology(lie, algebra, job.poly_trunc, job.degrees)
@@ -524,16 +473,15 @@ def run(job: JobSpec, data: dict) -> dict:
                 }
                 note("torus-weyl", check.ok)
     elif job.kind == "getzler":
-        action = _action_for(data, job.kind)
+        action = _action_for(data)
         coeff = data.get("module", job.field)
         dims = getzler_total_cohomology(action, coeff, job.degrees,
                                         n_top=job.trunc)
         report["betti"] = [{"degree": n, "dim": d}
                            for n, d in zip(job.degrees, dims)]
-        borel = equivariant_cohomology(action, job.field, job.degrees,
-                                       n_top=job.trunc) \
-            if "module" not in data else None
-        if borel is not None:
+        if "module" not in data:
+            borel = equivariant_cohomology(action, job.field, job.degrees,
+                                           n_top=job.trunc)
             note("group-cochain-vs-homotopy-quotient", dims == borel,
                  f"{dims} vs {borel}")
     elif job.kind == "check":
@@ -562,12 +510,10 @@ def render(report: dict, out_format: str) -> str:
                          f"{row['dim']}\t{flag}")
     if "invariant_polynomials" in report:
         lines.append("# invariant_polynomials\t"
-                     + ",".join(str(v) for v in
-                                report["invariant_polynomials"]))
+                     + ",".join(map(str, report["invariant_polynomials"])))
     if "torus_weyl" in report:
         lines.append("# torus_weyl_series\t"
-                     + ",".join(str(v) for v in
-                                report["torus_weyl"]["series"]))
+                     + ",".join(map(str, report["torus_weyl"]["series"])))
     if "validated" in report:
         lines.append("# validated\t" + ",".join(report["validated"]))
     for a in report.get("assertions", []):
@@ -616,10 +562,8 @@ def main(argv=None) -> int:
             raise SchemaError("degrees must be nonnegative", location="--degrees")
         trunc = args.trunc if args.trunc is not None else max(degrees) + 2
         if trunc < max(degrees) + 2:
-            raise SchemaError(
-                f"truncation {trunc} too small: need at least "
-                f"{max(degrees) + 2} for degree {max(degrees)}",
-                location="--trunc")
+            _fail(f"truncation {trunc} too small: need at least "
+                  f"{max(degrees) + 2} for degree {max(degrees)}", "--trunc")
         if args.input == "-":
             payload = json.load(sys.stdin)
         else:
@@ -631,16 +575,12 @@ def main(argv=None) -> int:
         elif args.field == "Fp":
             if args.p is None:
                 raise SchemaError("--field Fp requires --p", location="--p")
-            try:
-                field = GF(args.p)
-            except ValueError as exc:
-                raise SchemaError(str(exc), location="--p") from exc
+            field = _prime_field(args.p, "--p")
         data = parse_input(payload, field=field)
         if field is None:
             field = data.get("field", QQ)
         job = JobSpec(kind=args.kind, field=field, trunc=trunc,
                       poly_trunc=args.poly_trunc, degrees=degrees,
-                      out_format=args.format, check_only=args.check_only,
                       mode=getattr(args, "mode", "atlas"),
                       check_total=args.check_total)
         if args.check_only:
@@ -653,7 +593,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"input error: invalid JSON: {exc}\n")
         return 2
     except (SchemaError, InvariantViolation, ValueError,
-            TruncationBoundary) as exc:
+            TruncationBoundary, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except StackcohError as exc:

@@ -25,6 +25,7 @@ once and kept on the (immutable) matrix.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
@@ -40,6 +41,8 @@ from .errors import (
 # (OEIS A014233); larger moduli are refused rather than guessed.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _is_prime(n: int) -> bool:
@@ -97,10 +100,14 @@ class Field:
         return int(f) if f.denominator == 1 else f
 
     def parse(self, text):
-        """Parse an exact scalar: "a/b" or integer string over Q, int mod p."""
+        """Parse an exact scalar: an integer, or over Q an integer or "a/b"
+        string.  Fraction would also take decimals and exponents, and
+        expands "1e10000000" digit by digit, so those raise ValueError."""
         if self.p:
             return int(text) % self.p
-        return self.coerce(Fraction(str(text)))
+        if isinstance(text, str) and not _RATIONAL.fullmatch(text):
+            raise ValueError(f"{text!r} is not an integer or 'a/b'")
+        return self.coerce(Fraction(text))
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.p == self.p

@@ -8,7 +8,11 @@ each singleton at (p, q) contributes exactly one dimension to H^{p+q},
 edges and squares contribute nothing.
 """
 
+import json
 from collections import defaultdict
+from functools import reduce
+from operator import getitem
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -158,3 +162,52 @@ piece_strategy = st.tuples(st.sampled_from(PIECES),
                            st.integers(min_value=0, max_value=2))
 
 piece_lists = st.lists(piece_strategy, min_size=1, max_size=6)
+
+
+# Single-node mutations of the CLI fixtures, for the schema fuzzer.  A draw
+# picks one node below the root of a fixture and drops it from its parent
+# object, swaps its type, sets it to a negative, out-of-range or huge
+# integer or to an exponent or malformed fraction string, or makes a list
+# one entry shorter or longer.
+FIXTURES = Path(__file__).with_name("fixtures")
+FUZZED_FIXTURES = ("cartan_point.json", "circle_action.json",
+                   "hyper_z2_point.json", "point.json", "s0_swap.json",
+                   "z2_point.json")
+BAD_VALUES = (None, True, 1.5, "x", [], {}, [0], {"x": 0},
+              -1, 2, 99, 10 ** 8, 10 ** 30, "1e10000000", "1/0", "0x10")
+
+
+def node_paths(doc, path=()):
+    """The key path of every node below the root of a JSON document."""
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, child in children:
+        yield path + (key,)
+        yield from node_paths(child, path + (key,))
+
+
+@st.composite
+def fixture_mutations(draw):
+    """(fixture name, mutated document, description of the mutation)."""
+    name = draw(st.sampled_from(FUZZED_FIXTURES))
+    doc = json.loads((FIXTURES / name).read_text())
+    path = draw(st.sampled_from(list(node_paths(doc))))
+    parent, key = reduce(getitem, path[:-1], doc), path[-1]
+    node = parent[key]
+    edits = [("set", value) for value in BAD_VALUES]
+    if isinstance(parent, dict):
+        edits.append(("drop", None))
+    if isinstance(node, list):
+        edits += [("set", node[:-1]), ("set", node + (node[-1:] or [0]))]
+    if type(node) is int:
+        edits += [("set", node + 1), ("set", -node - 1)]
+    op, value = draw(st.sampled_from(edits))
+    if op == "drop":
+        del parent[key]
+    else:
+        parent[key] = value
+    return name, doc, f"{op} {name}:/{'/'.join(map(str, path))} {value!r}"

@@ -1,13 +1,19 @@
 """CLI: schema validation, job execution, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
 
 from stackcoh.cli import main
+
+from .strategies import fixture_mutations
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -144,6 +150,40 @@ BAD_INDEX_TABLES = {
     "weyl-entry-without-lie": ("z2_point.json", ["weyl"], [5], "/weyl/0"),
     "weyl-on-algebra-type": ("cartan_point.json", ["weyl_on_algebra"], 5,
                              "/weyl_on_algebra"),
+    # morphism ends are checked against the object count
+    "objects-empty": ("s0_swap.json", ["groupoid", "objects"], [],
+                      "/groupoid/morphisms/0/src"),
+    "objects-short": ("s0_swap.json", ["groupoid", "objects"], ["a"],
+                      "/groupoid/morphisms/1/src"),
+    # a product table is dims[i] x dims[j] x dims[i+j], with i + j <= top
+    "gdga-mul-table-short-row": ("cartan_point.json",
+                                 ["gdga", "mul", 0, "table", 0], [],
+                                 "/gdga/mul/0/table/0"),
+    "gdga-mul-degree": ("cartan_point.json", ["gdga", "mul", 0, "i"], 99,
+                        "/gdga/mul/0/i"),
+    "gdga-mul-total-degree": ("cartan_point.json", ["gdga", "mul", 0, "j"],
+                              1, "/gdga/mul/0/j"),
+    # counts are nonnegative integers, and the two that build objects
+    # without a matching list are refused above their ceilings
+    "cells-float": ("circle_action.json", ["complex", "cells", 2], 1.5,
+                    "/complex/cells/2"),
+    "gdga-dims-name": ("cartan_point.json", ["gdga", "dims"], ["a"],
+                       "/gdga/dims/0"),
+    "lie-dim-negative": ("cartan_point.json", ["lie", "dim"], -1,
+                         "/lie/dim"),
+    "cells-count-huge": ("circle_action.json", ["complex", "cells", 0],
+                         10 ** 8, "/complex/cells/0"),
+    "lie-dim-huge": ("cartan_point.json", ["lie"], {"dim": 10 ** 8},
+                     "/lie/dim"),
+    # rational scalars are integers or "a/b" strings, nothing else
+    "scalar-exponent": ("cartan_point.json",
+                        ["gdga", "mul", 0, "table", 0, 0, 0], "1e10000000",
+                        "/gdga/mul/0/table/0/0/0"),
+    "scalar-decimal": ("cartan_point.json", ["lie", "structure", 0, 0, 0],
+                       "0.0", "/lie/structure/0/0/0"),
+    # p = 0 would silently select Q
+    "modulus-zero": ("z2_point.json", ["coefficients", "p"], 0,
+                     "/coefficients/p"),
 }
 
 
@@ -151,8 +191,10 @@ class TestIndexTables:
     @pytest.mark.parametrize("case", sorted(BAD_INDEX_TABLES))
     def test_bad_entry_exits_2_with_pointer(self, case, capsys, tmp_path):
         name, path, value, pointer = BAD_INDEX_TABLES[case]
+        start = time.perf_counter()
         code, out, err = run_cli(
             ["check", _mutated(tmp_path, name, path, value)], capsys)
+        assert time.perf_counter() - start < 1
         assert code == 2
         assert f"(at {pointer})" in err
         assert "Traceback" not in err
@@ -170,6 +212,27 @@ class TestIndexTables:
             ["check", fixture("z2_point.json"), "--field", "Fp",
              "--p", "1000000000000000003", "--check-only"], capsys)
         assert code == 0, err
+
+
+class TestSchemaFuzz:
+    @settings(max_examples=1000, derandomize=True, deadline=None,
+              database=None)
+    @given(case=fixture_mutations())
+    def test_single_node_mutation_exits_cleanly(self, tmp_path_factory,
+                                                case):
+        # every malformed input is refused with a pointer, in bounded time
+        name, doc, edit = case
+        path = tmp_path_factory.getbasetemp() / "mutated.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["check", str(path), "--check-only"])
+        assert time.perf_counter() - start < 5, edit
+        assert code in (0, 1, 2), edit
+        if code == 2:
+            assert "(at /" in err.getvalue() or "(at --" in err.getvalue(), \
+                (edit, err.getvalue())
 
 
 class TestJobs:

@@ -69,3 +69,26 @@ def test_coerce_only_in_exactalg():
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "coerce"})
     assert found == ["exactalg.py"]
+
+
+def _shape_check(node) -> bool:
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id == "isinstance" and len(node.args) == 2:
+        return any(isinstance(n, ast.Name) and n.id == "list"
+                   for n in ast.walk(node.args[1]))
+    return isinstance(node, ast.Compare) and any(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        and n.func.id == "len" for n in [node.left, *node.comparators])
+
+
+def test_one_input_walker():
+    # cli._array is the one shape check of the JSON input: a list-type
+    # test or a length comparison anywhere else in cli.py is a second,
+    # hand-written copy of it
+    tree = ast.parse(Path(stackcoh.__file__).with_name("cli.py").read_text())
+    walker = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_array")
+    allowed = {id(node) for node in ast.walk(walker)}
+    found = [node.lineno for node in ast.walk(tree)
+             if _shape_check(node) and id(node) not in allowed]
+    assert found == []
