@@ -5,7 +5,7 @@ spectral-atlas, spectral-borel, hyper, cartan, getzler, check).  Inputs
 are validated exhaustively before any computation.  The one shape check
 is the recursive walker ``_array``: it checks each list's type and length
 against sizes parsed earlier and hands each innermost entry to a leaf
-parser (an index, a nullable index, a count, a name or a field scalar).
+parser (an index, a count, a name, a field scalar or a vector of scalars).
 Validation failures carry JSON-pointer locations and exit with status 2,
 failed mathematical assertions exit with 1, and a fully passing run
 exits 0 with byte-reproducible output.
@@ -35,8 +35,8 @@ from .groupcoh import GModule, module_from_matrices
 from .spectra import atlas_ss, discrete_borel_ss, hyper_ss
 from .getzler import getzler_total_cohomology
 from .cartan import (
-    GDGA, LieAlgebraData, cartan_cohomology, invariant_polynomials,
-    torus_weyl_check, validate_gdga,
+    GDGA, LieAlgebraData, abelian_lie, cartan_cohomology,
+    invariant_polynomials, torus_weyl_check, validate_gdga,
 )
 
 KINDS = ("cohomology", "equivariant", "spectral-atlas", "spectral-borel",
@@ -100,15 +100,12 @@ def _expect(obj, key, loc, shape=None, leaf=None):
     return _array(obj[key], shape, f"{loc}/{key}", leaf)
 
 
-def _index(bound, value, loc):
-    """Leaf: an index into a list of length bound."""
-    if type(value) is not int or not 0 <= value < bound:
+def _index(bound, value, loc, nullable=False):
+    """Leaf: an index into a list of length bound (or null if nullable)."""
+    if not ((nullable and value is None)
+            or (type(value) is int and 0 <= value < bound)):
         _fail(f"expected an integer index below {bound}", loc)
     return value
-
-
-def _nullable_index(bound, value, loc):
-    return None if value is None else _index(bound, value, loc)
 
 
 def _count(value, loc, most=None):
@@ -149,8 +146,10 @@ def parse_scalar(field: Field, value, loc):
         _fail(f"cannot parse scalar {value!r}", loc)
 
 
-def _sparse(vec) -> dict:
-    return {c: v for c, v in enumerate(vec) if v}
+def _vector(length, field, value, loc) -> dict:
+    """Leaf: a dense vector of field scalars, returned as a sparse dict."""
+    entries = _array(value, (length,), loc, partial(parse_scalar, field))
+    return {c: v for c, v in enumerate(entries) if v}
 
 
 def _per_element(obj, group, loc, what) -> list:
@@ -205,7 +204,7 @@ def parse_groupoid(obj, loc="/groupoid"):
 
     morphisms = _expect(obj, "morphisms", loc, (None,), ends)
     n = len(morphisms)
-    comp = _expect(obj, "comp", loc, (n, n), partial(_nullable_index, n))
+    comp = _expect(obj, "comp", loc, (n, n), partial(_index, n, nullable=True))
     return _located(groupoid_from_tables, f"{loc}/comp", names,
                     [src for src, _ in morphisms],
                     [tgt for _, tgt in morphisms],
@@ -264,11 +263,10 @@ def parse_module(obj, group, field, loc) -> GModule:
 
 def parse_lie(obj, loc="/lie") -> LieAlgebraData:
     dim = _expect(obj, "dim", loc, (), partial(_count, most=MAX_LIE_DIM))
-    structure = [[{} for _ in range(dim)] for _ in range(dim)]
-    if obj.get("structure", []) != []:
-        table = _expect(obj, "structure", loc, (dim, dim, dim),
-                        partial(parse_scalar, QQ))
-        structure = [[_sparse(vec) for vec in row] for row in table]
+    if obj.get("structure", []) == []:
+        return abelian_lie(dim)
+    structure = _expect(obj, "structure", loc, (dim, dim),
+                        partial(_vector, dim, QQ))
     return _located(LieAlgebraData, loc, dim, structure)
 
 
@@ -280,7 +278,7 @@ def parse_gdga(obj, field, lie_dim=None, loc="/gdga") -> GDGA:
     squares = [(n, n) for n in dims]
     d = _matrices(obj.get("d", []), steps, field, f"{loc}/d")
     iota = _array(obj.get("iota", []), (lie_dim,), f"{loc}/iota",
-                  lambda v, at: _matrices(v, [(r, c) for c, r in steps],
+                  lambda v, at: _matrices(v, [(c, r) for r, c in steps],
                                           field, at))
     lie_der = _array(obj.get("L", []), (len(iota),), f"{loc}/L",
                      lambda v, at: _matrices(v, squares, field, at))
@@ -288,9 +286,8 @@ def parse_gdga(obj, field, lie_dim=None, loc="/gdga") -> GDGA:
     def product(item, at):
         i = _expect(item, "i", at, (), partial(_index, top + 1))
         j = _expect(item, "j", at, (), partial(_index, top + 1 - i))
-        table = _expect(item, "table", at, (dims[i], dims[j], dims[i + j]),
-                        partial(parse_scalar, field))
-        return (i, j), [[_sparse(vec) for vec in row] for row in table]
+        return (i, j), _expect(item, "table", at, (dims[i], dims[j]),
+                               partial(_vector, dims[i + j], field))
 
     mul = dict(_array(obj["mul"], (None,), f"{loc}/mul", product)) \
         if "mul" in obj else None
@@ -396,9 +393,13 @@ def _action_for(data):
 
 
 def _pages_rows(page_list):
-    return [{"p": p, "q": q, "r": page.r, "dim": page.entries[(p, q)],
-             "boundary": (p, q) in page.flags}
-            for page in page_list for (p, q) in sorted(page.entries)]
+    rows = []
+    for page in page_list:
+        for (p, q) in sorted(page.entries):
+            rows.append({"p": p, "q": q, "r": page.r,
+                         "dim": page.entries[(p, q)],
+                         "boundary": (p, q) in page.flags})
+    return rows
 
 
 def run(job: JobSpec, data: dict) -> dict:
@@ -510,10 +511,12 @@ def render(report: dict, out_format: str) -> str:
                          f"{row['dim']}\t{flag}")
     if "invariant_polynomials" in report:
         lines.append("# invariant_polynomials\t"
-                     + ",".join(map(str, report["invariant_polynomials"])))
+                     + ",".join(str(v) for v in
+                                report["invariant_polynomials"]))
     if "torus_weyl" in report:
         lines.append("# torus_weyl_series\t"
-                     + ",".join(map(str, report["torus_weyl"]["series"])))
+                     + ",".join(str(v) for v in
+                                report["torus_weyl"]["series"]))
     if "validated" in report:
         lines.append("# validated\t" + ",".join(report["validated"]))
     for a in report.get("assertions", []):
@@ -559,7 +562,7 @@ def main(argv=None) -> int:
     try:
         degrees = _parse_degrees(args.degrees)
         if not degrees or any(d < 0 for d in degrees):
-            raise SchemaError("degrees must be nonnegative", location="--degrees")
+            _fail("degrees must be nonnegative", "--degrees")
         trunc = args.trunc if args.trunc is not None else max(degrees) + 2
         if trunc < max(degrees) + 2:
             _fail(f"truncation {trunc} too small: need at least "
@@ -574,7 +577,7 @@ def main(argv=None) -> int:
             field = QQ
         elif args.field == "Fp":
             if args.p is None:
-                raise SchemaError("--field Fp requires --p", location="--p")
+                _fail("--field Fp requires --p", "--p")
             field = _prime_field(args.p, "--p")
         data = parse_input(payload, field=field)
         if field is None:
