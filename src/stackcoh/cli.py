@@ -136,7 +136,7 @@ def _names(value, loc) -> list:
 
 
 def parse_scalar(field: Field, value, loc):
-    """Leaf: an integer, or over Q also an integer or "a/b" string."""
+    """Leaf: an integer; over Q also an integer or "a/b" string."""
     if type(value) is not int and (field.p or not isinstance(value, str)):
         _fail("mod-p entries must be integers" if field.p else
               "rational entries must be integers or 'a/b' strings", loc)
