@@ -25,13 +25,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import isqrt, lcm
 
 from .errors import (
     InvariantViolation, NonEquivariantInput, NonInvertibleOrder,
     NotClosedUnderOperators,
 )
 from .exactalg import (
-    Field, Mat, QQ, joint_kernel, mat_from_columns, rank, reduced,
+    Field, Mat, QQ, _is_prime, joint_kernel, mat_from_columns, rank, reduced,
     solve_multi,
 )
 from .errors import NoSolution
@@ -332,7 +334,68 @@ def _mat_key(m: Mat):
     return (m.rows, m.cols, tuple(sorted(m.entries.items())))
 
 
-def mulclose_mats(gens: list, limit: int = 4096) -> list:
+CLOSURE_LIMIT = 4096
+
+
+def _power(w: Mat, e: int) -> Mat:
+    """w^e by repeated squaring, e >= 1."""
+    result = None
+    while e:
+        if e & 1:
+            result = w if result is None else result * w
+        e >>= 1
+        if e:
+            w = w * w
+    return result
+
+
+def matrix_order(w: Mat, limit: int = CLOSURE_LIMIT) -> int | None:
+    """Order of an invertible square matrix; None if it is above limit,
+    infinite, or w is singular (its powers never reach the identity).
+
+    Over Q the order d_p is first found mod a prime p > 2^30 that divides
+    no denominator of w, where entries stay small: an order d <= limit
+    makes d_p divide d.  Baby steps w^j (j < m) and giant steps w^(m k)
+    (m k <= limit + m) find it with about 2 m products, m = sqrt(limit):
+    the first giant step equal to a baby step w^j gives d_p = m k - j.
+    Then w^(d_p) == I is checked exactly.  It holds whenever w has finite
+    order, since reduction mod an odd p is injective on the finite
+    subgroups of GL_n(Z_(p)) (Minkowski).
+    """
+    mod = w.field
+    if not mod.p:
+        den = reduce(lcm, (Fraction(v).denominator
+                           for v in w.entries.values()), 1)
+        p = 2 ** 31 - 1
+        while not den % p or not _is_prime(p):
+            p -= 2
+        mod = Field(p)
+    w_p = Mat(w.rows, w.cols, w.entries, mod)
+    one = Mat.identity(w.rows, mod)
+    m = isqrt(limit) + 1
+    baby = {}
+    power = one
+    for j in range(m):
+        if j and power == one:
+            order = j
+            break
+        baby.setdefault(power, j)
+        power = power * w_p
+    else:
+        # power is w^m; the giant steps are w^(m k)
+        order, giant = None, power
+        for k in range(1, m + 2):
+            if giant in baby:
+                order = m * k - baby[giant]
+                break
+            giant = giant * power
+    if order is None or order > limit:
+        return None
+    return order if _power(w, order) == Mat.identity(w.rows, w.field) \
+        else None
+
+
+def mulclose_mats(gens: list, limit: int = CLOSURE_LIMIT) -> list:
     """Multiplicative closure of tuples of invertible matrices.
 
     Tuples multiply componentwise; the result is in BFS order with the
@@ -507,7 +570,7 @@ def torus_weyl_check(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,
     total_w = total_complex(dc_w)
     series_inv = [cohomology(total_w, s) for s in degrees]
 
-    page_list = pages(dc_w, "columns")
+    page_list = pages(dc_w, "columns", total=total_w)
     e1 = next(p for p in page_list if p.r == 1)
     e_inf = page_list[-1]
     sums = {}

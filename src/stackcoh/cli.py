@@ -35,8 +35,8 @@ from .groupcoh import GModule, module_from_matrices
 from .spectra import atlas_ss, discrete_borel_ss, hyper_ss
 from .getzler import getzler_total_cohomology
 from .cartan import (
-    GDGA, LieAlgebraData, abelian_lie, cartan_cohomology,
-    invariant_polynomials, torus_weyl_check, validate_gdga,
+    CLOSURE_LIMIT, GDGA, LieAlgebraData, abelian_lie, cartan_cohomology,
+    invariant_polynomials, matrix_order, torus_weyl_check, validate_gdga,
 )
 
 KINDS = ("cohomology", "equivariant", "spectral-atlas", "spectral-borel",
@@ -48,7 +48,8 @@ KINDS = ("cohomology", "equivariant", "spectral-atlas", "spectral-borel",
 # refused above these ceilings before anything is built.  The corpus peaks
 # at 128 cells in a level (z2_pair2_swap at truncation 6) and a Lie algebra
 # of dimension 2; the ceilings leave wide headroom and keep the check of a
-# maximal input well under a second.
+# maximal input well under a second.  A Weyl generator acts on the Lie
+# algebra, so its size has the same ceiling even when no lie is given.
 MAX_LEVEL_CELLS = 10_000
 MAX_LIE_DIM = 16
 
@@ -372,7 +373,15 @@ def parse_input(payload: dict, field: Field | None = None) -> dict:
         def weyl_matrix(m, at):
             size = data["lie"].dim if "lie" in data else \
                 len(_array(m, (None,), at))
-            return parse_matrix(m, size, size, QQ, at)
+            if size > MAX_LIE_DIM:
+                _fail(f"a Weyl generator acts on a Lie algebra of dimension "
+                      f"at most {MAX_LIE_DIM}", at)
+            w = parse_matrix(m, size, size, QQ, at)
+            # the cartan job closes the generators under products
+            if matrix_order(w) is None:
+                _fail(f"a Weyl generator must have finite order (at most "
+                      f"{CLOSURE_LIMIT})", at)
+            return w
 
         data["weyl"] = _array(payload["weyl"], (None,), "/weyl", weyl_matrix)
     if "weyl_on_algebra" in payload:

@@ -118,7 +118,7 @@ CORPUS = [
     CorpusInstance(
         "s3_point_f2",
         _const(trivial_action(symmetric_group(3), trivial_groupoid(1))),
-        F2, 2, [1, 1, 1], dims_only=True),
+        F2, 2, [1, 1, 1]),
     CorpusInstance(
         "z2_s0_swap_q",
         _const(set_action_on_trivial_groupoid(cyclic_group(2),
@@ -140,7 +140,7 @@ CORPUS = [
     CorpusInstance(
         "z2_cycle4_f2",
         lambda n_top: cycle_rotation_action(4, 2, 2, n_top),
-        F2, 6, [1, 1, 0, 0, 0, 0, 0], ss_deg_max=4, dims_only=True),
+        F2, 6, [1, 1, 0, 0, 0, 0, 0], ss_deg_max=4),
     CorpusInstance(
         "z3_cycle3_q",
         lambda n_top: cycle_rotation_action(3, 1, 3, n_top),

@@ -1,16 +1,33 @@
 """Spectral sequences of bounded double complexes over a field.
 
 Pages are computed from explicit filtered subquotients of the total
-complex: Z_r^{p,q} = F_p T^n  intersect  D^{-1} F_{p+r} T^{n+1}, with
-boundaries Z_{r-1}^{p+1,q-1} + D Z_{r-1}^{p-r+1,q+r-2}.  A progressive
-kernel elimination per (degree, filtration start) yields every Z_r in one
-pass and keeps representative bases, so d_r matrices are reproducible and
-can be compared entrywise against oracles.  An independent rank-table
-formula provides a dims-only fast path; the two agree by property test.
-Both routes share only the arithmetic: the filtered kernels reduce rows
-in filtration order with exactalg._prepare and exactalg._eliminate, the
-rank table runs a column Sieve built on the same two steps, and neither
-route calls the other.
+complex.  With Z_r^p = F_p T^n  intersect  D^{-1} F_{p+r} T^{n+1}, the
+entry E_r^{p,q} is Z_r^p modulo Z_{r-1}^{p+1} + D Z_{r-1}^{p-r+1}.
+Since Z_r^p  intersect  F_{p+1} = Z_{r-1}^{p+1}, it is also the image of
+Z_r^p in the block (p, q) = F_p / F_{p+1}, modulo the image of
+D Z_{r-1}^{p-r+1} (McCleary, "A User's Guide to Spectral Sequences",
+2.2; Romero, Rubio and Sergeraert, "Computing spectral sequences",
+J. Symb. Comput. 41, 2006).  So the page sieve runs in block (p, q)
+coordinates: the projected boundaries first, then the projected Z_r^p
+generators, and a generator is a representative when its projection is
+independent.  A generator lies in the span of the boundaries and the
+earlier generators exactly when its projection does, so these are the
+representatives a sieve over whole T^n vectors would pick.
+Representatives stay in full T^n coordinates.  d_r is solved in the
+target block (p + r, q - r + 1), against the projected boundaries and
+representatives there; the coordinates of a rep are unique, as in
+T^{n+1}.
+
+A progressive kernel elimination per (degree, filtration start) yields
+every Z_r in one pass and keeps representative bases, so d_r matrices are
+reproducible and can be compared entrywise against oracles.  It keeps
+D . z next to each kernel vector z (the elimination acts on both), stored
+for the one block that the pages read, so no image is multiplied out
+again.  An independent rank-table formula provides a dims-only fast
+path; the two agree by property test.  Both routes share only the
+arithmetic: the filtered kernels reduce rows in filtration order with
+exactalg._prepare and exactalg._eliminate, the rank table runs a column
+Sieve built on the same two steps, and neither route calls the other.
 
 The rank table sieves each total degree once.  The columns of D^n go
 into one Sieve last to first, and every independent column is paired
@@ -71,15 +88,27 @@ class SpectralSequencePage:
 
 
 class _FilteredTotal:
-    """Column-filtered total complex with cached progressive kernels."""
+    """Column-filtered total complex with cached progressive kernels.
 
-    def __init__(self, dc: DoubleComplex):
+    total, when given, is total_complex(dc): its differentials are used
+    as the D^n, so the complex is totalized once.
+    """
+
+    def __init__(self, dc: DoubleComplex,
+                 total: CochainComplex | None = None):
         self.dc = dc
         self.field = dc.field
         self.layout = TotalLayout(dc)
         self.pmin, self.pmax = dc.p_range
         self.qmin, self.qmax = dc.q_range
         self._dmats = {}
+        if total is not None:
+            n_min = self.layout.n_min
+            if list(total.dims) != [self.total_dim(n) for n in
+                                    range(n_min, n_min + len(total.dims))]:
+                raise InvariantViolation(
+                    "total complex does not match the filtered complex")
+            self._dmats = {n_min + k: m for k, m in enumerate(total.diffs)}
         self._kernels = {}
         self._pairs = {}
         self._rank_tables = {}
@@ -103,7 +132,15 @@ class _FilteredTotal:
         return list(range(p0, self.pmax + 2))
 
     def kernels(self, n: int, p0: int) -> dict:
-        """t -> basis (combos over T^n coords) of F_{p0} cap D^{-1} F_t."""
+        """t -> [(combo, image)] for a basis of F_{p0} cap D^{-1} F_t.
+
+        combo is over T^n coordinates; image is D . combo restricted to
+        the rows below F_{t+1} of T^{n+1}, that is to block t, since it
+        vanishes below F_t.  Every active column keeps vec == D . combo
+        (_prepare and _eliminate act on both), so the images come from
+        the elimination.  A column no elimination touched since the last
+        snapshot shares that snapshot's combo dict; nothing mutates them.
+        """
         p0 = max(p0, self.pmin)
         key = (n, p0)
         if key in self._kernels:
@@ -122,6 +159,7 @@ class _FilteredTotal:
                 heapq.heappush(heap, r)
         snapshots = {}
         seen_rows = set()
+        shared = {}     # column -> combo copy of the last snapshot
         for t in self._snapshot_ts(p0):
             boundary = self.col_start(n + 1, t)
             while heap and heap[0] < boundary:
@@ -136,13 +174,20 @@ class _FilteredTotal:
                 w, cw = active.pop(ids[0])
                 for j in ids[1:]:
                     active[j] = _eliminate(*active[j], w, cw, r, f.p)
+                    shared.pop(j, None)
                     # active[j] may gain rows of w: each is already queued
                     # in heap (no active vector holds a popped row), so
                     # only the row index needs j
                     for i in w:
                         row_index[i].add(j)
-            snapshots[t] = [dict(combo) for _, (_, combo) in
-                            sorted(active.items())]
+            stop = self.col_start(n + 1, t + 1)
+            snapshot = []
+            for j, (vec, combo) in sorted(active.items()):
+                if j not in shared:
+                    shared[j] = dict(combo)
+                snapshot.append((shared[j], {i: v for i, v in vec.items()
+                                             if i < stop}))
+            snapshots[t] = snapshot
         self._kernels[key] = snapshots
         return snapshots
 
@@ -215,21 +260,28 @@ def stabilization_page(dc: DoubleComplex) -> int:
     return min(width, height) + 1
 
 
+def _filtered(dc: DoubleComplex, filtration: str) -> DoubleComplex:
+    """The complex whose columns carry the filtration."""
+    if filtration == "rows":
+        return dc.transpose()
+    if filtration == "columns":
+        return dc
+    raise ValueError("filtration must be 'columns' or 'rows'")
+
+
 def pages(dc: DoubleComplex, filtration: str = "columns",
-          r_max: int | None = None, dims_only: bool = False) -> list:
+          r_max: int | None = None, dims_only: bool = False,
+          total: CochainComplex | None = None) -> list:
     """Pages E_0 .. E_stab of the filtered total complex.
 
     The final page carries stabilized=True and equals E_infinity.  Each
     page r also checks d_r . d_r = 0 and that taking homology of page r
     reproduces page r+1 (subquotient route versus homology route).
+    total, when given, is the total complex of the filtered complex (dc,
+    or dc.transpose() for rows), and its differentials are the D^n.
     """
-    if filtration == "rows":
-        work = dc.transpose()
-    elif filtration == "columns":
-        work = dc
-    else:
-        raise ValueError("filtration must be 'columns' or 'rows'")
-    ft = _FilteredTotal(work)
+    work = _filtered(dc, filtration)
+    ft = _FilteredTotal(work, total)
     r_stab = stabilization_page(work)
     r_top = r_stab if r_max is None else min(max(r_max, 0), r_stab)
     flag_bound = work.boundary_total_degree
@@ -240,53 +292,52 @@ def pages(dc: DoubleComplex, filtration: str = "columns",
     result = []
     prev = None
     for r in range(r_top + 1):
-        entries = {}
-        reps = {}
-        bases = {}
+        entries, reps = {}, {}
+        # per block: the projected independent boundaries, the projected
+        # reps, and the images of the reps in their d_r target block
+        bases, rep_proj, rep_images = {}, {}, {}
         for (p, q) in keys:
             if dims_only:
                 entries[(p, q)] = ft.entry_dim_by_ranks(p, q, r)
                 continue
             n = p + q
-            z_vecs = ft.kernel_at(n, p, p + r)
-            b_vecs = list(ft.kernel_at(n, p + 1, p + r))
-            dprev = ft.dmat(n - 1) if ft.total_dim(n - 1) else None
-            if dprev is not None:
-                for v in ft.kernel_at(n - 1, p - r + 1, p):
-                    img = dprev.mul_vec(v)
-                    if img:
-                        b_vecs.append(img)
+            stop = ft.col_start(n, p + 1)
             sieve = Sieve(work.field)
             b_independent = []
-            for v in b_vecs:
-                residual, _ = sieve.insert(v)
-                if residual:
-                    b_independent.append(v)
-            entry_reps = []
-            for v in z_vecs:
-                residual, _ = sieve.insert(v)
-                if residual:
-                    entry_reps.append(v)
+            # D Z_{r-1}^{p-r+1} projected to block (p, q): the snapshot at
+            # t = p holds exactly that block; for r = 0 it lies in F_{p+1}
+            if r and ft.total_dim(n - 1):
+                for _, img in ft.kernel_at(n - 1, p - r + 1, p):
+                    if img and sieve.insert(img)[0]:
+                        b_independent.append(img)
+            entry_reps, proj, images = [], [], []
+            for combo, img in ft.kernel_at(n, p, p + r):
+                z = {j: v for j, v in combo.items() if j < stop}
+                if z and sieve.insert(z)[0]:
+                    entry_reps.append(combo)
+                    proj.append(z)
+                    images.append(img)
             entries[(p, q)] = len(entry_reps)
             reps[(p, q)] = entry_reps
             bases[(p, q)] = b_independent
+            rep_proj[(p, q)] = proj
+            rep_images[(p, q)] = images
         differentials = {}
         if not dims_only:
             for (p, q) in keys:
-                src_reps = reps.get((p, q), [])
+                src_reps = reps[(p, q)]
                 tp, tq = p + r, q - r + 1
                 tdim = entries.get((tp, tq), 0)
                 if not src_reps or tdim == 0:
                     differentials[(p, q)] = Mat.zero(tdim, len(src_reps),
                                                      work.field)
                     continue
-                n = p + q
-                d = ft.dmat(n)
-                images = [d.mul_vec(v) for v in src_reps]
-                solver_cols = bases[(tp, tq)] + reps[(tp, tq)]
-                a = mat_from_columns(solver_cols, ft.total_dim(n + 1),
+                # coordinates of the images in block (tp, tq): the rep
+                # coordinates are unique there, as in T^{n+1}
+                solver_cols = bases[(tp, tq)] + rep_proj[(tp, tq)]
+                a = mat_from_columns(solver_cols, ft.total_dim(p + q + 1),
                                      work.field)
-                xs = solve_multi(a, images)
+                xs = solve_multi(a, rep_images[(p, q)])
                 offset = len(bases[(tp, tq)])
                 entries_m = {}
                 for col_idx, x in enumerate(xs):
@@ -497,6 +548,19 @@ def quotient_cohomology_oracle(group, perms, module, degree: int) -> int:
     return total
 
 
+def _run_pages(dc: DoubleComplex, filtration: str, r_max, dims_only):
+    """Pages, total complex and convergence report of one run.
+
+    The filtered complex is totalized once: pages reads its D^n from the
+    total complex that convergence_check ranks.  For rows that is the
+    total of the transpose, which has the same cohomology.
+    """
+    total = total_complex(_filtered(dc, filtration))
+    page_list = pages(dc, filtration, r_max=r_max, dims_only=dims_only,
+                      total=total)
+    return page_list, total, convergence_check(page_list, total)
+
+
 @dataclass
 class SSRunReport:
     """Pages plus the identification and convergence evidence."""
@@ -529,8 +593,7 @@ def atlas_ss(a, coeff, n_top: int, r_max: int | None = None,
     if max_total is None:
         max_total = n_top + 1
     dc = borel_double_complex(sa, module, n_top, max_total=max_total)
-    page_list = pages(dc, "rows", r_max=r_max, dims_only=dims_only)
-    total = total_complex(dc)
+    page_list, total, convergence = _run_pages(dc, "rows", r_max, dims_only)
     e1 = next(p for p in page_list if p.r == 1)
     identification = []
     flag_bound = dc.boundary_total_degree
@@ -545,7 +608,6 @@ def atlas_ss(a, coeff, n_top: int, r_max: int | None = None,
         expected = quotient_cohomology_oracle(sa.group, perms[n], module, r)
         identification.append({"level": n, "degree": r, "page": dim,
                                "oracle": expected, "ok": dim == expected})
-    convergence = convergence_check(page_list, total)
     return SSRunReport(page_list, dc, total, identification, convergence)
 
 
@@ -562,8 +624,8 @@ def discrete_borel_ss(a, coeff, n_top: int, r_max: int | None = None,
     if max_total is None:
         max_total = n_top + 1
     dc = borel_double_complex(sa, module, n_top, max_total=max_total)
-    page_list = pages(dc, "columns", r_max=r_max, dims_only=dims_only)
-    total = total_complex(dc)
+    page_list, total, convergence = _run_pages(dc, "columns", r_max,
+                                               dims_only)
     e2 = next(p for p in page_list if p.r == 2)
     identification = []
     flag_bound = dc.boundary_total_degree
@@ -579,7 +641,6 @@ def discrete_borel_ss(a, coeff, n_top: int, r_max: int | None = None,
         expected = cohomology(bar, p)
         identification.append({"p": p, "q": q, "page": dim,
                                "oracle": expected, "ok": dim == expected})
-    convergence = convergence_check(page_list, total)
     return SSRunReport(page_list, dc, total, identification, convergence)
 
 
@@ -653,13 +714,13 @@ def hyper_ss(a, coeffs: CoefficientComplex, mode: str, n_top: int,
     if mode == "atlas":
         dc = collapse_triple(tc, pair=(0, 2),
                              boundary_total_degree=n_top - 1)
-        page_list = pages(dc, "rows", r_max=r_max, dims_only=dims_only)
+        filtration = "rows"
     elif mode == "discrete-borel":
         dc = collapse_triple(tc, pair=(1, 2),
                              boundary_total_degree=n_top - 1).transpose()
-        page_list = pages(dc, "columns", r_max=r_max, dims_only=dims_only)
+        filtration = "columns"
     else:
         raise ValueError("mode must be 'atlas' or 'discrete-borel'")
-    total = total_complex(dc)
-    convergence = convergence_check(page_list, total)
+    page_list, total, convergence = _run_pages(dc, filtration, r_max,
+                                               dims_only)
     return SSRunReport(page_list, dc, total, [], convergence)

@@ -5,7 +5,7 @@ import pytest
 from stackcoh.cartan import (
     GDGA, LieAlgebraData, abelian_lie, cartan_E1, cartan_cohomology,
     cartan_double_complex, invariant_polynomials, invariants_subalgebra,
-    monomials, torus_weyl_check, validate_gdga,
+    matrix_order, monomials, torus_weyl_check, validate_gdga,
 )
 from stackcoh.errors import (
     InvariantViolation, NonEquivariantInput, NotClosedUnderOperators,
@@ -238,6 +238,45 @@ class TestInvariantPolynomials:
         gens = [Mat.from_rows([[0, 1], [1, 0]], QQ)]
         assert invariant_polynomials(abelian_lie(2), gens, 5) == \
             [1, 1, 2, 2, 3, 3]
+
+
+def naive_order(w, limit):
+    """The first power of w equal to the identity, up to limit."""
+    one = Mat.identity(w.rows, w.field)
+    power = w
+    for k in range(1, limit + 1):
+        if power == one:
+            return k
+        power = power * w
+    return None
+
+
+def permutation_matrix(cycles, n):
+    image = list(range(n))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            image[a] = b
+    return Mat(n, n, {(image[i], i): 1 for i in range(n)}, QQ)
+
+
+class TestMatrixOrder:
+    @pytest.mark.parametrize("rows", [
+        [[1]], [[-1]], [[2]], [[0]], [[0, -1], [1, 0]], [[1, 1], [0, 1]],
+        [[0, 1], [-1, -1]], [[0, 0], [0, 1]], [["1/2", 0], [0, 2]],
+        [[0, "1/2"], [2, 0]], [[-1, 1], [0, 1]], [[0, 1], [1, 1]]])
+    def test_agrees_with_powers(self, rows):
+        w = Mat.from_rows([[QQ.parse(v) for v in row] for row in rows], QQ)
+        assert matrix_order(w) == naive_order(w, 64)
+
+    def test_baby_and_giant_steps_and_the_limit(self):
+        # orders 39 = 13 * 3 and 105 = 7 * 5 * 3 lie past the baby steps
+        for cycles, n, order in (([list(range(13)), [13, 14, 15]], 16, 39),
+                                 ([list(range(7)), [7, 8, 9, 10, 11],
+                                   [12, 13, 14]], 15, 105)):
+            w = permutation_matrix(cycles, n)
+            assert matrix_order(w) == order == naive_order(w, order)
+            assert matrix_order(w, limit=order) == order
+            assert matrix_order(w, limit=order - 1) is None
 
 
 class TestTorusWeylCheck:

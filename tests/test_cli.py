@@ -148,6 +148,11 @@ BAD_INDEX_TABLES = {
                              "/gdga/mul/0/table/0/0"),
     "weyl-type": ("cartan_point.json", ["weyl"], 5, "/weyl"),
     "weyl-entry-without-lie": ("z2_point.json", ["weyl"], [5], "/weyl/0"),
+    "weyl-infinite-order": ("cartan_point.json", ["weyl", 0], [[2]],
+                            "/weyl/0"),
+    "weyl-singular": ("cartan_point.json", ["weyl", 0], [[0]], "/weyl/0"),
+    "weyl-too-large": ("z2_point.json", ["weyl"], [[[1] * 17] * 17],
+                       "/weyl/0"),
     "weyl-on-algebra-type": ("cartan_point.json", ["weyl_on_algebra"], 5,
                              "/weyl_on_algebra"),
     # morphism ends are checked against the object count

@@ -39,6 +39,19 @@ def test_one_elimination_kernel():
     assert found == ["exactalg.py"]
 
 
+def test_pages_take_images_from_the_elimination():
+    # D . z of every kernel vector comes from _FilteredTotal.kernels,
+    # which keeps vec == D . combo; a mul_vec in spectra would be a
+    # second source of the same images
+    tree = ast.parse(
+        Path(stackcoh.__file__).with_name("spectra.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "mul_vec"]
+    assert found == []
+
+
 def _is_self_validate(node) -> bool:
     return isinstance(node, ast.Call) and not node.args and \
         isinstance(node.func, ast.Attribute) and \

@@ -4,18 +4,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stackcoh import exactalg, spectra
-from stackcoh.exactalg import GF, QQ, Mat, rank
+from stackcoh.exactalg import (
+    GF, QQ, Mat, Sieve, mat_from_columns, rank, solve_multi,
+)
 from stackcoh.groupcoh import trivial_module
 from stackcoh.homalg import (
     CoefficientComplex, DoubleComplex, cohomology, total_complex,
 )
 from stackcoh.simplicial import trivial_groupoid
 from stackcoh.spectra import (
-    _FilteredTotal, atlas_ss, convergence_check, discrete_borel_ss,
-    hyper_ss, pages, quotient_cohomology_oracle,
+    _FilteredTotal, atlas_ss, borel_double_complex, convergence_check,
+    discrete_borel_ss, hyper_ss, pages, quotient_cohomology_oracle,
+    stabilization_page,
 )
 from stackcoh.stackact import (
-    cyclic_group, set_action_on_trivial_groupoid,
+    as_simplicial_action, cyclic_group, set_action_on_trivial_groupoid,
     symmetric_group, trivial_action,
 )
 
@@ -89,6 +92,116 @@ class TestPages:
                 sums[p + q] = sums.get(p + q, 0) + v
             for n, d in expected.items():
                 assert sums.get(n, 0) == d
+
+
+def full_coordinate_pages(dc):
+    """(entries, reps, d_r) of every page, sieved in full T^n coordinates.
+
+    Every generator of Z_{r-1}^{p+1} and every D z of D Z_{r-1}^{p-r+1}
+    goes into the sieve before the Z_r^p generators, and d_r solves the
+    multiplied-out D . rep against the target boundaries and reps.
+    """
+    f = dc.field
+    ft = _FilteredTotal(dc)
+    keys = sorted(dc.dims)
+    result = []
+    for r in range(stabilization_page(dc) + 1):
+        entries, reps, bases = {}, {}, {}
+        for (p, q) in keys:
+            n = p + q
+            b_vecs = [c for c, _ in ft.kernel_at(n, p + 1, p + r)]
+            if ft.total_dim(n - 1):
+                d = ft.dmat(n - 1)
+                b_vecs += [d.mul_vec(c) for c, _ in
+                           ft.kernel_at(n - 1, p - r + 1, p)]
+            sieve = Sieve(f)
+            bases[(p, q)] = [v for v in b_vecs if v and sieve.insert(v)[0]]
+            reps[(p, q)] = [c for c, _ in ft.kernel_at(n, p, p + r)
+                            if sieve.insert(c)[0]]
+            entries[(p, q)] = len(reps[(p, q)])
+        diffs = {}
+        for (p, q) in keys:
+            src, tgt = reps[(p, q)], (p + r, q - r + 1)
+            tdim = entries.get(tgt, 0)
+            if not src or not tdim:
+                diffs[(p, q)] = Mat.zero(tdim, len(src), f)
+                continue
+            a = mat_from_columns(bases[tgt] + reps[tgt],
+                                 ft.total_dim(p + q + 1), f)
+            xs = solve_multi(a, [ft.dmat(p + q).mul_vec(v) for v in src])
+            off = len(bases[tgt])
+            diffs[(p, q)] = Mat(tdim, len(src), {
+                (i - off, j): v for j, x in enumerate(xs)
+                for i, v in x.items() if i >= off}, f)
+        result.append((entries, reps, diffs))
+    return result
+
+
+def assert_pages_match_full_coordinates(dc, filtration):
+    got = pages(dc, filtration)
+    work = dc.transpose() if filtration == "rows" else dc
+    want = full_coordinate_pages(work)
+    assert len(got) == len(want)
+    for page, (entries, reps, diffs) in zip(got, want):
+        assert page.entries == entries
+        assert page.reps == reps
+        assert page.differentials == diffs
+    return got
+
+
+def zigzag(field):
+    """A at (0,1), B at (1,1), C at (1,0), D at (2,0), each of dim 1, with
+    d_h: A -> B, C -> D and d_v: C -> B isomorphisms.  For the column
+    filtration E_2 is A + D and d_2: A -> D is an isomorphism."""
+    one = Mat.identity(1, field)
+    dims = {(0, 1): 1, (1, 1): 1, (1, 0): 1, (2, 0): 1}
+    return DoubleComplex(field, (0, 2), (0, 1), dims,
+                         {(0, 1): one, (1, 0): one}, {(1, 0): one})
+
+
+class TestProjectedSubquotients:
+    @settings(max_examples=25, deadline=None)
+    @given(piece_lists, fields, st.randoms(use_true_random=False))
+    def test_agrees_with_full_coordinates(self, pieces, field, rng):
+        dc, _ = build_double_complex(pieces, field, rng)
+        for filtration in ("columns", "rows"):
+            assert_pages_match_full_coordinates(dc, filtration)
+
+    @pytest.mark.parametrize("field", [QQ, F2, F3])
+    def test_zigzag_d2(self, field):
+        pgs = assert_pages_match_full_coordinates(zigzag(field), "columns")
+        e2 = next(p for p in pgs if p.r == 2)
+        assert e2.entries[(0, 1)] == e2.entries[(2, 0)] == 1
+        assert not e2.differentials[(0, 1)].is_zero()
+        assert all(v == 0 for v in pgs[-1].entries.values())
+
+    def test_borel_complex_with_nonzero_d2(self):
+        sa = as_simplicial_action(z2_cycle4(3), 3)
+        dc = borel_double_complex(sa, trivial_module(sa.group, F2), 3,
+                                  max_total=4)
+        pgs = assert_pages_match_full_coordinates(dc, "columns")
+        e2 = next(p for p in pgs if p.r == 2)
+        assert any(not m.is_zero() for m in e2.differentials.values())
+
+    @settings(max_examples=25, deadline=None)
+    @given(piece_lists, fields, st.randoms(use_true_random=False))
+    def test_snapshot_images_come_from_the_elimination(self, pieces, field,
+                                                       rng):
+        dc, _ = build_double_complex(pieces, field, rng)
+        ft = _FilteredTotal(dc)
+        for n, dim in ft.layout.total_dims.items():
+            if not dim:
+                continue
+            d = ft.dmat(n)
+            for p0 in range(ft.pmin, ft.pmax + 1):
+                for t, snapshot in ft.kernels(n, p0).items():
+                    low = ft.col_start(n + 1, t)
+                    stop = ft.col_start(n + 1, t + 1)
+                    for combo, image in snapshot:
+                        full = d.mul_vec(combo)
+                        assert all(i >= low for i in full)
+                        assert image == {i: v for i, v in full.items()
+                                         if i < stop}
 
 
 def corner_rank(ft, n, p0, t):
