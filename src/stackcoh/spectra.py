@@ -563,7 +563,11 @@ def _run_pages(dc: DoubleComplex, filtration: str, r_max, dims_only):
 
 @dataclass
 class SSRunReport:
-    """Pages plus the identification and convergence evidence."""
+    """Pages plus the identification and convergence evidence.
+
+    total is the total complex of the filtered complex: of dc.transpose()
+    for the rows filtration, which has the same cohomology as dc's.
+    """
 
     pages: list
     dc: DoubleComplex
