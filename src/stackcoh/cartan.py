@@ -399,30 +399,38 @@ def mulclose_mats(gens: list, limit: int = CLOSURE_LIMIT) -> list:
     """Multiplicative closure of tuples of invertible matrices.
 
     Tuples multiply componentwise; the result is in BFS order with the
-    identity tuple first.
+    identity tuple first.  A generator that lies in the closure of the
+    ones before it is dropped, and every other one at least doubles the
+    group, so at most log2(limit) + 1 generators are ever multiplied and
+    a long redundant list costs one lookup per generator.
     """
-    if not gens:
-        return []
-
     def key(t):
         return tuple(_mat_key(m) for m in t)
 
-    ident = tuple(Mat.identity(m.rows, m.field) for m in gens[0])
-    seen = {key(ident): ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for w in frontier:
-            for g in gens:
-                prod = tuple(a * b for a, b in zip(w, g))
-                k = key(prod)
-                if k not in seen:
-                    seen[k] = prod
-                    new.append(prod)
-                    if len(seen) > limit:
-                        raise InvariantViolation(
-                            "matrix group closure exceeds limit")
-        frontier = new
+    def close(kept):
+        ident = tuple(Mat.identity(m.rows, m.field) for m in kept[0])
+        seen = {key(ident): ident}
+        frontier = [ident]
+        while frontier:
+            new = []
+            for w in frontier:
+                for g in kept:
+                    prod = tuple(a * b for a, b in zip(w, g))
+                    k = key(prod)
+                    if k not in seen:
+                        seen[k] = prod
+                        new.append(prod)
+                        if len(seen) > limit:
+                            raise InvariantViolation(
+                                "matrix group closure exceeds limit")
+            frontier = new
+        return seen
+
+    kept, seen = [], {}
+    for g in gens:
+        if key(g) not in seen:
+            kept.append(g)
+            seen = close(kept)
     return list(seen.values())
 
 

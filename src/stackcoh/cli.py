@@ -36,7 +36,8 @@ from .spectra import atlas_ss, discrete_borel_ss, hyper_ss
 from .getzler import getzler_total_cohomology
 from .cartan import (
     CLOSURE_LIMIT, GDGA, LieAlgebraData, abelian_lie, cartan_cohomology,
-    invariant_polynomials, matrix_order, torus_weyl_check, validate_gdga,
+    invariant_polynomials, matrix_order, mulclose_mats, torus_weyl_check,
+    validate_gdga,
 )
 
 KINDS = ("cohomology", "equivariant", "spectral-atlas", "spectral-borel",
@@ -377,13 +378,15 @@ def parse_input(payload: dict, field: Field | None = None) -> dict:
                 _fail(f"a Weyl generator acts on a Lie algebra of dimension "
                       f"at most {MAX_LIE_DIM}", at)
             w = parse_matrix(m, size, size, QQ, at)
-            # the cartan job closes the generators under products
             if matrix_order(w) is None:
                 _fail(f"a Weyl generator must have finite order (at most "
                       f"{CLOSURE_LIMIT})", at)
             return w
 
         data["weyl"] = _array(payload["weyl"], (None,), "/weyl", weyl_matrix)
+        # generators of finite order can still generate an infinite group;
+        # the cartan job closes them under products, so that is done here
+        _located(mulclose_mats, "/weyl", [(w,) for w in data["weyl"]])
     if "weyl_on_algebra" in payload:
         _requires(data, ("gdga",), "/weyl_on_algebra")
         squares = [(n, n) for n in data["gdga"].dims]
@@ -541,6 +544,15 @@ def _parse_degrees(text: str) -> list:
     return [int(x) for x in text.split(",")]
 
 
+def _parse_int(text: str):
+    """A JSON integer; one longer than int() reads from text stays text,
+    which the leaf parsers refuse at its pointer."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stackcoh",
@@ -577,10 +589,10 @@ def main(argv=None) -> int:
             _fail(f"truncation {trunc} too small: need at least "
                   f"{max(degrees) + 2} for degree {max(degrees)}", "--trunc")
         if args.input == "-":
-            payload = json.load(sys.stdin)
+            payload = json.load(sys.stdin, parse_int=_parse_int)
         else:
             with open(args.input) as handle:
-                payload = json.load(handle)
+                payload = json.load(handle, parse_int=_parse_int)
         field = None
         if args.field == "Q":
             field = QQ

@@ -15,7 +15,9 @@ Routes and their oracles: the subquotient pages of spectra.pages and
 its rank table check each other; the E_1 / E_2 identifications are
 checked by spectra.quotient_cohomology_oracle and groupcoh.bar_complex,
 which never build a double complex; the element-wise getzler.dbar
-checks the Borel blocks behind getzler.dbar_matrix.
+checks the Borel blocks behind getzler.dbar_matrix.  Every Borel route
+takes its faces from stackact.bar_faces and base_faces; these oracles
+write the bar formula themselves and read neither.
 induced_cohomology_matrix is the "coordinates in H^n" solve of the
 oracles (groupcoh.action_on_cohomology and the Weyl traces of
 cartan.torus_weyl_check); the d_r solve in spectra.pages is the route

@@ -241,16 +241,21 @@ def nerve(g: FiniteGroupoid, n_top: int) -> SemiSimplicialSet:
 
 
 def _face_sum(face_maps, rows: int, cols: int, module_dim: int,
-              field: Field) -> Mat:
+              field: Field, twist=None) -> Mat:
     """The alternating face sum  sum_i (-1)^i d_i^*  on module_dim-valued
-    cochains; face_maps[i][c] is the i-th face of source cell c."""
+    cochains; face_maps[i] gives the i-th face of each source cell in
+    order (a table or an iterator).  twist,
+    when given, maps a source cell c to the matrix through which the last
+    face carries the value (a local coefficient system)."""
     entries = {}
+    plain = [((t, t), 1) for t in range(module_dim)]
+    last = len(face_maps) - 1 if twist is not None else -1
     for c, faces in enumerate(zip(*face_maps)):
         for i, tgt in enumerate(faces):
             sign = -1 if i % 2 else 1
-            for t in range(module_dim):
-                key = (c * module_dim + t, tgt * module_dim + t)
-                entries[key] = entries.get(key, 0) + sign
+            for (r, k), v in twist(c).entries.items() if i == last else plain:
+                key = (c * module_dim + r, tgt * module_dim + k)
+                entries[key] = entries.get(key, 0) + sign * v
     return Mat(rows, cols, entries, field)
 
 

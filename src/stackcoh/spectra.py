@@ -44,6 +44,10 @@ The d_r solve in pages is the route that the "coordinates in H^n"
 oracle (homalg.induced_cohomology_matrix) checks, so it stays a separate
 solve; the homalg docstring lists every route and its oracle.
 
+borel_double_complex (and borel_triple_complex through it) sums the
+faces of stackact.bar_faces and base_faces; quotient_cohomology_oracle,
+the oracle of its E_1 column, builds only stabiliser bar complexes.
+
 Filtration naming: "columns" filters by the horizontal index p of the
 DoubleComplex (d_0 is then the vertical differential); "rows" filters by
 the vertical index.
@@ -52,7 +56,6 @@ the vertical index.
 from __future__ import annotations
 
 import heapq
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -63,10 +66,16 @@ from .exactalg import (
     Mat, Sieve, _eliminate, _prepare, kernel_basis, mat_from_columns, rank,
     solve_multi,
 )
+from .groupcoh import (
+    GModule, action_on_cohomology, bar_complex, module_tensor,
+    restrict_module, trivial_module,
+)
 from .homalg import (
     CochainComplex, CoefficientComplex, DoubleComplex, TotalLayout,
     TripleComplex, cohomology, collapse_triple, total_complex,
 )
+from .simplicial import _face_sum
+from .stackact import as_simplicial_action, bar_faces, base_faces, subgroup
 
 
 @dataclass
@@ -270,7 +279,7 @@ def _filtered(dc: DoubleComplex, filtration: str) -> DoubleComplex:
 
 
 def pages(dc: DoubleComplex, filtration: str = "columns",
-          r_max: int | None = None, dims_only: bool = False,
+          dims_only: bool = False,
           total: CochainComplex | None = None) -> list:
     """Pages E_0 .. E_stab of the filtered total complex.
 
@@ -283,7 +292,6 @@ def pages(dc: DoubleComplex, filtration: str = "columns",
     work = _filtered(dc, filtration)
     ft = _FilteredTotal(work, total)
     r_stab = stabilization_page(work)
-    r_top = r_stab if r_max is None else min(max(r_max, 0), r_stab)
     flag_bound = work.boundary_total_degree
     pmin, pmax = work.p_range
     qmin, qmax = work.q_range
@@ -291,7 +299,7 @@ def pages(dc: DoubleComplex, filtration: str = "columns",
 
     result = []
     prev = None
-    for r in range(r_top + 1):
+    for r in range(r_stab + 1):
         entries, reps = {}, {}
         # per block: the projected independent boundaries, the projected
         # reps, and the images of the reps in their d_r target block
@@ -384,7 +392,7 @@ def convergence_check(page_list: list, total: CochainComplex) -> dict:
     """
     last = page_list[-1]
     if not last.stabilized:
-        raise InvariantViolation("final page is not stabilized; raise r_max")
+        raise InvariantViolation("final page is not stabilized")
     by_degree = {}
     for (p, q), dim in last.entries.items():
         n = p + q
@@ -412,153 +420,80 @@ def convergence_check(page_list: list, total: CochainComplex) -> dict:
 # homotopy-quotient double/triple complexes and the assembled runs
 
 
-def _tuple_index(group_order: int, p: int):
-    tuples = list(itertools.product(range(group_order), repeat=p))
-    return tuples, {t: i for i, t in enumerate(tuples)}
-
-
 def borel_double_complex(sa, module, n_top: int | None = None,
                          max_total: int | None = None) -> DoubleComplex:
     """Blocks (p, n): module-valued functions on G^p x X_n.
 
-    Horizontal differential: bar coboundary whose last face moves the base
-    point and twists the value by rho(g^-1); vertical differential: the
-    alternating face sum of the base space.  Blocks above max_total are
-    emptied; certified degrees (below the truncation flag) are unaffected.
+    Horizontal differential: the alternating sum of stackact.bar_faces,
+    whose last face moves the base point and twists the value by
+    rho(g^-1); vertical differential: the alternating sum of
+    stackact.base_faces.  Blocks above max_total are emptied; certified
+    degrees (below the truncation flag) are unaffected.
     """
-    from .groupcoh import GModule
     if not isinstance(module, GModule):
         raise InvariantViolation("module required (wrap fields via trivial_module)")
     if module.group != sa.group:
         raise InvariantViolation("module group does not match the action")
     field = module.field
     g = sa.group
-    s = sa.space
     if n_top is None:
-        n_top = s.trunc
+        n_top = sa.space.trunc
     order = g.order
-    mdim = module.dim
-    sizes = [s.size(n) for n in range(n_top + 1)]
-
-    def present(p, n):
-        return max_total is None or p + n <= max_total
-
-    dims = {}
-    for p in range(n_top + 1):
-        for n in range(n_top + 1):
-            dims[(p, n)] = (order ** p) * sizes[n] * mdim if present(p, n) \
-                else 0
-
-    d_h = {}
-    d_v = {}
+    sizes = [sa.space.size(n) for n in range(n_top + 1)]
+    dims = {(p, n): order ** p * sizes[n] * module.dim
+            if max_total is None or p + n <= max_total else 0
+            for p in range(n_top + 1) for n in range(n_top + 1)}
     rho_inv = [module.rho[g.inverse(gi)] for gi in range(order)]
-    for p in range(n_top):
-        tuples, _ = _tuple_index(order, p)
-        index_src = {t: i for i, t in enumerate(tuples)}
-        tuples1, _ = _tuple_index(order, p + 1)
-        for n in range(n_top + 1):
-            if not present(p + 1, n):
-                d_h[(p, n)] = Mat.zero(0, dims[(p, n)], field)
-                continue
-            size = sizes[n]
-            entries = {}
 
-            def add(row, col, value):
-                entries[(row, col)] = entries.get((row, col), 0) + value
+    def face_sum(faces, src, dst, twist=None):
+        if not dims[dst]:
+            return Mat.zero(0, dims[src], field)
+        return _face_sum(tuple(faces), dims[dst], dims[src], module.dim,
+                         field, twist)
 
-            for t_idx, t in enumerate(tuples1):
-                for x in range(size):
-                    row_base = (t_idx * size + x) * mdim
-                    col = (index_src[t[1:]] * size + x) * mdim
-                    for c in range(mdim):
-                        add(row_base + c, col + c, 1)
-                    for i in range(1, p + 1):
-                        merged = t[:i - 1] + (g.mul[t[i - 1]][t[i]],) + t[i + 1:]
-                        col = (index_src[merged] * size + x) * mdim
-                        sign = -1 if i % 2 else 1
-                        for c in range(mdim):
-                            add(row_base + c, col + c, sign)
-                    gx = sa.act(t[p], n, x)
-                    col = (index_src[t[:p]] * size + gx) * mdim
-                    sign = -1 if (p + 1) % 2 else 1
-                    for (rr, cc), v in rho_inv[t[p]].entries.items():
-                        add(row_base + rr, col + cc, sign * v)
-            d_h[(p, n)] = Mat(dims[(p + 1, n)], dims[(p, n)], entries, field)
-
+    d_h, d_v = {}, {}
     for p in range(n_top + 1):
-        count = order ** p
-        for n in range(n_top):
-            if not present(p, n + 1):
-                d_v[(p, n)] = Mat.zero(0, dims[(p, n)], field)
-                continue
-            size1 = sizes[n + 1]
-            entries = {}
-            for t_idx in range(count):
-                for x in range(size1):
-                    row_base = (t_idx * size1 + x) * mdim
-                    for j in range(n + 2):
-                        fx = sa.space.face(n + 1, j, x)
-                        col = (t_idx * sizes[n] + fx) * mdim
-                        sign = -1 if j % 2 else 1
-                        for c in range(mdim):
-                            key = (row_base + c, col + c)
-                            entries[key] = entries.get(key, 0) + sign
-            d_v[(p, n)] = Mat(dims[(p, n + 1)], dims[(p, n)], entries, field)
-
+        for n in range(n_top + 1):
+            if p < n_top:
+                # the last face of (g_1 .. g_{p+1}, x) twists by g_{p+1}
+                d_h[(p, n)] = face_sum(
+                    bar_faces(sa, p + 1, n), (p, n), (p + 1, n),
+                    lambda c, size=sizes[n]: rho_inv[c // size % order])
+            if n < n_top:
+                d_v[(p, n)] = face_sum(base_faces(sa, p, n + 1), (p, n),
+                                       (p, n + 1))
     return DoubleComplex(field, (0, n_top), (0, n_top), dims, d_h, d_v,
                          boundary_total_degree=n_top - 1)
 
 
 def _as_module(coeff, group):
-    from .groupcoh import GModule, trivial_module
     if isinstance(coeff, GModule):
         return coeff
     return trivial_module(group, coeff)
 
 
-def _orbit_data(group, perms):
-    npts = len(perms[0]) if perms else 0
-    seen = set()
-    orbits = []
-    for x in range(npts):
-        if x in seen:
-            continue
-        orbit = sorted({perms[gi][x] for gi in range(group.order)})
-        seen.update(orbit)
-        rep = orbit[0]
-        stab = [gi for gi in range(group.order) if perms[gi][rep] == rep]
-        orbits.append((rep, orbit, stab))
-    return orbits
-
-
-def quotient_cohomology_oracle(group, perms, module, degree: int) -> int:
-    """H^degree of the action groupoid of a finite G-set, via stabilisers.
+def quotient_cohomology_oracle(group, perms, module, degrees) -> list:
+    """H^r of the action groupoid of a finite G-set, for each r in degrees.
 
     Independent of the double-complex route: sums bar-complex cohomology
-    of the stabiliser of one representative per orbit.
+    of the stabiliser of one representative per orbit, with one
+    stabiliser, one restricted module and one bar complex per orbit, up
+    to the highest degree asked for.
     """
-    from .groupcoh import bar_complex, restrict_module
-    from .stackact import subgroup
-    total = 0
-    for rep, orbit, stab in _orbit_data(group, perms):
-        sub, members = subgroup(group, stab)
-        mod = restrict_module(module, members, sub)
-        c = bar_complex(mod, degree + 1)
-        total += cohomology(c, degree)
-    return total
-
-
-def _run_pages(dc: DoubleComplex, filtration: str, r_max, dims_only):
-    """Pages, total complex and convergence report of one run.
-
-    The filtered complex is totalized once: pages reads its D^n from the
-    total complex that convergence_check ranks.  For rows that is the
-    total of the transpose, which has the same cohomology.
-    """
-    total = total_complex(_filtered(dc, filtration))
-    page_list = pages(dc, filtration, r_max=r_max, dims_only=dims_only,
-                      total=total)
-    return page_list, total, convergence_check(page_list, total)
+    degrees = list(degrees)
+    totals = [0] * len(degrees)
+    seen = set()
+    for x in range(len(perms[0]) if perms else 0):
+        if x in seen:
+            continue    # x is the smallest point of each orbit met here
+        seen.update(perm[x] for perm in perms)
+        sub, members = subgroup(group, [gi for gi, perm in enumerate(perms)
+                                        if perm[x] == x])
+        c = bar_complex(restrict_module(module, members, sub),
+                        max(degrees, default=0) + 1)
+        for k, r in enumerate(degrees):
+            totals[k] += cohomology(c, r)
+    return totals
 
 
 @dataclass
@@ -585,112 +520,95 @@ class SSRunReport:
         return self.pages[-1]
 
 
-def atlas_ss(a, coeff, n_top: int, r_max: int | None = None,
-             dims_only: bool = False,
-             max_total: int | None = None) -> SSRunReport:
+def _run_pages(dc: DoubleComplex, filtration: str,
+               dims_only: bool) -> SSRunReport:
+    """Pages, total complex and convergence report of a run on dc; the
+    runner fills in the identification.
+
+    The filtered complex is totalized once: pages reads its D^n from the
+    total complex that convergence_check ranks.  For rows that is the
+    total of the transpose, which has the same cohomology.
+    """
+    total = total_complex(_filtered(dc, filtration))
+    page_list = pages(dc, filtration, dims_only=dims_only, total=total)
+    return SSRunReport(page_list, dc, total, [],
+                       convergence_check(page_list, total))
+
+
+def _borel_run(a, coeff, n_top: int, filtration: str, dims_only: bool):
+    """The action, the module and the report of a run on the Borel double
+    complex, cut above total degree n_top + 1."""
+    sa = as_simplicial_action(a, n_top)
+    module = _as_module(coeff, sa.group)
+    dc = borel_double_complex(sa, module, n_top, max_total=n_top + 1)
+    return sa, module, _run_pages(dc, filtration, dims_only)
+
+
+def atlas_ss(a, coeff, n_top: int, dims_only: bool = False) -> SSRunReport:
     """Filtration by the simplicial level; E_1 column at level n is the
     cohomology of the quotient of the level-n cell set, verified against
     the stabiliser oracle on every unflagged entry."""
-    from .stackact import as_simplicial_action
-    sa = as_simplicial_action(a, n_top)
-    module = _as_module(coeff, sa.group)
-    if max_total is None:
-        max_total = n_top + 1
-    dc = borel_double_complex(sa, module, n_top, max_total=max_total)
-    page_list, total, convergence = _run_pages(dc, "rows", r_max, dims_only)
-    e1 = next(p for p in page_list if p.r == 1)
-    identification = []
-    flag_bound = dc.boundary_total_degree
-    perms = {}
-    for (n, r), dim in sorted(e1.entries.items()):
-        if flag_bound is not None and n + r >= flag_bound:
-            continue
-        if n not in perms:
-            perms[n] = [tuple(sa.act(gi, n, c)
-                              for c in range(sa.space.size(n)))
-                        for gi in range(sa.group.order)]
-        expected = quotient_cohomology_oracle(sa.group, perms[n], module, r)
-        identification.append({"level": n, "degree": r, "page": dim,
-                               "oracle": expected, "ok": dim == expected})
-    return SSRunReport(page_list, dc, total, identification, convergence)
+    sa, module, report = _borel_run(a, coeff, n_top, "rows", dims_only)
+    e1 = next(p for p in report.pages if p.r == 1)
+    degrees = {}
+    for (n, r) in sorted(e1.entries):
+        if n + r < report.dc.boundary_total_degree:
+            degrees.setdefault(n, []).append(r)
+    for n, rs in degrees.items():
+        perms = [sa.maps[gi][n] for gi in range(sa.group.order)]
+        oracle = quotient_cohomology_oracle(sa.group, perms, module, rs)
+        for r, expected in zip(rs, oracle):
+            dim = e1.entries[(n, r)]
+            report.identification.append(
+                {"level": n, "degree": r, "page": dim, "oracle": expected,
+                 "ok": dim == expected})
+    return report
 
 
-def discrete_borel_ss(a, coeff, n_top: int, r_max: int | None = None,
-                      dims_only: bool = False,
-                      max_total: int | None = None) -> SSRunReport:
+def discrete_borel_ss(a, coeff, n_top: int,
+                      dims_only: bool = False) -> SSRunReport:
     """Filtration by the group degree; E_2 at (p, q) is group cohomology
     with coefficients in H^q of the base, verified against the bar oracle
     on every unflagged entry."""
-    from .groupcoh import bar_complex, module_tensor, action_on_cohomology
-    from .stackact import as_simplicial_action
-    sa = as_simplicial_action(a, n_top)
-    module = _as_module(coeff, sa.group)
-    if max_total is None:
-        max_total = n_top + 1
-    dc = borel_double_complex(sa, module, n_top, max_total=max_total)
-    page_list, total, convergence = _run_pages(dc, "columns", r_max,
-                                               dims_only)
-    e2 = next(p for p in page_list if p.r == 2)
-    identification = []
-    flag_bound = dc.boundary_total_degree
+    sa, module, report = _borel_run(a, coeff, n_top, "columns", dims_only)
+    e2 = next(p for p in report.pages if p.r == 2)
     h_modules = {}
     for (p, q), dim in sorted(e2.entries.items()):
-        if flag_bound is not None and p + q >= flag_bound:
+        if p + q >= report.dc.boundary_total_degree:
             continue
         if q not in h_modules:
             base_mod = action_on_cohomology(sa, module.field, q, n_top=n_top)
             h_modules[q] = module_tensor(base_mod, module)
-        coeff_mod = h_modules[q]
-        bar = bar_complex(coeff_mod, p + 1)
-        expected = cohomology(bar, p)
-        identification.append({"p": p, "q": q, "page": dim,
-                               "oracle": expected, "ok": dim == expected})
-    return SSRunReport(page_list, dc, total, identification, convergence)
+        expected = cohomology(bar_complex(h_modules[q], p + 1), p)
+        report.identification.append({"p": p, "q": q, "page": dim,
+                                      "oracle": expected,
+                                      "ok": dim == expected})
+    return report
 
 
 def borel_triple_complex(sa, coeffs: CoefficientComplex, n_top: int,
                          max_total: int | None = None) -> TripleComplex:
-    """Axes (group degree, simplicial level, coefficient degree)."""
+    """Axes (group degree, simplicial level, coefficient degree); each
+    coefficient degree r is the Borel double complex of its module."""
     field = coeffs.modules[0].field
-    g = sa.group
-    s = sa.space
-    order = g.order
-    sizes = [s.size(n) for n in range(n_top + 1)]
     m = coeffs.length
-    dims = {}
-    for p in range(n_top + 1):
-        for n in range(n_top + 1):
-            for r in range(m):
-                if max_total is not None and p + n + r > max_total:
-                    dims[(p, n, r)] = 0
-                else:
-                    dims[(p, n, r)] = (order ** p) * sizes[n] * \
-                        coeffs.modules[r].dim
-
-    d0 = {}
-    d1 = {}
-    d2 = {}
-    for r in range(m):
+    dims, d0, d1, d2 = {}, {}, {}, {}
+    for r, module in enumerate(coeffs.modules):
         cut = None if max_total is None else max_total - r
-        sub = borel_double_complex(sa, coeffs.modules[r], n_top,
-                                   max_total=cut)
-        for (p, n), mat in sub.d_h.items():
-            d0[(p, n, r)] = mat
-        for (p, n), mat in sub.d_v.items():
-            d1[(p, n, r)] = mat
+        sub = borel_double_complex(sa, module, n_top, max_total=cut)
+        for part, whole in ((sub.dims, dims), (sub.d_h, d0), (sub.d_v, d1)):
+            whole.update({(p, n, r): v for (p, n), v in part.items()})
     for r in range(m - 1):
         diff = coeffs.diffs[r]
         src_dim = coeffs.modules[r].dim
         dst_dim = coeffs.modules[r + 1].dim
         for p in range(n_top + 1):
-            count = order ** p
             for n in range(n_top + 1):
                 if dims[(p, n, r + 1)] == 0:
                     d2[(p, n, r)] = Mat.zero(0, dims[(p, n, r)], field)
                     continue
-                cells = count * sizes[n]
                 entries = {}
-                for cell in range(cells):
+                for cell in range(sa.group.order ** p * sa.space.size(n)):
                     for (rr, cc), v in diff.entries.items():
                         entries[(cell * dst_dim + rr, cell * src_dim + cc)] = v
                 d2[(p, n, r)] = Mat(dims[(p, n, r + 1)], dims[(p, n, r)],
@@ -701,8 +619,7 @@ def borel_triple_complex(sa, coeffs: CoefficientComplex, n_top: int,
 
 
 def hyper_ss(a, coeffs: CoefficientComplex, mode: str, n_top: int,
-             r_max: int | None = None, dims_only: bool = False,
-             max_total: int | None = None) -> SSRunReport:
+             dims_only: bool = False) -> SSRunReport:
     """Spectral sequence with coefficients in a bounded complex of modules.
 
     mode "atlas" collapses (group, coefficient) and filters by level;
@@ -710,11 +627,8 @@ def hyper_ss(a, coeffs: CoefficientComplex, mode: str, n_top: int,
     group degree.  With a single-module complex both reduce exactly to the
     corresponding plain runs.
     """
-    from .stackact import as_simplicial_action
     sa = as_simplicial_action(a, n_top)
-    if max_total is None:
-        max_total = n_top + 1
-    tc = borel_triple_complex(sa, coeffs, n_top, max_total=max_total)
+    tc = borel_triple_complex(sa, coeffs, n_top, max_total=n_top + 1)
     if mode == "atlas":
         dc = collapse_triple(tc, pair=(0, 2),
                              boundary_total_degree=n_top - 1)
@@ -725,6 +639,4 @@ def hyper_ss(a, coeffs: CoefficientComplex, mode: str, n_top: int,
         filtration = "columns"
     else:
         raise ValueError("mode must be 'atlas' or 'discrete-borel'")
-    page_list, total, convergence = _run_pages(dc, filtration, r_max,
-                                               dims_only)
-    return SSRunReport(page_list, dc, total, [], convergence)
+    return _run_pages(dc, filtration, dims_only)

@@ -2,10 +2,19 @@
 
 The homotopy-quotient machinery runs on a level-wise group action on a
 truncated semi-simplicial set (SimplicialGAction); a functorial action on
-a groupoid atlas induces one on the nerve.  Face conventions follow the
-two-sided bar construction and are never trusted.  Each object is
-checked once, at construction: groups, actions and the Borel objects run
-their exhaustive axiom, functoriality or simplicial-identity check in
+a groupoid atlas induces one on the nerve.  _check_permutation_action is
+the one check of an action law on a finite set.
+
+The Borel construction is the bisimplicial G^p x X_n of the two-sided
+bar construction (Segal, Publ. IHES 34, 1968), and bar_faces and
+base_faces are the one place its faces are written: borel_object
+composes them, borel_bisimplicial stores them and
+spectra.borel_double_complex sums them.  The oracles
+groupcoh.bar_complex and getzler.dbar write the bar formula themselves.
+
+Face conventions are never trusted.  Each object is checked once, at
+construction: groups, actions and the Borel objects run their
+exhaustive axiom, functoriality or simplicial-identity check in
 __post_init__ (a failing build aborts with SimplicialIdentityFailure or
 NotFunctorial), and no consumer checks an argument again.
 """
@@ -124,6 +133,24 @@ def one_object_groupoid(group: FiniteGroup) -> FiniteGroupoid:
                           tuple(group.inverse(i) for i in range(n)))
 
 
+def _check_permutation_action(group: FiniteGroup, perms, size: int, error):
+    """The action law of perms (one tuple per element) on range(size):
+    the identity acts trivially, each element is a bijection, and
+    g(hx) = (gh)x.  A failure raises error(message)."""
+    if len(perms) != group.order:
+        raise error("one permutation per group element required")
+    if perms[group.identity] != tuple(range(size)):
+        raise error("identity must act trivially")
+    for gi, perm in enumerate(perms):
+        if sorted(perm) != list(range(size)):
+            raise error(f"element {group.elements[gi]} is not a bijection")
+    for gi, pg in enumerate(perms):
+        for hi, ph in enumerate(perms):
+            pgh = perms[group.mul[gi][hi]]
+            if any(pg[ph[x]] != pgh[x] for x in range(size)):
+                raise error("the action is not a group action")
+
+
 @dataclass
 class GroupoidAction:
     """A finite group acting strictly and functorially on a groupoid atlas."""
@@ -140,18 +167,13 @@ class GroupoidAction:
 
     def validate(self):
         g, a = self.group, self.atlas
-        if len(self.act_obj) != g.order or len(self.act_mor) != g.order:
-            raise NotFunctorial("one permutation per group element required")
-        e = g.identity
-        if self.act_obj[e] != tuple(range(a.n_objects)) or \
-                self.act_mor[e] != tuple(range(a.n_morphisms)):
-            raise NotFunctorial("identity element must act as the identity")
+        _check_permutation_action(g, self.act_obj, a.n_objects,
+                                  NotFunctorial)
+        _check_permutation_action(g, self.act_mor, a.n_morphisms,
+                                  NotFunctorial)
         for gi in range(g.order):
             obj = self.act_obj[gi]
             mor = self.act_mor[gi]
-            if sorted(obj) != list(range(a.n_objects)) or \
-                    sorted(mor) != list(range(a.n_morphisms)):
-                raise NotFunctorial(f"element {g.elements[gi]} is not a bijection")
             for m in range(a.n_morphisms):
                 if a.mor_src[mor[m]] != obj[a.mor_src[m]] or \
                         a.mor_tgt[mor[m]] != obj[a.mor_tgt[m]]:
@@ -166,15 +188,6 @@ class GroupoidAction:
                 if a.comp[(mor[m1], mor[m2])] != mor[m3]:
                     raise NotFunctorial(
                         f"element {g.elements[gi]} does not preserve composition")
-        for gi in range(g.order):
-            for hi in range(g.order):
-                gh = g.mul[gi][hi]
-                for x in range(a.n_objects):
-                    if self.act_obj[gi][self.act_obj[hi][x]] != self.act_obj[gh][x]:
-                        raise NotFunctorial("object action is not a group action")
-                for m in range(a.n_morphisms):
-                    if self.act_mor[gi][self.act_mor[hi][m]] != self.act_mor[gh][m]:
-                        raise NotFunctorial("morphism action is not a group action")
 
 
 @dataclass
@@ -195,23 +208,10 @@ class SimplicialGAction:
 
     def validate(self):
         g, s = self.group, self.space
-        if len(self.maps) != g.order:
-            raise NotFunctorial("one map per group element required")
-        e = g.identity
         for n in range(s.trunc + 1):
-            size = s.size(n)
-            if self.maps[e][n] != tuple(range(size)):
-                raise NotFunctorial("identity must act trivially")
-            for gi in range(g.order):
-                if sorted(self.maps[gi][n]) != list(range(size)):
-                    raise NotFunctorial(
-                        f"element {g.elements[gi]} not bijective at level {n}")
-            for gi in range(g.order):
-                for hi in range(g.order):
-                    gh = g.mul[gi][hi]
-                    for c in range(size):
-                        if self.act(gi, n, self.act(hi, n, c)) != self.act(gh, n, c):
-                            raise NotFunctorial("group law fails on levels")
+            _check_permutation_action(
+                g, [per_g[n] for per_g in self.maps], s.size(n),
+                lambda message: NotFunctorial(f"{message} at level {n}"))
         for n in range(1, s.trunc + 1):
             for gi in range(g.order):
                 for c in range(s.size(n)):
@@ -276,12 +276,55 @@ def _tuples(group: FiniteGroup, n: int):
     return list(itertools.product(range(group.order), repeat=n))
 
 
+def bar_faces(sa: SimplicialGAction, p: int, n: int):
+    """Yield the p + 1 bar faces G^p x X_n -> G^(p-1) x X_n (p >= 1),
+    each an iterator over the source cells giving the target index.
+
+    Cell (g_1, .., g_p, x) has index t * |X_n| + x, where t is the
+    position of the tuple in lexicographic order.  d_0 drops g_1, inner
+    d_i multiplies g_i g_{i+1}, and d_p drops g_p and moves x by it.
+    """
+    g, size = sa.group, sa.space.size(n)
+    order = g.order
+    tuples = range(order ** p)
+    for i in range(p):
+        low = order ** (p - i - 1)      # tuples of the entries after g_{i+1}
+        if i == 0:
+            targets = [t % low for t in tuples]
+        else:
+            targets = []
+            for t in tuples:
+                head, rest = divmod(t, low * order * order)
+                a, rest = divmod(rest, low * order)
+                b, tail = divmod(rest, low)
+                targets.append((head * order + g.mul[a][b]) * low + tail)
+        yield (u * size + x
+               for u, x in itertools.product(targets, range(size)))
+    moves = [sa.maps[gi][n] for gi in range(order)]
+    yield (t // order * size + x for t in tuples for x in moves[t % order])
+
+
+def base_faces(sa: SimplicialGAction, p: int, n: int):
+    """Yield the n + 1 base faces G^p x X_n -> G^p x X_(n-1), each an
+    iterator over the source cells: (g_1, .., g_p, x) -> (g_1, .., g_p,
+    d_j x)."""
+    prev = sa.space.size(n - 1)
+    tuples = range(sa.group.order ** p)
+    for face in sa.space.faces[n]:
+        yield (t * prev + y for t, y in itertools.product(tuples, face))
+
+
+def _interned(faces, ints):
+    """Each face as a tuple whose entries are the shared objects of ints,
+    so the stored tables hold one int object per target cell."""
+    for face in faces:
+        yield tuple(map(ints.__getitem__, face))
+
+
 def borel_object(sa: SimplicialGAction, n_top: int | None = None) -> BorelObject:
     """Diagonal homotopy-quotient object: level n = G^n x X_n.
 
-    d_0 drops g_1 and takes the 0th base face; inner d_i multiplies
-    g_i g_{i+1} and takes the i-th base face; d_n drops g_n and applies it
-    to the last base face.
+    d_i is bar face i after base face i, composed one face at a time.
     """
     s = sa.space
     g = sa.group
@@ -289,28 +332,13 @@ def borel_object(sa: SimplicialGAction, n_top: int | None = None) -> BorelObject
         n_top = s.trunc
     if n_top > s.trunc:
         raise InvariantViolation("base space truncated too low")
-    cells = []
-    for n in range(n_top + 1):
-        cells.append(tuple((gs, x) for gs in _tuples(g, n)
-                           for x in range(s.size(n))))
-    faces = [()]
-    for n in range(1, n_top + 1):
-        index = {c: i for i, c in enumerate(cells[n - 1])}
-        level_faces = []
-        for i in range(n + 1):
-            fm = []
-            for (gs, x) in cells[n]:
-                fx = s.face(n, i, x)
-                if i == 0:
-                    target = (gs[1:], fx)
-                elif i < n:
-                    merged = gs[:i - 1] + (g.mul[gs[i - 1]][gs[i]],) + gs[i + 1:]
-                    target = (merged, fx)
-                else:
-                    target = (gs[:-1], sa.act(gs[n - 1], n - 1, fx))
-                fm.append(index[target])
-            level_faces.append(tuple(fm))
-        faces.append(tuple(level_faces))
+    cells = [tuple((gs, x) for gs in _tuples(g, n) for x in range(s.size(n)))
+             for n in range(n_top + 1)]
+    ints = list(range(max(map(len, cells[:-1]), default=0)))
+    faces = [()] + [tuple(tuple(bar[c] for c in base) for bar, base in
+                          zip(_interned(bar_faces(sa, n, n - 1), ints),
+                              base_faces(sa, n, n)))
+                    for n in range(1, n_top + 1)]
     try:
         space = SemiSimplicialSet(tuple(cells), tuple(faces))
     except SimplicialIdentityFailure as exc:
@@ -327,54 +355,36 @@ def borel_bisimplicial(sa: SimplicialGAction, n_top: int | None = None,
                        max_total: int | None = None) -> BiSemiSimplicialSet:
     """Bisimplicial object with cells (p, n) = G^p x X_n.
 
-    Horizontal faces are the bar faces (last one twisted through the
-    action); vertical faces come from the base space.  max_total empties
-    the blocks with p + n beyond it; faces only ever lower the total, so
-    the cut object stays valid and all certified degrees are unchanged.
+    Horizontal faces are bar_faces, vertical faces base_faces.  max_total
+    empties the blocks with p + n beyond it; faces only ever lower the
+    total, so the cut object stays valid and all certified degrees are
+    unchanged.
     """
     s = sa.space
     g = sa.group
     if n_top is None:
         n_top = s.trunc
-    cells = {}
+
+    def kept(p, n):
+        return max_total is None or p + n <= max_total
+
+    ints = list(range(max(g.order ** p * s.size(n) for p in range(n_top + 1)
+                          for n in range(n_top + 1) if kept(p, n))))
+
+    def stored(faces, p, n, count):
+        return tuple(_interned(faces, ints)) if kept(p, n) else ((),) * count
+
+    cells, faces_h, faces_v = {}, {}, {}
     for p in range(n_top + 1):
         tup = _tuples(g, p)
         for n in range(n_top + 1):
-            if max_total is not None and p + n > max_total:
-                cells[(p, n)] = ()
-                continue
             cells[(p, n)] = tuple((gs, x) for gs in tup
-                                  for x in range(s.size(n)))
-    faces_h = {}
-    faces_v = {}
-    for p in range(n_top + 1):
-        for n in range(n_top + 1):
+                                  for x in range(s.size(n))) \
+                if kept(p, n) else ()
             if p >= 1:
-                index = {c: i for i, c in enumerate(cells[(p - 1, n)])}
-                per_i = []
-                for i in range(p + 1):
-                    fm = []
-                    for (gs, x) in cells[(p, n)]:
-                        if i == 0:
-                            target = (gs[1:], x)
-                        elif i < p:
-                            merged = gs[:i - 1] + (g.mul[gs[i - 1]][gs[i]],) \
-                                + gs[i + 1:]
-                            target = (merged, x)
-                        else:
-                            target = (gs[:-1], sa.act(gs[p - 1], n, x))
-                        fm.append(index[target])
-                    per_i.append(tuple(fm))
-                faces_h[(p, n)] = tuple(per_i)
+                faces_h[(p, n)] = stored(bar_faces(sa, p, n), p, n, p + 1)
             if n >= 1:
-                index = {c: i for i, c in enumerate(cells[(p, n - 1)])}
-                per_j = []
-                for j in range(n + 1):
-                    fm = []
-                    for (gs, x) in cells[(p, n)]:
-                        fm.append(index[(gs, s.face(n, j, x))])
-                    per_j.append(tuple(fm))
-                faces_v[(p, n)] = tuple(per_j)
+                faces_v[(p, n)] = stored(base_faces(sa, p, n), p, n, n + 1)
     try:
         return BiSemiSimplicialSet(n_top, n_top, cells, faces_h, faces_v)
     except SimplicialIdentityFailure as exc:
@@ -394,9 +404,9 @@ def equivariant_cohomology(a, field: Field, degrees, n_top: int | None = None,
     if n_top is None:
         n_top = max(degrees) + 2
     sa = as_simplicial_action(a, n_top)
-    bo = borel_object(sa, n_top)
-    complex_diag = cochains(bo.space, field)
+    complex_diag = cochains(borel_object(sa, n_top).space, field)
     dims = [cohomology(complex_diag, n) for n in degrees]
+    del complex_diag    # not held while the totalization is built
     if check_total:
         bis = borel_bisimplicial(sa, n_top, max_total=n_top + 1)
         tot = total_complex(total_cochains(bis, field))
@@ -409,30 +419,11 @@ def equivariant_cohomology(a, field: Field, degrees, n_top: int | None = None,
     return dims
 
 
-def validate_set_action(group: FiniteGroup, perms) -> tuple:
-    perms = tuple(tuple(p) for p in perms)
-    npts = len(perms[0]) if perms else 0
-    if len(perms) != group.order:
-        raise InvariantViolation("one permutation per group element required")
-    e = group.identity
-    if perms[e] != tuple(range(npts)):
-        raise InvariantViolation("identity must act trivially")
-    for gi, p in enumerate(perms):
-        if sorted(p) != list(range(npts)):
-            raise InvariantViolation(f"element {gi} is not a permutation")
-    for gi in range(group.order):
-        for hi in range(group.order):
-            gh = group.mul[gi][hi]
-            for x in range(npts):
-                if perms[gi][perms[hi][x]] != perms[gh][x]:
-                    raise InvariantViolation("set action law fails")
-    return perms
-
-
 def transformation_groupoid(group: FiniteGroup, perms) -> FiniteGroupoid:
     """Objects: the set; morphisms (g, x): x -> g.x with bar-compatible comp."""
-    perms = validate_set_action(group, perms)
-    npts = len(perms[0])
+    perms = tuple(tuple(p) for p in perms)
+    npts = len(perms[0]) if perms else 0
+    _check_permutation_action(group, perms, npts, InvariantViolation)
     mor = [(gi, x) for gi in range(group.order) for x in range(npts)]
     index = {m: i for i, m in enumerate(mor)}
     src = tuple(x for (_, x) in mor)
@@ -450,8 +441,8 @@ def transformation_groupoid(group: FiniteGroup, perms) -> FiniteGroupoid:
 
 def set_action_on_trivial_groupoid(group: FiniteGroup, perms) -> GroupoidAction:
     """The same set action, packaged as an action on the trivial groupoid."""
-    perms = validate_set_action(group, perms)
-    atlas = trivial_groupoid(len(perms[0]))
+    perms = tuple(perms)
+    atlas = trivial_groupoid(len(perms[0]) if perms else 0)
     return GroupoidAction(group, atlas, perms, perms)
 
 

@@ -73,6 +73,11 @@ class TestParsing:
         assert "--trunc" in err or "truncation" in err
 
 
+class Literal(str):
+    """JSON text that _mutated writes as it is, for values json.dumps
+    cannot write (an integer longer than Python's int-string limit)."""
+
+
 def _mutated(tmp_path, name, path, value):
     """A copy of fixture name with the entry at path replaced by value."""
     with open(fixture(name)) as handle:
@@ -80,9 +85,12 @@ def _mutated(tmp_path, name, path, value):
     node = data
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    node[path[-1]] = "@literal@" if isinstance(value, Literal) else value
+    text = json.dumps(data)
+    if isinstance(value, Literal):
+        text = text.replace('"@literal@"', value)
     out = tmp_path / name
-    out.write_text(json.dumps(data))
+    out.write_text(text)
     return str(out)
 
 
@@ -153,6 +161,12 @@ BAD_INDEX_TABLES = {
     "weyl-singular": ("cartan_point.json", ["weyl", 0], [[0]], "/weyl/0"),
     "weyl-too-large": ("z2_point.json", ["weyl"], [[[1] * 17] * 17],
                        "/weyl/0"),
+    # two reflections of order 2 whose product has infinite order
+    "weyl-infinite-group": ("z2_point.json", ["weyl"],
+                            [[[-1, 0], [0, 1]], [[-1, 1], [0, 1]]], "/weyl"),
+    # more digits than int() reads from text
+    "int-too-long": ("point.json", ["groupoid", "morphisms", 0, "src"],
+                     Literal("7" * 5000), "/groupoid/morphisms/0/src"),
     "weyl-on-algebra-type": ("cartan_point.json", ["weyl_on_algebra"], 5,
                              "/weyl_on_algebra"),
     # morphism ends are checked against the object count

@@ -105,3 +105,41 @@ def test_one_input_walker():
     found = [node.lineno for node in ast.walk(tree)
              if _shape_check(node) and id(node) not in allowed]
     assert found == []
+
+
+def _functions(name):
+    tree = ast.parse(Path(stackcoh.__file__).with_name(name).read_text())
+    return {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def _names(node) -> set:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_borel_faces_written_once():
+    # stackact.bar_faces and base_faces are the one place the faces of
+    # G^p x X_n are written; a borel_* builder that reads a group's
+    # multiplication table writes the bar faces a second time
+    builders = {f"{module}:{name}": fn
+                for module in ("spectra.py", "stackact.py")
+                for name, fn in _functions(module).items()
+                if name.startswith("borel_")}
+    assert len(builders) == 4
+    found = [key for key, fn in builders.items() if "mul" in _names(fn)]
+    assert found == []
+
+
+def test_oracles_keep_their_own_bar_formula():
+    # the oracles of the Borel routes neither read the shared faces nor
+    # build a double complex
+    oracles = {"groupcoh.py": "bar_complex", "getzler.py": "dbar",
+               "spectra.py": "quotient_cohomology_oracle"}
+    route = {"bar_faces", "base_faces", "borel_double_complex",
+             "borel_triple_complex", "borel_bisimplicial", "DoubleComplex",
+             "total_cochains"}
+    found = {name: _names(_functions(module)[name]) & route
+             for module, name in oracles.items()}
+    assert found == {name: set() for name in oracles.values()}

@@ -376,9 +376,35 @@ class TestAtlas:
         module = trivial_module(g, QQ)
         t = transformation_groupoid(g, perms)
         c = cochains(nerve(t, 4), QQ)
-        for r in range(3):
-            assert quotient_cohomology_oracle(g, perms, module, r) == \
-                cohomology(c, r)
+        assert quotient_cohomology_oracle(g, perms, module, range(3)) == \
+            [cohomology(c, r) for r in range(3)]
+
+    def test_one_oracle_input_per_level_and_orbit(self, monkeypatch):
+        # every level of z2_s0_swap has one orbit, so the run builds one
+        # stabiliser, one restricted module and one bar complex per level
+        # it checks, besides the trivial module of the coefficients
+        from stackcoh import groupcoh, stackact
+        from stackcoh.models import corpus_by_name
+        action = corpus_by_name("z2_s0_swap_q").action(6)
+        counts = {}
+
+        def counted(owner, name, label):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[label] = counts.get(label, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(stackact.FiniteGroup, "__init__", "FiniteGroup")
+        counted(groupcoh.GModule, "__init__", "GModule")
+        counted(spectra, "bar_complex", "bar_complex")
+        rep = atlas_ss(action, QQ, 6)
+        levels = {row["level"] for row in rep.identification}
+        assert rep.ok and levels == set(range(5))
+        assert counts == {"FiniteGroup": len(levels),
+                          "GModule": len(levels) + 1,
+                          "bar_complex": len(levels)}
 
 
 class TestHyper:
