@@ -10,14 +10,16 @@ degrees <= 2P - (top degree of A).
 Conventions: dual generators u_a have cohomological degree 2; the Cartan
 differential is d - sum_a u_a (x) iota_a, built on the joint kernel of
 the Lie derivatives.  The Cartan complex is the total complex of
-cartan_double_complex, assembled by homalg.TotalLayout, the one
+cartan_double_complex, assembled by homalg.total_complex, the one
 totalization.
 
 Routes and oracles: cartan_cohomology is the route.  cartan_E1 computes
 S^p (x) H(A) from the algebra alone and checks the E_1 page of the
-double complex; torus_weyl_check compares the W-invariant cohomology
-with E_infinity and checks E_1 against Weyl-averaged traces, read off
-homalg.induced_cohomology_matrix on H(A).
+double complex; torus_weyl_check restricts W to A^g, takes the
+W-invariant total complex, its pages and its E_infinity sums from one
+spectra.pages run, compares the invariant cohomology with E_infinity and
+checks E_1 against Weyl-averaged traces, read off
+homalg.induced_cohomology_matrix on H(A^g).
 """
 
 from __future__ import annotations
@@ -49,13 +51,10 @@ class LieAlgebraData:
 
     dim: int
     structure: tuple
-    labels: tuple | None = None
 
     def __post_init__(self):
         self.structure = tuple(tuple(dict(cell) for cell in row)
                                for row in self.structure)
-        if self.labels is None:
-            self.labels = tuple(f"xi_{a + 1}" for a in range(self.dim))
         self.validate()
 
     def bracket(self, a: int, b: int) -> dict:
@@ -214,13 +213,21 @@ def validate_gdga(lie: LieAlgebraData, algebra: GDGA) -> dict:
     return {"valid": not failures, "failures": failures}
 
 
-def invariants_subalgebra(lie: LieAlgebraData, algebra: GDGA) -> GDGA:
-    """Joint kernel of the Lie derivatives, with the induced operators."""
+def _lie_invariant_bases(lie: LieAlgebraData, algebra: GDGA) -> list:
+    """Per degree m, a basis of the joint kernel of the L_a on A^m."""
+    return [joint_kernel([algebra.l_mat(a, m) for a in range(lie.dim)],
+                         algebra.dims[m], algebra.field)
+            for m in range(algebra.top + 1)]
+
+
+def invariants_subalgebra(lie: LieAlgebraData, algebra: GDGA,
+                          bases: list | None = None) -> GDGA:
+    """Joint kernel A^g of the Lie derivatives, with the induced
+    operators, in the given _lie_invariant_bases (computed if None)."""
     f = algebra.field
     top = algebra.top
-    bases = [joint_kernel([algebra.l_mat(a, m) for a in range(lie.dim)],
-                          algebra.dims[m], f)
-             for m in range(top + 1)]
+    if bases is None:
+        bases = _lie_invariant_bases(lie, algebra)
     dims = tuple(len(b) for b in bases)
 
     def restrict(op: Mat, src_m: int, dst_m: int, name: str) -> Mat:
@@ -510,7 +517,15 @@ def torus_weyl_check(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,
     """
     from .spectra import pages
     f = algebra.field
-    inv = invariants_subalgebra(lie, algebra)
+    bases = _lie_invariant_bases(lie, algebra)
+    inv = invariants_subalgebra(lie, algebra, bases)
+    # W acts on A; the Cartan model is built on A^g, so each map is
+    # restricted to A^g in the same bases
+    weyl_algebra_gens = [
+        tuple(_restrict(w, bases[m], bases[m], NonEquivariantInput(
+            f"W generator {k} leaves the Lie-invariant subalgebra at "
+            f"degree {m}")) for m, w in enumerate(ga))
+        for k, ga in enumerate(weyl_algebra_gens)]
     if degrees is None:
         degrees = list(range(max(2 * poly_trunc - inv.top, 0) + 1))
     dc = cartan_double_complex(lie, inv, poly_trunc)
@@ -575,16 +590,12 @@ def torus_weyl_check(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,
     dc_w = DoubleComplex(f, dc.p_range, dc.q_range, dims_w, d_h_w, d_v_w,
                          boundary_total_degree=dc.boundary_total_degree)
 
-    total_w = total_complex(dc_w)
-    series_inv = [cohomology(total_w, s) for s in degrees]
-
-    page_list = pages(dc_w, "columns", total=total_w)
-    e1 = next(p for p in page_list if p.r == 1)
-    e_inf = page_list[-1]
-    sums = {}
-    for (p, q), v in e_inf.entries.items():
-        sums[p + q] = sums.get(p + q, 0) + v
+    run = pages(dc_w, "columns")
+    series_inv = [cohomology(run.total, s) for s in degrees]
+    sums = {row["degree"]: row["e_inf_sum"]
+            for row in run.convergence["rows"]}
     series_einf = [sums.get(s, 0) for s in degrees]
+    e1 = next(p for p in run.pages if p.r == 1)
 
     # E_1 identification: averaged dims of (S^p (x) H^{q-p})^W
     base = inv.cochain_complex()

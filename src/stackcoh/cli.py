@@ -53,6 +53,11 @@ KINDS = ("cohomology", "equivariant", "spectral-atlas", "spectral-borel",
 # algebra, so its size has the same ceiling even when no lie is given.
 MAX_LEVEL_CELLS = 10_000
 MAX_LIE_DIM = 16
+# --trunc, --poly-trunc and the degrees (through the truncation d + 2
+# they need) size towers, ranges and polynomial bases that are built
+# before any check could see them.  The corpus peaks at truncation 8 and
+# polynomial truncation 7; the ceiling leaves eightfold headroom.
+MAX_TRUNC = 64
 
 
 @dataclass
@@ -537,11 +542,23 @@ def render(report: dict, out_format: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _bounded(value: int, flag: str, most: int = MAX_TRUNC) -> int:
+    if not 0 <= value <= most:
+        _fail(f"{flag} must be between 0 and {most}, got {value}", flag)
+    return value
+
+
 def _parse_degrees(text: str) -> list:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",")]
+    """a..b or a,b,...: each bound is checked before the range is built,
+    and a degree d needs truncation d + 2 <= MAX_TRUNC."""
+    span = ".." in text
+    ends = [int(x) for x in (text.split("..", 1) if span else text.split(","))]
+    for d in ends:
+        _bounded(d, "--degrees", MAX_TRUNC - 2)
+    degrees = list(range(ends[0], ends[1] + 1)) if span else ends
+    if not degrees:
+        _fail("the degree range is empty", "--degrees")
+    return degrees
 
 
 def _parse_int(text: str):
@@ -582,9 +599,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         degrees = _parse_degrees(args.degrees)
-        if not degrees or any(d < 0 for d in degrees):
-            _fail("degrees must be nonnegative", "--degrees")
-        trunc = args.trunc if args.trunc is not None else max(degrees) + 2
+        poly_trunc = _bounded(args.poly_trunc, "--poly-trunc")
+        trunc = _bounded(args.trunc, "--trunc") if args.trunc is not None \
+            else max(degrees) + 2
         if trunc < max(degrees) + 2:
             _fail(f"truncation {trunc} too small: need at least "
                   f"{max(degrees) + 2} for degree {max(degrees)}", "--trunc")
@@ -604,7 +621,7 @@ def main(argv=None) -> int:
         if field is None:
             field = data.get("field", QQ)
         job = JobSpec(kind=args.kind, field=field, trunc=trunc,
-                      poly_trunc=args.poly_trunc, degrees=degrees,
+                      poly_trunc=poly_trunc, degrees=degrees,
                       mode=getattr(args, "mode", "atlas"),
                       check_total=args.check_total)
         if args.check_only:

@@ -6,10 +6,12 @@ D^2 = 0 is a checkable postcondition rather than an input convention.
 Complexes built from truncated simplicial data carry a boundary degree:
 cohomology at or beyond it is refused unless explicitly overridden.
 
-TotalLayout.total_matrix is the one totalization: total_complex, the
-filtered total complex of the spectral pages, the Getzler model (the
-transposed Borel complex), the Cartan model and every face of
-collapse_triple assemble their total differentials through it.
+TotalLayout.total_matrix is the one totalization, with two callers:
+total_complex and collapse_triple.  Every total complex goes through
+total_complex: the one that spectra.pages builds once per run (and reads
+its D^n, its H^n and convergence from), the Getzler model (the
+transposed Borel complex) and the Cartan model.  collapse_triple
+totalizes each face of a triple complex.
 
 Routes and their oracles: the subquotient pages of spectra.pages and
 its rank table check each other; the E_1 / E_2 identifications are
@@ -48,7 +50,6 @@ class CochainComplex:
     field: Field
     dims: tuple
     diffs: tuple
-    labels: tuple | None = None
     boundary_degree: int | None = None
 
     def __post_init__(self):

@@ -173,11 +173,10 @@ def groupoid_from_tables(objects, src, tgt, comp) -> FiniteGroupoid:
                           tuple(ids), tuple(inv))
 
 
-def trivial_groupoid(k: int, labels=None) -> FiniteGroupoid:
+def trivial_groupoid(k: int) -> FiniteGroupoid:
     """Disjoint union of k points: only identity morphisms."""
-    objects = tuple(labels) if labels is not None else tuple(range(k))
     comp = {(m, m): m for m in range(k)}
-    return FiniteGroupoid(objects, tuple(range(k)), tuple(range(k)), comp,
+    return FiniteGroupoid(tuple(range(k)), tuple(range(k)), tuple(range(k)), comp,
                           tuple(range(k)), tuple(range(k)))
 
 
@@ -259,17 +258,12 @@ def _face_sum(face_maps, rows: int, cols: int, module_dim: int,
     return Mat(rows, cols, entries, field)
 
 
-def cochains(s: SemiSimplicialSet, field: Field,
-             module_dim: int = 1) -> CochainComplex:
-    """Field-valued cochains; the differential is the alternating face sum.
-
-    module_dim > 1 gives vector-valued (untwisted) cochains.
-    """
-    dims = [s.size(n) * module_dim for n in range(s.trunc + 1)]
-    diffs = [_face_sum(s.faces[n + 1], dims[n + 1], dims[n], module_dim, field)
+def cochains(s: SemiSimplicialSet, field: Field) -> CochainComplex:
+    """Field-valued cochains; the differential is the alternating face sum."""
+    dims = [s.size(n) for n in range(s.trunc + 1)]
+    diffs = [_face_sum(s.faces[n + 1], dims[n + 1], dims[n], 1, field)
              for n in range(s.trunc)]
-    labels = s.cells if module_dim == 1 else None
-    return CochainComplex(field, tuple(dims), tuple(diffs), labels=labels,
+    return CochainComplex(field, tuple(dims), tuple(diffs),
                           boundary_degree=s.trunc)
 
 
@@ -367,27 +361,23 @@ def diagonal(b: BiSemiSimplicialSet) -> SemiSimplicialSet:
     return SemiSimplicialSet(tuple(cells), tuple(faces))
 
 
-def total_cochains(b: BiSemiSimplicialSet, field: Field,
-                   module_dim: int = 1) -> DoubleComplex:
+def total_cochains(b: BiSemiSimplicialSet, field: Field) -> DoubleComplex:
     """Functions on cells[(p, n)] with commuting alternating-sum differentials.
 
     The truncation flag marks total degrees >= min(trunc) - 1 as
     boundary-unreliable for spectral sequence reports.
     """
-    dims = {}
-    d_h = {}
-    d_v = {}
-    for p in range(b.trunc_h + 1):
-        for n in range(b.trunc_v + 1):
-            dims[(p, n)] = b.size(p, n) * module_dim
+    dims = {(p, n): b.size(p, n)
+            for p in range(b.trunc_h + 1) for n in range(b.trunc_v + 1)}
+    d_h, d_v = {}, {}
     for p in range(b.trunc_h):
         for n in range(b.trunc_v + 1):
             d_h[(p, n)] = _face_sum(b.faces_h[(p + 1, n)], dims[(p + 1, n)],
-                                    dims[(p, n)], module_dim, field)
+                                    dims[(p, n)], 1, field)
     for p in range(b.trunc_h + 1):
         for n in range(b.trunc_v):
             d_v[(p, n)] = _face_sum(b.faces_v[(p, n + 1)], dims[(p, n + 1)],
-                                    dims[(p, n)], module_dim, field)
+                                    dims[(p, n)], 1, field)
 
     return DoubleComplex(field, (0, b.trunc_h), (0, b.trunc_v), dims, d_h, d_v,
                          boundary_total_degree=min(b.trunc_h, b.trunc_v) - 1)

@@ -40,6 +40,10 @@ by updating persistence in linear time", SoCG 2006; Bauer et al.,
 "PHAT", J. Symb. Comput. 78, 2017).  So one pass per degree gives the
 rank for every filtration start p0 and every boundary t.
 
+pages is the whole run: it totalizes the filtered complex once, reads
+every D^n from that total and compares E_infinity with its H^n; the
+runners and cartan.torus_weyl_check add only their identifications.
+
 The d_r solve in pages is the route that the "coordinates in H^n"
 oracle (homalg.induced_cohomology_matrix) checks, so it stays a separate
 solve; the homalg docstring lists every route and its oracle.
@@ -97,35 +101,22 @@ class SpectralSequencePage:
 
 
 class _FilteredTotal:
-    """Column-filtered total complex with cached progressive kernels.
+    """Column-filtered total complex with cached progressive kernels;
+    dc is totalized once, and the D^n are that total's differentials."""
 
-    total, when given, is total_complex(dc): its differentials are used
-    as the D^n, so the complex is totalized once.
-    """
-
-    def __init__(self, dc: DoubleComplex,
-                 total: CochainComplex | None = None):
+    def __init__(self, dc: DoubleComplex):
         self.dc = dc
         self.field = dc.field
         self.layout = TotalLayout(dc)
+        self.total = total_complex(dc)
         self.pmin, self.pmax = dc.p_range
-        self.qmin, self.qmax = dc.q_range
-        self._dmats = {}
-        if total is not None:
-            n_min = self.layout.n_min
-            if list(total.dims) != [self.total_dim(n) for n in
-                                    range(n_min, n_min + len(total.dims))]:
-                raise InvariantViolation(
-                    "total complex does not match the filtered complex")
-            self._dmats = {n_min + k: m for k, m in enumerate(total.diffs)}
         self._kernels = {}
         self._pairs = {}
         self._rank_tables = {}
 
     def dmat(self, n: int) -> Mat:
-        if n not in self._dmats:
-            self._dmats[n] = self.layout.total_matrix(n)
-        return self._dmats[n]
+        """D^n; the zero map out of the top degree."""
+        return self.total.diff(n - self.layout.n_min)
 
     def total_dim(self, n: int) -> int:
         return self.layout.total_dims.get(n, 0)
@@ -278,19 +269,37 @@ def _filtered(dc: DoubleComplex, filtration: str) -> DoubleComplex:
     raise ValueError("filtration must be 'columns' or 'rows'")
 
 
+@dataclass
+class SSRunReport:
+    """Pages plus the identification and convergence evidence.
+
+    total is the total complex of the filtered complex: of dc.transpose()
+    for the rows filtration, which has the same cohomology as dc's.
+    """
+
+    pages: list
+    dc: DoubleComplex
+    total: CochainComplex
+    identification: list
+    convergence: dict
+
+    @property
+    def ok(self) -> bool:
+        return self.convergence["ok"] and \
+            all(row["ok"] for row in self.identification)
+
+
 def pages(dc: DoubleComplex, filtration: str = "columns",
-          dims_only: bool = False,
-          total: CochainComplex | None = None) -> list:
-    """Pages E_0 .. E_stab of the filtered total complex.
+          dims_only: bool = False) -> SSRunReport:
+    """The run of dc filtered by columns or rows: pages E_0 .. E_stab,
+    the total complex of the filtered complex and its convergence report.
 
     The final page carries stabilized=True and equals E_infinity.  Each
     page r also checks d_r . d_r = 0 and that taking homology of page r
     reproduces page r+1 (subquotient route versus homology route).
-    total, when given, is the total complex of the filtered complex (dc,
-    or dc.transpose() for rows), and its differentials are the D^n.
     """
     work = _filtered(dc, filtration)
-    ft = _FilteredTotal(work, total)
+    ft = _FilteredTotal(work)
     r_stab = stabilization_page(work)
     flag_bound = work.boundary_total_degree
     pmin, pmax = work.p_range
@@ -382,7 +391,10 @@ def pages(dc: DoubleComplex, filtration: str = "columns",
                         f"({expected})")
         result.append(page)
         prev = page
-    return result
+    total = ft.total
+    del ft      # the kernel caches are not needed for convergence
+    return SSRunReport(result, dc, total, [],
+                       convergence_check(result, total))
 
 
 def convergence_check(page_list: list, total: CochainComplex) -> dict:
@@ -420,7 +432,7 @@ def convergence_check(page_list: list, total: CochainComplex) -> dict:
 # homotopy-quotient double/triple complexes and the assembled runs
 
 
-def borel_double_complex(sa, module, n_top: int | None = None,
+def borel_double_complex(sa, module, n_top: int,
                          max_total: int | None = None) -> DoubleComplex:
     """Blocks (p, n): module-valued functions on G^p x X_n.
 
@@ -436,8 +448,6 @@ def borel_double_complex(sa, module, n_top: int | None = None,
         raise InvariantViolation("module group does not match the action")
     field = module.field
     g = sa.group
-    if n_top is None:
-        n_top = sa.space.trunc
     order = g.order
     sizes = [sa.space.size(n) for n in range(n_top + 1)]
     dims = {(p, n): order ** p * sizes[n] * module.dim
@@ -496,52 +506,13 @@ def quotient_cohomology_oracle(group, perms, module, degrees) -> list:
     return totals
 
 
-@dataclass
-class SSRunReport:
-    """Pages plus the identification and convergence evidence.
-
-    total is the total complex of the filtered complex: of dc.transpose()
-    for the rows filtration, which has the same cohomology as dc's.
-    """
-
-    pages: list
-    dc: DoubleComplex
-    total: CochainComplex
-    identification: list
-    convergence: dict
-
-    @property
-    def ok(self) -> bool:
-        return self.convergence["ok"] and \
-            all(row["ok"] for row in self.identification)
-
-    @property
-    def e_infinity(self):
-        return self.pages[-1]
-
-
-def _run_pages(dc: DoubleComplex, filtration: str,
-               dims_only: bool) -> SSRunReport:
-    """Pages, total complex and convergence report of a run on dc; the
-    runner fills in the identification.
-
-    The filtered complex is totalized once: pages reads its D^n from the
-    total complex that convergence_check ranks.  For rows that is the
-    total of the transpose, which has the same cohomology.
-    """
-    total = total_complex(_filtered(dc, filtration))
-    page_list = pages(dc, filtration, dims_only=dims_only, total=total)
-    return SSRunReport(page_list, dc, total, [],
-                       convergence_check(page_list, total))
-
-
 def _borel_run(a, coeff, n_top: int, filtration: str, dims_only: bool):
     """The action, the module and the report of a run on the Borel double
     complex, cut above total degree n_top + 1."""
     sa = as_simplicial_action(a, n_top)
     module = _as_module(coeff, sa.group)
     dc = borel_double_complex(sa, module, n_top, max_total=n_top + 1)
-    return sa, module, _run_pages(dc, filtration, dims_only)
+    return sa, module, pages(dc, filtration, dims_only)
 
 
 def atlas_ss(a, coeff, n_top: int, dims_only: bool = False) -> SSRunReport:
@@ -639,4 +610,4 @@ def hyper_ss(a, coeffs: CoefficientComplex, mode: str, n_top: int,
         filtration = "columns"
     else:
         raise ValueError("mode must be 'atlas' or 'discrete-borel'")
-    return _run_pages(dc, filtration, dims_only)
+    return pages(dc, filtration, dims_only)

@@ -174,7 +174,7 @@ def test_criterion_8_cartan_e1_and_convergence():
         inv = invariants_subalgebra(inst.lie, inst.algebra)
         dc = cartan_double_complex(inst.lie, inv, inst.poly_trunc)
         table = cartan_E1(inst.lie, inst.algebra, inst.poly_trunc)
-        page_list = pages(dc, "columns", dims_only=True)
+        page_list = pages(dc, "columns", dims_only=True).pages
         e1 = next(p for p in page_list if p.r == 1)
         for key, val in table.items():
             assert e1.entries.get(key, 0) == val, (inst.name, key)

@@ -37,6 +37,14 @@ def trivial_circle():
     return GDGA(QQ, (1, 1), d, iota, lie_der)
 
 
+def rotation_algebra():
+    # dims (3, 3), d = diag(1, 1, 0), iota = L = the rotation in x, y:
+    # the Lie-invariant subalgebra is the z line in both degrees
+    rot = Mat.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 0]], QQ)
+    d = (Mat.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]], QQ),)
+    return GDGA(QQ, (3, 3), d, ((rot,),), ((rot, rot),))
+
+
 def torus_two():
     lie2 = abelian_lie(2)
     dims = (1, 2, 1)
@@ -205,7 +213,7 @@ class TestCartanSpectral:
             inv = invariants_subalgebra(lie, algebra)
             dc = cartan_double_complex(lie, inv, 4)
             table = cartan_E1(lie, algebra, 4)
-            pgs = pages(dc, "columns", dims_only=True)
+            pgs = pages(dc, "columns", dims_only=True).pages
             e1 = next(p for p in pgs if p.r == 1)
             for key, val in table.items():
                 assert e1.entries.get(key, 0) == val
@@ -214,15 +222,18 @@ class TestCartanSpectral:
         for lie, algebra in [(LIE1, free_circle()), (LIE1, trivial_circle())]:
             inv = invariants_subalgebra(lie, algebra)
             dc = cartan_double_complex(lie, inv, 4)
-            pgs = pages(dc, "columns")
-            report = convergence_check(pgs, total_complex(dc))
-            assert report["ok"]
+            run = pages(dc, "columns")
+            assert run.convergence["ok"]
+            assert run.convergence == \
+                convergence_check(run.pages, total_complex(dc))
             safe = 2 * 4 - algebra.top
             dims = cartan_cohomology(lie, algebra, 4, range(safe))
             sums = {}
-            for (p, q), v in pgs[-1].entries.items():
+            for (p, q), v in run.pages[-1].entries.items():
                 sums[p + q] = sums.get(p + q, 0) + v
             assert dims == [sums.get(s, 0) for s in range(safe)]
+            assert dims == [row["e_inf_sum"] for row in
+                            run.convergence["rows"]][:safe]
 
 
 class TestInvariantPolynomials:
@@ -310,3 +321,19 @@ class TestTorusWeylCheck:
         with pytest.raises(NonEquivariantInput):
             torus_weyl_check(LIE1, algebra, 3, [Mat.identity(1, QQ)],
                              bad_maps, degrees=range(3))
+
+    def test_weyl_restricted_to_lie_invariants(self):
+        w = Mat.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 1]], QQ)
+        report = torus_weyl_check(LIE1, rotation_algebra(), 3,
+                                  [Mat.from_rows([[-1]], QQ)], [(w, w)],
+                                  degrees=range(6))
+        assert report.ok
+        assert report.series == [1, 1, 0, 0, 1, 1]
+
+    def test_weyl_leaving_lie_invariants_rejected(self):
+        # swapping x and z moves the invariant z line off itself
+        w = Mat.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]], QQ)
+        with pytest.raises(NonEquivariantInput):
+            torus_weyl_check(LIE1, rotation_algebra(), 3,
+                             [Mat.identity(1, QQ)], [(w, w)],
+                             degrees=range(3))

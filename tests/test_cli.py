@@ -233,6 +233,41 @@ class TestIndexTables:
         assert code == 0, err
 
 
+# (argv, flag): each value would build a list, a tower or a polynomial
+# basis that runs out of memory
+OVERSIZED_FLAGS = {
+    "degrees": (["check", "point.json", "--degrees", "0..10000000000"],
+                "--degrees"),
+    "trunc": (["cohomology", "point.json", "--trunc", "100000000"],
+              "--trunc"),
+    "poly-trunc": (["cartan", "cartan_point.json", "--poly-trunc", "100000"],
+                   "--poly-trunc"),
+}
+
+
+def _address_space_cap():
+    import resource
+    cap = 600 * 2 ** 20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+class TestOversizedFlags:
+    @pytest.mark.parametrize("case", sorted(OVERSIZED_FLAGS))
+    def test_refused_before_anything_is_built(self, case):
+        # run capped in a child process, so a regression fails there
+        # instead of taking the memory of the test run
+        (kind, name, *flags), flag = OVERSIZED_FLAGS[case]
+        proc = subprocess.run(
+            [sys.executable, "-m", "stackcoh.cli", kind, fixture(name),
+             *flags], capture_output=True, text=True, timeout=60,
+            preexec_fn=_address_space_cap,
+            env={**os.environ, "PYTHONPATH": os.path.join(
+                os.path.dirname(__file__), "..", "src")})
+        assert proc.returncode == 2, proc.stderr
+        assert f"(at {flag})" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestSchemaFuzz:
     @settings(max_examples=1000, derandomize=True, deadline=None,
               database=None)
@@ -305,6 +340,16 @@ class TestJobs:
                 if not line.startswith("#") and "degree" not in line]
         assert [int(r[1]) for r in rows] == [1, 0, 1, 0, 1, 0, 1, 0]
         assert "# invariant_polynomials\t1,0,1,0,1" in out
+        assert "# torus-weyl\tPASS" in out
+
+    def test_cartan_weyl_on_lie_invariants(self, capsys):
+        # L rotates x, y in both degrees, so A^g is the z line; the Weyl
+        # maps act on A and must be restricted to A^g
+        code, out, err = run_cli(
+            ["cartan", fixture("cartan_rotation.json"), "--poly-trunc", "3",
+             "--degrees", "0..5"], capsys)
+        assert code == 0, err
+        assert "# torus_weyl_series\t1,1,0,0,1,1" in out
         assert "# torus-weyl\tPASS" in out
 
     def test_getzler_agrees_with_homotopy_quotient(self, capsys):

@@ -52,6 +52,19 @@ def test_pages_take_images_from_the_elimination():
     assert found == []
 
 
+def test_total_matrix_has_two_callers():
+    # total_complex is the one totalization of a double complex and
+    # collapse_triple the one of a triple complex's faces; a third
+    # caller would assemble some D^n a second time
+    found = sorted({f"{name}:{fn.name}" for name, fn in _nodes()
+                    if isinstance(fn, ast.FunctionDef)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "total_matrix"})
+    assert found == ["homalg.py:collapse_triple", "homalg.py:total_complex"]
+
+
 def _is_self_validate(node) -> bool:
     return isinstance(node, ast.Call) and not node.args and \
         isinstance(node.func, ast.Attribute) and \

@@ -1,9 +1,12 @@
 """Spectral sequence pages, identifications, convergence."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stackcoh import exactalg, spectra
+from stackcoh import exactalg, homalg, spectra
+from stackcoh.cartan import abelian_lie, torus_weyl_check
 from stackcoh.exactalg import (
     GF, QQ, Mat, Sieve, mat_from_columns, rank, solve_multi,
 )
@@ -23,6 +26,7 @@ from stackcoh.stackact import (
 )
 
 from .strategies import build_double_complex, fields, piece_lists
+from .test_cartan import rotation_algebra
 from .test_stackact import z2_cycle4
 
 F2 = GF(2)
@@ -32,7 +36,7 @@ F3 = GF(3)
 class TestPages:
     def test_single_entry_all_pages_equal(self):
         dc = DoubleComplex(QQ, (0, 0), (0, 0), {(0, 0): 2}, {}, {})
-        pgs = pages(dc)
+        pgs = pages(dc).pages
         assert pgs[-1].stabilized
         for pg in pgs:
             assert pg.entries[(0, 0)] == 2
@@ -40,7 +44,7 @@ class TestPages:
     def test_horizontal_isomorphism_dies_at_e1(self):
         dc = DoubleComplex(QQ, (0, 1), (0, 0), {(0, 0): 1, (1, 0): 1},
                            {(0, 0): Mat.identity(1, QQ)}, {})
-        pgs = pages(dc, "columns")
+        pgs = pages(dc, "columns").pages
         e1 = next(p for p in pgs if p.r == 1)
         # d_0 is vertical (zero here), so E_1 = E_0; d_1 kills both entries
         assert e1.entries == {(0, 0): 1, (1, 0): 1}
@@ -53,7 +57,7 @@ class TestPages:
     @given(piece_lists, fields, st.randoms(use_true_random=False))
     def test_convergence_on_random_complexes(self, pieces, field, rng):
         dc, expected = build_double_complex(pieces, field, rng)
-        pgs = pages(dc, "columns")
+        pgs = pages(dc, "columns").pages
         tot = total_complex(dc)
         report = convergence_check(pgs, tot)
         assert report["ok"]
@@ -67,8 +71,8 @@ class TestPages:
     @given(piece_lists, fields, st.randoms(use_true_random=False))
     def test_dims_only_agrees_with_subquotients(self, pieces, field, rng):
         dc, _ = build_double_complex(pieces, field, rng)
-        full = pages(dc, "columns")
-        fast = pages(dc, "columns", dims_only=True)
+        full = pages(dc, "columns").pages
+        fast = pages(dc, "columns", dims_only=True).pages
         for a, b in zip(full, fast):
             assert a.entries == b.entries
 
@@ -76,8 +80,8 @@ class TestPages:
     @given(piece_lists, fields, st.randoms(use_true_random=False))
     def test_row_filtration_is_transpose(self, pieces, field, rng):
         dc, _ = build_double_complex(pieces, field, rng)
-        by_rows = pages(dc, "rows")
-        by_cols_t = pages(dc.transpose(), "columns")
+        by_rows = pages(dc, "rows").pages
+        by_cols_t = pages(dc.transpose(), "columns").pages
         for a, b in zip(by_rows, by_cols_t):
             assert a.entries == b.entries
 
@@ -86,7 +90,7 @@ class TestPages:
     def test_both_filtrations_converge_to_same_totals(self, pieces, field, rng):
         dc, expected = build_double_complex(pieces, field, rng)
         for filt in ("columns", "rows"):
-            pgs = pages(dc, filt, dims_only=True)
+            pgs = pages(dc, filt, dims_only=True).pages
             sums = {}
             for (p, q), v in pgs[-1].entries.items():
                 sums[p + q] = sums.get(p + q, 0) + v
@@ -138,7 +142,7 @@ def full_coordinate_pages(dc):
 
 
 def assert_pages_match_full_coordinates(dc, filtration):
-    got = pages(dc, filtration)
+    got = pages(dc, filtration).pages
     work = dc.transpose() if filtration == "rows" else dc
     want = full_coordinate_pages(work)
     assert len(got) == len(want)
@@ -453,6 +457,53 @@ class TestHyper:
         triv = trivial_module(g, QQ)
         with pytest.raises(NonEquivariantCoefficients):
             CoefficientComplex((triv, sign), (Mat.identity(1, QQ),))
+
+
+def _swap_action():
+    return set_action_on_trivial_groupoid(cyclic_group(2), [(0, 1), (1, 0)])
+
+
+def _two_term():
+    m = trivial_module(cyclic_group(2), QQ)
+    return CoefficientComplex((m, m), (Mat.identity(1, QQ),))
+
+
+def _torus_weyl():
+    w = Mat.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 1]], QQ)
+    return torus_weyl_check(abelian_lie(1), rotation_algebra(), 3,
+                            [Mat.from_rows([[-1]], QQ)], [(w, w)],
+                            degrees=range(6))
+
+
+ONE_TOTAL_RUNS = {
+    "atlas_ss": lambda: atlas_ss(_swap_action(), QQ, 4),
+    "discrete_borel_ss": lambda: discrete_borel_ss(_swap_action(), QQ, 4),
+    "hyper_ss-atlas": lambda: hyper_ss(_swap_action(), _two_term(),
+                                       "atlas", 4),
+    "hyper_ss-discrete-borel": lambda: hyper_ss(
+        _swap_action(), _two_term(), "discrete-borel", 4),
+    "torus_weyl_check": _torus_weyl,
+}
+
+
+class TestOneTotalization:
+    @pytest.mark.parametrize("case", sorted(ONE_TOTAL_RUNS))
+    def test_one_total_complex_per_run(self, case, monkeypatch):
+        # pages totalizes the filtered complex once and every route reads
+        # its pages, total and convergence from that one run
+        calls = []
+        original = homalg.total_complex
+
+        def counted(dc):
+            calls.append(dc)
+            return original(dc)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("stackcoh") and \
+                    getattr(module, "total_complex", None) is original:
+                monkeypatch.setattr(module, "total_complex", counted)
+        assert ONE_TOTAL_RUNS[case]().ok
+        assert len(calls) == 1
 
 
 class TestMaschkeDegeneration:
