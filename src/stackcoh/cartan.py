@@ -465,8 +465,10 @@ def sym_power_matrix(w: Mat, p: int, monos: list, mono_index: dict) -> Mat:
 
 def invariant_polynomials(lie: LieAlgebraData, weyl_gens: list,
                           poly_trunc: int, field: Field = QQ) -> list:
-    """Per-degree dimensions of the W-invariant polynomials, by exact
-    averaging; an empty generator list means trivial W."""
+    """Per-degree dimensions of the W-invariant polynomials: the rank of
+    the sum of the W-actions, which is |W| times the averaging projector
+    (|W| is invertible in the field); an empty generator list means
+    trivial W."""
     group = [w for (w,) in mulclose_mats([(g,) for g in weyl_gens])] \
         if weyl_gens else [Mat.identity(lie.dim, field)]
     if field.p and len(group) % field.p == 0:
@@ -479,7 +481,7 @@ def invariant_polynomials(lie: LieAlgebraData, weyl_gens: list,
         total = Mat.zero(len(monos), len(monos), field)
         for w in group:
             total = total + sym_power_matrix(w, p, monos, mono_index)
-        out.append(rank(total.scale(Fraction(1, len(group)))))
+        out.append(rank(total))
     return out
 
 

@@ -16,11 +16,16 @@ its combination by the gcd of all their entries, so there is no rounding
 and no runaway coefficient growth.  Pivoting is deterministic: a stored
 vector's pivot is its smallest row index, and an inserted vector is
 cleared against the stored pivots in their insertion order, found from
-its support through a heap rather than by scanning every pivot.  Columns
-go in left to right everywhere except the rank table of spectra, which
-inserts them right to left; every kernel and representative basis is
-therefore reproducible across runs.  A Mat's rank is computed at most
-once and kept on the (immutable) matrix.
+its support through a heap rather than by scanning every pivot.  Kernels,
+representatives and solves insert columns left to right, so every kernel
+and representative basis is reproducible across runs; the rank table of
+spectra inserts them right to left.  rank sieves rows instead, top to
+bottom with column j stored at index -j, so each row's pivot is its
+largest column: a rank does not depend on the order, and the same
+reduction costs far less on rows (de Silva, Morozov and
+Vejdemo-Johansson, "Dualities in persistent (co)homology", Inverse
+Problems 27, 2011).  A Mat's rank is computed at most once and kept on
+the (immutable) matrix.
 """
 
 from __future__ import annotations
@@ -141,9 +146,9 @@ class Mat:
     """Immutable sparse matrix: entries maps (row, col) -> nonzero scalar.
 
     Two slots are filled lazily and never invalidated, which is safe
-    because a Mat is never mutated: _col_cache holds the columns and
-    _rank the rank, filled by the first rank() call, so rank() sieves a
-    matrix at most once.
+    because a Mat is never mutated: _col_cache holds the columns, filled
+    by the first columns() call, and _rank the rank, filled by the first
+    rank() call or column sieve, so rank() sieves a matrix at most once.
     """
 
     __slots__ = ("rows", "cols", "entries", "field", "_col_cache", "_rank")
@@ -316,7 +321,8 @@ def _eliminate(vec: dict, combo: dict | None, w: dict, cw: dict | None,
 
 
 class Sieve:
-    """Incremental column echelon with optional combination tracking.
+    """Incremental echelon of sparse vectors (columns, or the rows that
+    rank sieves) with optional combination tracking.
 
     Vectors are sparse dicts, prepared by _prepare and reduced by
     _eliminate, so over Q all stored data is integer.  The pivot of a
@@ -386,7 +392,8 @@ class Sieve:
 
 
 def _column_sieve(m: Mat) -> Sieve:
-    """Untracked sieve loaded with the column space of m; fills m._rank."""
+    """Untracked sieve loaded with the column space of m, for the span
+    that _cohomology_dim(reps=True) reads; fills m._rank."""
     sieve = Sieve(m.field)
     for col in m.columns():
         sieve.insert(col)
@@ -394,10 +401,25 @@ def _column_sieve(m: Mat) -> Sieve:
     return sieve
 
 
+def _row_sieve(m: Mat) -> Sieve:
+    """Untracked sieve loaded with the rows of m top to bottom, column j
+    stored at index -j so that a row's pivot is its largest column;
+    fills m._rank."""
+    rows = {}
+    for (i, j), v in m.entries.items():
+        rows.setdefault(i, {})[-j] = v
+    sieve = Sieve(m.field)
+    for i in sorted(rows):
+        sieve.insert(rows[i])
+    m._rank = sieve.rank
+    return sieve
+
+
 def rank(m: Mat) -> int:
-    """Exact rank over the matrix's field, sieved once per matrix."""
+    """Exact rank over the matrix's field, sieved once per matrix, by
+    rows (see the module docstring)."""
     if m._rank is None:
-        _column_sieve(m)
+        _row_sieve(m)
     return m._rank
 
 

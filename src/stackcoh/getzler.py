@@ -89,11 +89,6 @@ class GetzlerContext:
     def cochain(self, p: int, table: dict) -> "GetzlerCochain":
         return GetzlerCochain(self, p, table)
 
-    def basis_cochains(self, p: int):
-        for t in itertools.product(range(self.group.order), repeat=p):
-            for idx in range(self.value_dim):
-                yield GetzlerCochain(self, p, {t: {idx: 1}})
-
 
 @dataclass
 class GetzlerCochain:

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, RepresentativeDriftError
-from .exactalg import Field, Mat, joint_kernel
+from .exactalg import Field, Mat
 from .errors import NoSolution
 from .homalg import CochainComplex, induced_cohomology_matrix
 from .simplicial import cochains
@@ -130,12 +130,6 @@ def bar_complex(m: GModule, n_top: int) -> CochainComplex:
         diffs.append(Mat(dims[p + 1], dims[p], entries, field))
     return CochainComplex(field, tuple(dims), tuple(diffs),
                           boundary_degree=n_top)
-
-
-def invariants_dim(m: GModule) -> int:
-    """dim of the joint fixed space ker(rho(g) - id), all g."""
-    ident = Mat.identity(m.dim, m.field)
-    return len(joint_kernel([r + (-ident) for r in m.rho], m.dim, m.field))
 
 
 def cochain_action_matrix(sa, field: Field, n: int) -> list:

@@ -105,10 +105,6 @@ def cohomology(c: CochainComplex, n: int, override: bool = False,
     return _cohomology_dim(c.diff(n), c.diff_into(n), reps)
 
 
-def betti_table(c: CochainComplex, degrees) -> list[int]:
-    return [cohomology(c, n) for n in degrees]
-
-
 def induced_cohomology_matrix(c: CochainComplex, n: int, ops: list) -> list:
     """Matrices on H^n induced by degree-n operators commuting with d.
 
@@ -129,10 +125,6 @@ def induced_cohomology_matrix(c: CochainComplex, n: int, ops: list) -> list:
     cols = [{r - skip: v for r, v in x.items() if r >= skip} for x in coords]
     return [mat_from_columns(cols[o * dim:(o + 1) * dim], dim, field)
             for o in range(len(ops))]
-
-
-def euler_characteristic(c: CochainComplex) -> int:
-    return sum((-1) ** n * d for n, d in enumerate(c.dims))
 
 
 @dataclass

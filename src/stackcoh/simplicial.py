@@ -383,29 +383,6 @@ def total_cochains(b: BiSemiSimplicialSet, field: Field) -> DoubleComplex:
                          boundary_total_degree=min(b.trunc_h, b.trunc_v) - 1)
 
 
-def product_bisimplicial(s1: SemiSimplicialSet,
-                         s2: SemiSimplicialSet) -> BiSemiSimplicialSet:
-    """External product: cells[(p, n)] = cells_1[p] x cells_2[n]."""
-    cells = {}
-    faces_h = {}
-    faces_v = {}
-    for p in range(s1.trunc + 1):
-        for n in range(s2.trunc + 1):
-            pairs = [(a, b) for a in range(s1.size(p)) for b in range(s2.size(n))]
-            cells[(p, n)] = tuple((s1.cells[p][a], s2.cells[n][b])
-                                  for a, b in pairs)
-            n2 = s2.size(n)
-            if p >= 1:
-                faces_h[(p, n)] = tuple(
-                    tuple(s1.face(p, i, a) * n2 + b for a, b in pairs)
-                    for i in range(p + 1))
-            if n >= 1:
-                faces_v[(p, n)] = tuple(
-                    tuple(a * s2.size(n - 1) + s2.face(n, j, b) for a, b in pairs)
-                    for j in range(n + 1))
-    return BiSemiSimplicialSet(s1.trunc, s2.trunc, cells, faces_h, faces_v)
-
-
 def cycle_space(k: int, n_top: int) -> SemiSimplicialSet:
     """The k-gon graph with its degenerate simplices up to level n_top.
 

@@ -38,7 +38,11 @@ pairs inside it: the pairing does not depend on how the columns were
 reduced (Cohen-Steiner, Edelsbrunner and Morozov, "Vines and vineyards
 by updating persistence in linear time", SoCG 2006; Bauer et al.,
 "PHAT", J. Symb. Comput. 78, 2017).  So one pass per degree gives the
-rank for every filtration start p0 and every boundary t.
+rank for every filtration start p0 and every boundary t.  The check of
+the table is convergence_check: in dims-only mode E_infinity comes from
+the table, and H^n of the total complex from exactalg.rank, which sieves
+the rows of each D^n rather than its columns, so the two sides are
+different eliminations.
 
 pages is the whole run: it totalizes the filtered complex once, reads
 every D^n from that total and compares E_infinity with its H^n; the

@@ -17,6 +17,7 @@ from stackcoh.homalg import DoubleComplex, TotalLayout
 
 F2 = GF(2)
 F3 = GF(3)
+F5 = GF(5)
 
 
 def brute_kernel_fp(m: Mat) -> set:
@@ -422,6 +423,26 @@ def test_heap_sieve_equals_pivot_scan(field, tracked, data):
         assert heap.order == scan.order
         assert heap.pivots == scan.pivots
     assert heap.rank_of == {piv: k for k, piv in enumerate(heap.order)}
+
+
+def column_sieve_rank(m: Mat) -> int:
+    """Reference rank: the columns left to right, pivot at the smallest
+    row."""
+    sieve = Sieve(m.field)
+    for col in m.columns():
+        sieve.insert(col)
+    return sieve.rank
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5],
+                         ids=["QQ", "GF2", "GF3", "GF5"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_row_rank_equals_column_sieve_rank(field, data):
+    # rank sieves rows with the pivot at the largest column; the rank is
+    # the column sieve's, also when some columns are sums of others
+    m = mat_from_columns(data.draw(sieve_inputs(field)), 9, field)
+    assert rank(m) == column_sieve_rank(m)
 
 
 def test_mat_from_columns_roundtrip():

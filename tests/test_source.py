@@ -156,3 +156,14 @@ def test_oracles_keep_their_own_bar_formula():
     found = {name: _names(_functions(module)[name]) & route
              for module, name in oracles.items()}
     assert found == {name: set() for name in oracles.values()}
+
+
+def test_convergence_ranks_are_not_the_rank_table():
+    # in dims-only mode E_infinity comes from the rank table's column
+    # sieve; the H^n it is checked against must come from another
+    # elimination: rank sieves rows, and convergence_check reads no pair
+    rank = _functions("exactalg.py")["rank"]
+    check = _functions("spectra.py")["convergence_check"]
+    assert "_column_sieve" not in _names(rank)
+    assert _names(check) & {"pairs", "_pairs", "rank_table", "rank_at",
+                            "_rank_tables"} == set()

@@ -233,10 +233,21 @@ class TestRankTable:
                     assert table == {t: corner_rank(ft, n, p0, t)
                                      for t in ft._snapshot_ts(p0)}
 
+    @settings(max_examples=25, deadline=None)
+    @given(piece_lists, fields, st.randoms(use_true_random=False))
+    def test_row_rank_equals_pair_count(self, pieces, field, rng):
+        # rank sieves the rows of D^n, pairs(n) its columns right to left
+        dc, _ = build_double_complex(pieces, field, rng)
+        for work in (dc, dc.transpose()):
+            ft = _FilteredTotal(work)
+            for n in ft.layout.total_dims:
+                assert rank(ft.dmat(n)) == len(ft.pairs(n))
+
     def test_one_sieve_per_degree_and_one_rank_per_matrix(self, monkeypatch):
         sieves = []
         table_keys = set()
         sieved = []
+        row_sieved = []
 
         class CountingSieve(exactalg.Sieve):
             def __init__(self, field):
@@ -245,6 +256,7 @@ class TestRankTable:
 
         rank_table = spectra._FilteredTotal.rank_table
         column_sieve = exactalg._column_sieve
+        row_sieve = exactalg._row_sieve
 
         def counting_rank_table(self, n, p0):
             table_keys.add((n, max(p0, self.pmin)))
@@ -254,17 +266,47 @@ class TestRankTable:
             sieved.append(m)
             return column_sieve(m)
 
+        def recording_row_sieve(m):
+            sieved.append(m)
+            row_sieved.append(m)
+            return row_sieve(m)
+
         monkeypatch.setattr(spectra, "Sieve", CountingSieve)
         monkeypatch.setattr(spectra._FilteredTotal, "rank_table",
                             counting_rank_table)
         monkeypatch.setattr(exactalg, "_column_sieve", recording_column_sieve)
+        monkeypatch.setattr(exactalg, "_row_sieve", recording_row_sieve)
         rep = discrete_borel_ss(z2_cycle4(3), QQ, 3, dims_only=True)
         assert rep.ok
         degrees = {n for n, _ in table_keys}
         assert len(table_keys) > len(degrees)
         assert len(sieves) == len(degrees)
-        assert sieved
+        # the convergence ranks of every D^n go through the rows sieve
+        assert {id(d) for d in rep.total.diffs} <= {id(m) for m in row_sieved}
         assert len({id(m) for m in sieved}) == len(sieved)
+
+
+class TestConvergencePower:
+    @pytest.mark.parametrize("runner", [discrete_borel_ss, atlas_ss],
+                             ids=["borel", "atlas"])
+    def test_dropped_pair_fails_convergence(self, runner, monkeypatch):
+        # a rank table one pair short in the lowest degree, which is
+        # unflagged, must fail the check: E_infinity comes from the table
+        # in dims-only mode, H^n from ranks that never read it
+        pairs = spectra._FilteredTotal.pairs
+
+        def dropping_pairs(self, n):
+            found = pairs(self, n)
+            return found[:-1] if n == self.layout.n_min else found
+
+        monkeypatch.setattr(spectra._FilteredTotal, "pairs", dropping_pairs)
+        broken = runner(z2_cycle4(3), QQ, 3, dims_only=True).convergence
+        assert not broken["ok"]
+        low = broken["rows"][0]
+        assert not low["flagged"]
+        assert low["e_inf_sum"] == low["h_total"] + 1
+        monkeypatch.undo()
+        assert runner(z2_cycle4(3), QQ, 3, dims_only=True).convergence["ok"]
 
 
 class TestDiscreteBorel:
