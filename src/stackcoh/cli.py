@@ -28,8 +28,7 @@ from .simplicial import (
     SemiSimplicialSet, cochains, groupoid_from_tables, nerve,
 )
 from .stackact import (
-    FiniteGroup, GroupoidAction, SimplicialGAction,
-    equivariant_cohomology, group_from_table,
+    FiniteGroup, GroupoidAction, SimplicialGAction, equivariant_cohomology,
 )
 from .groupcoh import GModule, module_from_matrices
 from .spectra import atlas_ss, discrete_borel_ss, hyper_ss
@@ -199,7 +198,7 @@ def parse_group(obj, loc="/group") -> FiniteGroup:
     names = _names(_expect(obj, "elements", loc), f"{loc}/elements")
     n = len(names)
     mul = _expect(obj, "mul", loc, (n, n), partial(_index, n))
-    return _located(group_from_table, f"{loc}/mul", names, mul)
+    return _located(FiniteGroup, f"{loc}/mul", names, mul)
 
 
 def parse_groupoid(obj, loc="/groupoid"):

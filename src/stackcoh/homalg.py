@@ -1,4 +1,4 @@
-"""Bounded cochain complexes, double and triple complexes, totalization.
+"""Bounded cochain complexes, double complexes, totalization.
 
 Double complexes are stored with commuting differentials; the sign
 (-1)^q on the horizontal differential is inserted at totalization, so
@@ -7,11 +7,12 @@ Complexes built from truncated simplicial data carry a boundary degree:
 cohomology at or beyond it is refused unless explicitly overridden.
 
 TotalLayout.total_matrix is the one totalization, with two callers:
-total_complex and collapse_triple.  Every total complex goes through
-total_complex: the one that spectra.pages builds once per run (and reads
-its D^n, its H^n and convergence from), the Getzler model (the
-transposed Borel complex) and the Cartan model.  collapse_triple
-totalizes each face of a triple complex.
+total_complex and spectra.borel_hyper_complex.  Every total complex goes
+through total_complex: the one that spectra.pages builds once per run
+(and reads its D^n, its H^n and convergence from), the Getzler model
+(the transposed Borel complex) and the Cartan model.
+spectra.borel_hyper_complex totalizes each face (a Borel axis against
+the coefficient degree) of the Borel complex of a coefficient complex.
 
 Routes and their oracles: the subquotient pages of spectra.pages and
 its rank table check each other; the E_1 / E_2 identifications are
@@ -198,10 +199,15 @@ class DoubleComplex:
         """Assemble from the blocks of an already validated complex.
 
         The one path that skips the construction check: __post_init__
-        does not run.  Every check in it is symmetric in the two axes or
-        a subset of TripleComplex.validate(), so a transpose or a face of
-        a validated complex passes it by construction.  dims must already
-        list every block of the rectangle.
+        does not run.  Every check in it is symmetric in the two axes, so
+        a transpose of a validated complex passes it by construction.  A
+        face of spectra.borel_hyper_complex needs no check of its own:
+        d^2 = 0 of its horizontal maps is checked by each module's Borel
+        DoubleComplex, d^2 = 0 and equivariance of the coefficient
+        differential by CoefficientComplex, and the commutation of the
+        two is a block of d_h^2 = 0 of the collapsed complex, whose
+        construction check does run.  dims must already list every block
+        of the rectangle.
         """
         dc = cls.__new__(cls)
         dc.__dict__.update(field=field, p_range=p_range, q_range=q_range,
@@ -285,118 +291,6 @@ def total_complex(dc: DoubleComplex) -> CochainComplex:
         bound = bound + 1 - layout.n_min
     return CochainComplex(dc.field, tuple(dims), tuple(diffs),
                           boundary_degree=bound)
-
-
-@dataclass
-class TripleComplex:
-    """Box of blocks with three pairwise commuting differentials.
-
-    d[axis][(a, b, c)] raises the chosen axis by one.
-    """
-
-    field: Field
-    ranges: tuple          # ((amin, amax), (bmin, bmax), (cmin, cmax))
-    dims: dict
-    d: tuple               # (d0, d1, d2), each dict keyed by (a, b, c)
-
-    def __post_init__(self):
-        self.validate()
-
-    def dim(self, key) -> int:
-        return self.dims.get(key, 0)
-
-    def dmat(self, axis: int, key) -> Mat:
-        m = self.d[axis].get(key)
-        if m is None:
-            return Mat.zero(self.dim(_step(key, axis)), self.dim(key),
-                            self.field)
-        return m
-
-    def validate(self):
-        for key in [key for key in self.dims if self.dim(key)]:
-            for ax in range(3):
-                step2 = self.dmat(ax, _step(key, ax))
-                if not (step2 * self.dmat(ax, key)).is_zero():
-                    raise InvariantViolation(f"d{ax}^2 != 0 at {key}")
-            for ax1, ax2 in ((0, 1), (0, 2), (1, 2)):
-                left = self.dmat(ax2, _step(key, ax1)) * self.dmat(ax1, key)
-                right = self.dmat(ax1, _step(key, ax2)) * self.dmat(ax2, key)
-                if left != right:
-                    raise InvariantViolation(
-                        f"d{ax1} and d{ax2} do not commute at {key}")
-
-
-def _step(key: tuple, axis: int) -> tuple:
-    """key raised by one along axis."""
-    return key[:axis] + (key[axis] + 1,) + key[axis + 1:]
-
-
-def collapse_triple(tc: TripleComplex, pair=(0, 1),
-                    boundary_total_degree: int | None = None) -> DoubleComplex:
-    """Totalize two axes of a triple complex into the horizontal index.
-
-    pair = (i, j): for each degree t of the remaining axis, the (i, j) face
-    is totalized by TotalLayout with axis i as p, so axis i carries the sign
-    (-1)^(degree along axis j) and sub-blocks ascend in the axis-i degree.
-    The remaining axis becomes the vertical of the returned DoubleComplex,
-    acting block-diagonally between consecutive faces.
-    """
-    i, j = pair
-    if i == j or not (0 <= i < 3 and 0 <= j < 3):
-        raise ValueError("pair must name two distinct axes")
-    k = ({0, 1, 2} - {i, j}).pop()
-    (kmin, kmax) = tc.ranges[k]
-    faces = {t: TotalLayout(_face(tc, i, j, k, t))
-             for t in range(kmin, kmax + 1)}
-    n_min, n_max = faces[kmin].n_min, faces[kmin].n_max
-    dims, d_h, d_v = {}, {}, {}
-    for t, lay in faces.items():
-        for s in range(n_min, n_max + 1):
-            dims[(s, t)] = lay.total_dims[s]
-            if s < n_max:
-                d_h[(s, t)] = lay.total_matrix(s)
-            if t < kmax:
-                d_v[(s, t)] = _block_diagonal(tc, (i, j, k), t, s, lay,
-                                              faces[t + 1])
-    return DoubleComplex(tc.field, (n_min, n_max), (kmin, kmax),
-                         dims, d_h, d_v,
-                         boundary_total_degree=boundary_total_degree)
-
-
-def _face(tc: TripleComplex, i: int, j: int, k: int, t: int) -> DoubleComplex:
-    """Slice at degree t along axis k, with axis i as p and axis j as q."""
-    (imin, imax), (jmin, jmax) = tc.ranges[i], tc.ranges[j]
-    dims, d_h, d_v = {}, {}, {}
-    for a in range(imin, imax + 1):
-        for b in range(jmin, jmax + 1):
-            key = _make_key(i, j, k, a, b, t)
-            dims[(a, b)] = tc.dim(key)
-            if a < imax:
-                d_h[(a, b)] = tc.dmat(i, key)
-            if b < jmax:
-                d_v[(a, b)] = tc.dmat(j, key)
-    return DoubleComplex._derived(tc.field, (imin, imax), (jmin, jmax),
-                                 dims, d_h, d_v)
-
-
-def _block_diagonal(tc: TripleComplex, axes: tuple, t: int, s: int,
-                    src: TotalLayout, dst: TotalLayout) -> Mat:
-    """Axis-k map from degree s of face t to degree s of face t+1."""
-    i, j, k = axes
-    entries = {}
-    for (a, b) in src.blocks[s]:
-        row0, col0 = dst.offsets[(a, b)], src.offsets[(a, b)]
-        for (r, c), v in tc.dmat(k, _make_key(i, j, k, a, b, t)).entries.items():
-            entries[(row0 + r, col0 + c)] = v
-    return Mat(dst.total_dims[s], src.total_dims[s], entries, tc.field)
-
-
-def _make_key(i, j, k, a, b, t):
-    key = [0, 0, 0]
-    key[i] = a
-    key[j] = b
-    key[k] = t
-    return tuple(key)
 
 
 @dataclass

@@ -18,8 +18,7 @@ from .cartan import GDGA, LieAlgebraData, abelian_lie
 from .simplicial import cycle_space, pair_groupoid, trivial_groupoid
 from .stackact import (
     GroupoidAction, SimplicialGAction, cyclic_group,
-    set_action_on_trivial_groupoid, simplicial_action, symmetric_group,
-    trivial_action,
+    set_action_on_trivial_groupoid, symmetric_group, trivial_action,
 )
 
 F2 = GF(2)
@@ -52,7 +51,7 @@ def cycle_rotation_action(k: int, step: int, order: int,
                 level.append(index[image])
             per_level.append(tuple(level))
         maps.append(tuple(per_level))
-    return simplicial_action(group, space, maps)
+    return SimplicialGAction(group, space, maps)
 
 
 def pair_swap_action() -> GroupoidAction:

@@ -5,7 +5,9 @@ realisation, which quotients by face relations alone, so degeneracy data
 would be dead weight.  Each object is checked once, at construction:
 __post_init__ runs the exhaustive face-identity (or groupoid-axiom)
 check, so consumers such as cochains and total_cochains trust what they
-are handed.
+are handed.  The identities d_i d_j = d_{j-1} d_i of a semi-simplicial
+set and of both directions of a bisimplicial set are checked by one
+routine, _face_identities, on the stored face tables.
 
 Cells are kept as opaque, canonically ordered labels; a nerve cell at
 level n is the tuple of its n morphism indices.
@@ -69,15 +71,24 @@ class SemiSimplicialSet:
     def validate(self):
         """Exhaustive check of the identities d_i d_j = d_{j-1} d_i, i < j."""
         for n in range(2, self.trunc + 1):
-            for c in range(self.size(n)):
-                for j in range(1, n + 1):
-                    for i in range(j):
-                        lhs = self.face(n - 1, i, self.face(n, j, c))
-                        rhs = self.face(n - 1, j - 1, self.face(n, i, c))
-                        if lhs != rhs:
-                            raise SimplicialIdentityFailure(
-                                f"d_{i} d_{j} != d_{j - 1} d_{i} on cell {c} "
-                                f"at level {n}")
+            _face_identities(
+                self.faces[n], self.faces[n - 1],
+                lambda i, j, c: f"d_{i} d_{j} != d_{j - 1} d_{i} "
+                                f"on cell {c} at level {n}")
+
+
+def _face_identities(upper, lower, message):
+    """Check d_i d_j = d_{j-1} d_i (i < j) on every cell of one level.
+
+    upper[i][c] is the i-th face of cell c, lower[i] the i-th face map of
+    the level below; message(i, j, c) words a failure.
+    """
+    for j in range(1, len(upper)):
+        for i in range(j):
+            lower_i, lower_j = lower[i], lower[j - 1]
+            for c, (a, b) in enumerate(zip(upper[j], upper[i])):
+                if lower_i[a] != lower_j[b]:
+                    raise SimplicialIdentityFailure(message(i, j, c))
 
 
 @dataclass
@@ -289,54 +300,40 @@ class BiSemiSimplicialSet:
             return len(self.cells[(p, n)])
         return 0
 
-    def face_h(self, p: int, n: int, i: int, c: int) -> int:
-        return self.faces_h[(p, n)][i][c]
-
-    def face_v(self, p: int, n: int, j: int, c: int) -> int:
-        return self.faces_v[(p, n)][j][c]
-
     def validate(self):
         for p in range(self.trunc_h + 1):
             for n in range(self.trunc_v + 1):
                 count = self.size(p, n)
-                if p >= 1 and len(self.faces_h[(p, n)]) != p + 1:
-                    raise SimplicialIdentityFailure(
-                        f"horizontal face count at {(p, n)}")
-                if n >= 1 and len(self.faces_v[(p, n)]) != n + 1:
-                    raise SimplicialIdentityFailure(
-                        f"vertical face count at {(p, n)}")
-                # horizontal identities
-                if p >= 2:
-                    for c in range(count):
-                        for j in range(1, p + 1):
-                            for i in range(j):
-                                lhs = self.face_h(p - 1, n, i,
-                                                  self.face_h(p, n, j, c))
-                                rhs = self.face_h(p - 1, n, j - 1,
-                                                  self.face_h(p, n, i, c))
-                                if lhs != rhs:
-                                    raise SimplicialIdentityFailure(
-                                        f"horizontal identity at {(p, n)}")
-                if n >= 2:
-                    for c in range(count):
-                        for j in range(1, n + 1):
-                            for i in range(j):
-                                lhs = self.face_v(p, n - 1, i,
-                                                  self.face_v(p, n, j, c))
-                                rhs = self.face_v(p, n - 1, j - 1,
-                                                  self.face_v(p, n, i, c))
-                                if lhs != rhs:
-                                    raise SimplicialIdentityFailure(
-                                        f"vertical identity at {(p, n)}")
+                for axis, faces, k, below in (
+                        ("horizontal", self.faces_h, p, (p - 1, n)),
+                        ("vertical", self.faces_v, n, (p, n - 1))):
+                    if k < 1:
+                        continue
+                    maps = faces[(p, n)]
+                    if len(maps) != k + 1:
+                        raise SimplicialIdentityFailure(
+                            f"{axis} face count at {(p, n)}")
+                    # zip in _face_identities stops at the shorter map
+                    size = self.size(*below)
+                    for i, fm in enumerate(maps):
+                        if len(fm) != count or \
+                                fm and not 0 <= min(fm) <= max(fm) < size:
+                            raise SimplicialIdentityFailure(
+                                f"{axis} face map {i} at {(p, n)} has wrong "
+                                "length or target out of range")
+                    if k >= 2:
+                        _face_identities(
+                            maps, faces[below],
+                            lambda i, j, c: f"{axis} identity at {(p, n)}")
                 if p >= 1 and n >= 1:
-                    for c in range(count):
-                        for i in range(p + 1):
-                            for j in range(n + 1):
-                                lhs = self.face_v(p - 1, n, j,
-                                                  self.face_h(p, n, i, c))
-                                rhs = self.face_h(p, n - 1, i,
-                                                  self.face_v(p, n, j, c))
-                                if lhs != rhs:
+                    # d^v_j d^h_i = d^h_i d^v_j
+                    left, below = self.faces_v[(p - 1, n)], \
+                        self.faces_h[(p, n - 1)]
+                    for i, fh in enumerate(self.faces_h[(p, n)]):
+                        for j, fv in enumerate(self.faces_v[(p, n)]):
+                            left_j, below_i = left[j], below[i]
+                            for a, b in zip(fh, fv):
+                                if left_j[a] != below_i[b]:
                                     raise SimplicialIdentityFailure(
                                         f"faces do not commute at {(p, n)}")
 
@@ -352,11 +349,9 @@ def diagonal(b: BiSemiSimplicialSet) -> SemiSimplicialSet:
     for n in range(1, n_top + 1):
         level_faces = []
         for i in range(n + 1):
-            fm = []
-            for c in range(b.size(n, n)):
-                via_v = b.face_v(n, n, i, c)
-                fm.append(b.face_h(n, n - 1, i, via_v))
-            level_faces.append(tuple(fm))
+            face_h = b.faces_h[(n, n - 1)][i]
+            level_faces.append(tuple(face_h[v]
+                                     for v in b.faces_v[(n, n)][i]))
         faces.append(tuple(level_faces))
     return SemiSimplicialSet(tuple(cells), tuple(faces))
 

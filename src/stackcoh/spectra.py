@@ -52,9 +52,10 @@ The d_r solve in pages is the route that the "coordinates in H^n"
 oracle (homalg.induced_cohomology_matrix) checks, so it stays a separate
 solve; the homalg docstring lists every route and its oracle.
 
-borel_double_complex (and borel_triple_complex through it) sums the
+borel_double_complex (and borel_hyper_complex through it) sums the
 faces of stackact.bar_faces and base_faces; quotient_cohomology_oracle,
-the oracle of its E_1 column, builds only stabiliser bar complexes.
+the oracle of its E_1 column, builds only stabiliser bar complexes, and
+discrete_borel_ss checks E_2 against one bar complex per row q.
 
 Filtration naming: "columns" filters by the horizontal index p of the
 DoubleComplex (d_0 is then the vertical differential); "rows" filters by
@@ -80,7 +81,7 @@ from .groupcoh import (
 )
 from .homalg import (
     CochainComplex, CoefficientComplex, DoubleComplex, TotalLayout,
-    TripleComplex, cohomology, collapse_triple, total_complex,
+    cohomology, total_complex,
 )
 from .simplicial import _face_sum
 from .stackact import as_simplicial_action, bar_faces, base_faces, subgroup
@@ -433,7 +434,7 @@ def convergence_check(page_list: list, total: CochainComplex) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# homotopy-quotient double/triple complexes and the assembled runs
+# homotopy-quotient double complexes and the assembled runs
 
 
 def borel_double_complex(sa, module, n_top: int,
@@ -547,71 +548,105 @@ def discrete_borel_ss(a, coeff, n_top: int,
     on every unflagged entry."""
     sa, module, report = _borel_run(a, coeff, n_top, "columns", dims_only)
     e2 = next(p for p in report.pages if p.r == 2)
-    h_modules = {}
-    for (p, q), dim in sorted(e2.entries.items()):
-        if p + q >= report.dc.boundary_total_degree:
-            continue
-        if q not in h_modules:
-            base_mod = action_on_cohomology(sa, module.field, q, n_top=n_top)
-            h_modules[q] = module_tensor(base_mod, module)
-        expected = cohomology(bar_complex(h_modules[q], p + 1), p)
+    checked = [(p, q, dim) for (p, q), dim in sorted(e2.entries.items())
+               if p + q < report.dc.boundary_total_degree]
+    # one bar complex per q, up to the largest p checked there (the
+    # last one, as checked ascends in p)
+    p_top = {q: p for p, q, _ in checked}
+    bars = {q: bar_complex(module_tensor(
+                action_on_cohomology(sa, module.field, q, n_top=n_top),
+                module), p + 1)
+            for q, p in p_top.items()}
+    for p, q, dim in checked:
+        expected = cohomology(bars[q], p)
         report.identification.append({"p": p, "q": q, "page": dim,
                                       "oracle": expected,
                                       "ok": dim == expected})
     return report
 
 
-def borel_triple_complex(sa, coeffs: CoefficientComplex, n_top: int,
-                         max_total: int | None = None) -> TripleComplex:
-    """Axes (group degree, simplicial level, coefficient degree); each
-    coefficient degree r is the Borel double complex of its module."""
-    field = coeffs.modules[0].field
-    m = coeffs.length
-    dims, d0, d1, d2 = {}, {}, {}, {}
-    for r, module in enumerate(coeffs.modules):
-        cut = None if max_total is None else max_total - r
-        sub = borel_double_complex(sa, module, n_top, max_total=cut)
-        for part, whole in ((sub.dims, dims), (sub.d_h, d0), (sub.d_v, d1)):
-            whole.update({(p, n, r): v for (p, n), v in part.items()})
-    for r in range(m - 1):
-        diff = coeffs.diffs[r]
-        src_dim = coeffs.modules[r].dim
-        dst_dim = coeffs.modules[r + 1].dim
-        for p in range(n_top + 1):
-            for n in range(n_top + 1):
-                if dims[(p, n, r + 1)] == 0:
-                    d2[(p, n, r)] = Mat.zero(0, dims[(p, n, r)], field)
-                    continue
-                entries = {}
-                for cell in range(sa.group.order ** p * sa.space.size(n)):
-                    for (rr, cc), v in diff.entries.items():
-                        entries[(cell * dst_dim + rr, cell * src_dim + cc)] = v
-                d2[(p, n, r)] = Mat(dims[(p, n, r + 1)], dims[(p, n, r)],
-                                    entries, field)
+def borel_hyper_complex(sa, coeffs: CoefficientComplex, n_top: int,
+                        mode: str) -> DoubleComplex:
+    """The Borel complex of a bounded complex of modules, with the
+    coefficient degree r totalized into one axis.
 
-    return TripleComplex(field, ((0, n_top), (0, n_top), (0, m - 1)),
-                         dims, (d0, d1, d2))
+    Module r contributes its Borel double complex, cut above total degree
+    n_top + 1 - r.  For each level t (mode "atlas") or group degree t
+    ("discrete-borel"), the face over (other axis, r) has the module
+    complexes' blocks as its horizontal maps and the coefficient
+    differential, cell by cell, as its vertical maps; TotalLayout
+    totalizes it with the sign (-1)^r on the horizontal maps.  The faces
+    are the columns of the result, joined block-diagonally by the
+    remaining Borel differential: t is the vertical index in "atlas" mode,
+    and the result is transposed so that t is the horizontal index in
+    "discrete-borel" mode.  The faces need no check of their own: see
+    DoubleComplex._derived.
+    """
+    if mode not in ("atlas", "discrete-borel"):
+        raise ValueError("mode must be 'atlas' or 'discrete-borel'")
+    atlas = mode == "atlas"
+    field = coeffs.modules[0].field
+    subs = [borel_double_complex(sa, module, n_top, max_total=n_top + 1 - r)
+            for r, module in enumerate(coeffs.modules)]
+    top = len(subs) - 1
+    # the Borel differential inside each face, and the one between faces
+    inside = [sub.d_h if atlas else sub.d_v for sub in subs]
+    across = [sub.d_v if atlas else sub.d_h for sub in subs]
+
+    def block(a, t):
+        return (a, t) if atlas else (t, a)
+
+    def coefficient_map(r, key):
+        """The differential of module r on each cell of block key."""
+        diff = coeffs.diffs[r]
+        src, dst = coeffs.modules[r].dim, coeffs.modules[r + 1].dim
+        rows = subs[r + 1].dim(*key)
+        cells = sa.group.order ** key[0] * sa.space.size(key[1]) if rows else 0
+        entries = {(c * dst + i, c * src + j): v for c in range(cells)
+                   for (i, j), v in diff.entries.items()}
+        return Mat(rows, subs[r].dim(*key), entries, field)
+
+    faces = []
+    for t in range(n_top + 1):
+        dims, d_h, d_v = {}, {}, {}
+        for r, sub in enumerate(subs):
+            for a in range(n_top + 1):
+                dims[(a, r)] = sub.dim(*block(a, t))
+                if a < n_top:
+                    d_h[(a, r)] = inside[r][block(a, t)]
+                if r < top:
+                    d_v[(a, r)] = coefficient_map(r, block(a, t))
+        faces.append(TotalLayout(DoubleComplex._derived(
+            field, (0, n_top), (0, top), dims, d_h, d_v)))
+    s_max = faces[0].n_max
+    dims, d_h, d_v = {}, {}, {}
+    for t, lay in enumerate(faces):
+        for s in range(s_max + 1):
+            dims[(s, t)] = lay.total_dims[s]
+            if s < s_max:
+                d_h[(s, t)] = lay.total_matrix(s)
+            if t < n_top:
+                nxt, entries = faces[t + 1], {}
+                for (a, r) in lay.blocks[s]:
+                    row0, col0 = nxt.offsets[(a, r)], lay.offsets[(a, r)]
+                    for (i, j), v in across[r][block(a, t)].entries.items():
+                        entries[(row0 + i, col0 + j)] = v
+                d_v[(s, t)] = Mat(nxt.total_dims[s], lay.total_dims[s],
+                                  entries, field)
+    dc = DoubleComplex(field, (0, s_max), (0, n_top), dims, d_h, d_v,
+                       boundary_total_degree=n_top - 1)
+    return dc if atlas else dc.transpose()
 
 
 def hyper_ss(a, coeffs: CoefficientComplex, mode: str, n_top: int,
              dims_only: bool = False) -> SSRunReport:
     """Spectral sequence with coefficients in a bounded complex of modules.
 
-    mode "atlas" collapses (group, coefficient) and filters by level;
-    mode "discrete-borel" collapses (level, coefficient) and filters by
+    mode "atlas" totalizes (group, coefficient) and filters by level;
+    mode "discrete-borel" totalizes (level, coefficient) and filters by
     group degree.  With a single-module complex both reduce exactly to the
     corresponding plain runs.
     """
-    sa = as_simplicial_action(a, n_top)
-    tc = borel_triple_complex(sa, coeffs, n_top, max_total=n_top + 1)
-    if mode == "atlas":
-        dc = collapse_triple(tc, pair=(0, 2),
-                             boundary_total_degree=n_top - 1)
-        filtration = "rows"
-    elif mode == "discrete-borel":
-        dc = collapse_triple(tc, pair=(1, 2),
-                             boundary_total_degree=n_top - 1).transpose()
-        filtration = "columns"
-    else:
-        raise ValueError("mode must be 'atlas' or 'discrete-borel'")
-    return pages(dc, filtration, dims_only)
+    dc = borel_hyper_complex(as_simplicial_action(a, n_top), coeffs, n_top,
+                             mode)
+    return pages(dc, "rows" if mode == "atlas" else "columns", dims_only)

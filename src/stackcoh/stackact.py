@@ -108,10 +108,6 @@ def symmetric_group(n: int) -> FiniteGroup:
     return FiniteGroup(elements, mul)
 
 
-def group_from_table(elements, mul) -> FiniteGroup:
-    return FiniteGroup(tuple(elements), tuple(tuple(r) for r in mul))
-
-
 def subgroup(group: FiniteGroup, members) -> tuple[FiniteGroup, list]:
     """Subgroup on the given element indices; returns (group, index list)."""
     members = sorted(set(members))
@@ -241,11 +237,6 @@ def induced_nerve_action(a: GroupoidAction, n_top: int) -> SimplicialGAction:
             per_level.append(tuple(level))
         maps.append(tuple(per_level))
     return SimplicialGAction(a.group, space, tuple(maps))
-
-
-def simplicial_action(group: FiniteGroup, space: SemiSimplicialSet,
-                      maps) -> SimplicialGAction:
-    return SimplicialGAction(group, space, maps)
 
 
 def as_simplicial_action(a, n_top: int) -> SimplicialGAction:

@@ -1,4 +1,4 @@
-"""Complexes, totalization, triple collapse."""
+"""Complexes and totalization."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from stackcoh.errors import InvariantViolation, TruncationBoundary
 from stackcoh.exactalg import GF, QQ, Mat
 from stackcoh.homalg import (
-    CochainComplex, DoubleComplex, TripleComplex, cohomology,
-    collapse_triple, total_complex,
+    CochainComplex, DoubleComplex, cohomology, total_complex,
 )
 
 from .strategies import build_double_complex, fields, piece_lists
@@ -87,6 +86,14 @@ def identity_square():
 
 
 class TestTotalComplex:
+    def test_transpose_is_not_revalidated(self, monkeypatch):
+        dc = identity_square()
+        calls = []
+        monkeypatch.setattr(DoubleComplex, "__post_init__",
+                            lambda self: calls.append(self))
+        dc.transpose()
+        assert calls == []
+
     def test_single_entry(self):
         tot = total_complex(single_block_dc())
         assert tot.dims == (1,)
@@ -132,78 +139,3 @@ class TestTotalComplex:
         alt_h = sum((-1) ** n * cohomology(tot, n, override=True)
                     for n in range(len(tot.dims)))
         assert alt_h == alt_blocks
-
-
-def triple_from_double(dc: DoubleComplex, axis_dim=0):
-    """Embed a double complex as a triple complex concentrated in one slice."""
-    dims = {(p, q, 0): d for (p, q), d in dc.dims.items()}
-    d0 = {(p, q, 0): m for (p, q), m in dc.d_h.items()}
-    d1 = {(p, q, 0): m for (p, q), m in dc.d_v.items()}
-    return TripleComplex(dc.field, (dc.p_range, dc.q_range, (0, 0)),
-                         dims, (d0, d1, {}))
-
-
-def identity_cone(dc: DoubleComplex):
-    """Two copies of a double complex joined by the identity along axis 2."""
-    dims = {(p, q, r): d for (p, q), d in dc.dims.items() for r in (0, 1)}
-    d0 = {(p, q, r): m for (p, q), m in dc.d_h.items() for r in (0, 1)}
-    d1 = {(p, q, r): m for (p, q), m in dc.d_v.items() for r in (0, 1)}
-    d2 = {(p, q, 0): Mat.identity(d, dc.field) for (p, q), d in dc.dims.items()}
-    return TripleComplex(dc.field, (dc.p_range, dc.q_range, (0, 1)),
-                         dims, (d0, d1, d2))
-
-
-class TestCollapseTriple:
-    def test_concentrated_origin(self):
-        tc = TripleComplex(QQ, ((0, 0), (0, 0), (0, 0)), {(0, 0, 0): 1},
-                           ({}, {}, {}))
-        dc = collapse_triple(tc, pair=(0, 1))
-        assert dc.dims[(0, 0)] == 1
-        assert total_complex(dc).dims == (1,)
-
-    def test_identity_along_collapsed_pair(self):
-        ident = Mat.identity(1, QQ)
-        tc = TripleComplex(QQ, ((0, 1), (0, 0), (0, 0)),
-                           {(0, 0, 0): 1, (1, 0, 0): 1},
-                           ({(0, 0, 0): ident}, {}, {}))
-        dc = collapse_triple(tc, pair=(0, 1))
-        tot = total_complex(dc)
-        assert [cohomology(tot, n, override=True)
-                for n in range(len(tot.dims))] == [0, 0]
-
-    def test_transpose_and_faces_are_not_revalidated(self, monkeypatch):
-        dc = identity_square()
-        tc = identity_cone(dc)
-        calls = []
-        original = DoubleComplex.__post_init__
-
-        def counting(self):
-            calls.append(self)
-            original(self)
-
-        monkeypatch.setattr(DoubleComplex, "__post_init__", counting)
-        dc.transpose()
-        assert calls == []
-        for pair in [(0, 1), (1, 2), (2, 0)]:
-            collapsed = collapse_triple(tc, pair=pair)
-            # only the collapsed result is validated, not its faces
-            assert len(calls) == 1 and calls[0] is collapsed
-            calls.clear()
-            tot = total_complex(collapsed)    # a cone on the identity
-            assert not any(cohomology(tot, n, override=True)
-                           for n in range(len(tot.dims)))
-
-    @settings(max_examples=30, deadline=None)
-    @given(piece_lists, fields, st.randoms(use_true_random=False))
-    def test_collapse_order_independent(self, pieces, field, rng):
-        dc, expected = build_double_complex(pieces, field, rng)
-        tc = triple_from_double(dc)
-        for pair in [(0, 1), (1, 0), (0, 2), (2, 0)]:
-            collapsed = collapse_triple(tc, pair=pair)
-            tot = total_complex(collapsed)
-            hs = {n: cohomology(tot, n, override=True)
-                  for n in range(len(tot.dims))}
-            for n, d in expected.items():
-                assert hs.get(n, 0) == d
-            for n, d in hs.items():
-                assert d == expected.get(n, 0)

@@ -168,6 +168,38 @@ class TestBisimplicial:
         with pytest.raises(SimplicialIdentityFailure):
             BiSemiSimplicialSet(b.trunc_h, b.trunc_v, b.cells, fh, b.faces_v)
 
+    @staticmethod
+    def _borel_tables():
+        from stackcoh.models import corpus_by_name
+        from stackcoh.stackact import as_simplicial_action, borel_bisimplicial
+        sa = as_simplicial_action(corpus_by_name("z2_s0_swap_q").action(3), 3)
+        b = borel_bisimplicial(sa, 3)
+        faces = {axis: {k: [list(fm) for fm in v] for k, v in table.items()}
+                 for axis, table in (("h", b.faces_h), ("v", b.faces_v))}
+        return b, faces
+
+    @pytest.mark.parametrize("axis, key, below, message", [
+        ("h", (2, 0), (1, 0), r"horizontal identity at \(2, 0\)"),
+        ("v", (0, 2), (0, 1), r"vertical identity at \(0, 2\)"),
+        ("h", (1, 1), (0, 1), r"faces do not commute at \(1, 1\)"),
+    ])
+    def test_one_entry_mutation_caught(self, axis, key, below, message):
+        b, faces = self._borel_tables()
+        BiSemiSimplicialSet(3, 3, b.cells, faces["h"], faces["v"])
+        faces[axis][key][0][0] = (faces[axis][key][0][0] + 1) % b.size(*below)
+        with pytest.raises(SimplicialIdentityFailure, match=message):
+            BiSemiSimplicialSet(3, 3, b.cells, faces["h"], faces["v"])
+
+    @pytest.mark.parametrize("resize", [lambda fm: fm[:-1],
+                                        lambda fm: fm + [0]],
+                             ids=["short", "long"])
+    def test_face_map_length_checked(self, resize):
+        b, faces = self._borel_tables()
+        faces["h"][(1, 1)][0] = resize(faces["h"][(1, 1)][0])
+        with pytest.raises(SimplicialIdentityFailure,
+                           match=r"horizontal face map 0 at \(1, 1\)"):
+            BiSemiSimplicialSet(3, 3, b.cells, faces["h"], faces["v"])
+
 
 def test_semisimplicial_rejects_bad_identity():
     # two vertices, one edge with both faces equal -- fine; then break level 2

@@ -54,15 +54,16 @@ def test_pages_take_images_from_the_elimination():
 
 def test_total_matrix_has_two_callers():
     # total_complex is the one totalization of a double complex and
-    # collapse_triple the one of a triple complex's faces; a third
-    # caller would assemble some D^n a second time
+    # borel_hyper_complex the one of the faces of a hyper Borel complex;
+    # a third caller would assemble some D^n a second time
     found = sorted({f"{name}:{fn.name}" for name, fn in _nodes()
                     if isinstance(fn, ast.FunctionDef)
                     for node in ast.walk(fn)
                     if isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "total_matrix"})
-    assert found == ["homalg.py:collapse_triple", "homalg.py:total_complex"]
+    assert found == ["homalg.py:total_complex",
+                     "spectra.py:borel_hyper_complex"]
 
 
 def _is_self_validate(node) -> bool:
@@ -151,7 +152,7 @@ def test_oracles_keep_their_own_bar_formula():
     oracles = {"groupcoh.py": "bar_complex", "getzler.py": "dbar",
                "spectra.py": "quotient_cohomology_oracle"}
     route = {"bar_faces", "base_faces", "borel_double_complex",
-             "borel_triple_complex", "borel_bisimplicial", "DoubleComplex",
+             "borel_hyper_complex", "borel_bisimplicial", "DoubleComplex",
              "total_cochains"}
     found = {name: _names(_functions(module)[name]) & route
              for module, name in oracles.items()}

@@ -379,6 +379,26 @@ class TestDiscreteBorel:
         # one orbit with stabiliser S_2: rationally a point
         assert [sums.get(n, 0) for n in range(3)] == [1, 0, 0]
 
+    @pytest.mark.parametrize("name, n_top, n_rows", [
+        ("z2_s0_swap_q", 6, 5), ("z2_pair2_swap_f2", 5, 4)])
+    def test_one_bar_complex_per_q(self, name, n_top, n_rows, monkeypatch):
+        # the oracle builds each q's bar complex once, up to its largest p
+        from stackcoh.models import corpus_by_name
+        inst = corpus_by_name(name)
+        built = []
+        original = spectra.bar_complex
+
+        def counted(module, top):
+            built.append(top)
+            return original(module, top)
+        monkeypatch.setattr(spectra, "bar_complex", counted)
+        rep = discrete_borel_ss(inst.action(n_top), inst.field, n_top)
+        tops = {}
+        for row in rep.identification:
+            tops[row["q"]] = max(tops.get(row["q"], 0), row["p"] + 1)
+        assert rep.ok and len(tops) == n_rows
+        assert sorted(built) == sorted(tops.values())
+
 
 class TestAtlas:
     def test_trivial_group_degenerates(self):
@@ -489,6 +509,27 @@ class TestHyper:
         assert hs[0] == hs_single[0]
         for n in range(1, 4):
             assert hs[n] == hs_single[n] + hs_single[n - 1]
+
+    def test_one_check_per_module_and_collapsed(self, monkeypatch):
+        # each module's Borel complex and the collapsed complex run their
+        # check; the faces and the transpose are not checked again
+        from stackcoh.models import pair_swap_action
+        m = trivial_module(cyclic_group(2), QQ)
+        cc = CoefficientComplex((m, m, m), (Mat.zero(1, 1, QQ),) * 2)
+        sa = as_simplicial_action(pair_swap_action(), 3)
+        calls = []
+        original = DoubleComplex.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+        monkeypatch.setattr(DoubleComplex, "__post_init__", counting)
+        for mode in ("atlas", "discrete-borel"):
+            calls.clear()
+            dc = spectra.borel_hyper_complex(sa, cc, 3, mode)
+            assert len(calls) == len(cc.modules) + 1
+            assert calls[-1] is dc if mode == "atlas" else \
+                calls[-1].p_range == dc.q_range == (0, 5)
 
     def test_nonequivariant_coefficients_rejected(self):
         from stackcoh.errors import NonEquivariantCoefficients

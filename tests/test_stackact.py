@@ -7,7 +7,7 @@ from stackcoh.errors import NotFunctorial
 from stackcoh.exactalg import GF, QQ
 from stackcoh.getzler import getzler_total_cohomology
 from stackcoh.groupcoh import GModule
-from stackcoh.homalg import TripleComplex, cohomology, total_complex
+from stackcoh.homalg import cohomology, total_complex
 from stackcoh.models import corpus_by_name
 from stackcoh.simplicial import (
     BiSemiSimplicialSet, FiniteGroupoid, SemiSimplicialSet, cochains,
@@ -17,8 +17,8 @@ from stackcoh.spectra import atlas_ss, discrete_borel_ss
 from stackcoh.stackact import (
     FiniteGroup, GroupoidAction, SimplicialGAction, borel_bisimplicial,
     borel_object, cyclic_group, equivariant_cohomology, induced_nerve_action,
-    is_free, orbit_space, set_action_on_trivial_groupoid, simplicial_action,
-    symmetric_group, subgroup, transformation_groupoid, trivial_action,
+    is_free, orbit_space, set_action_on_trivial_groupoid, symmetric_group,
+    subgroup, transformation_groupoid, trivial_action,
 )
 
 F2 = GF(2)
@@ -46,7 +46,7 @@ def z2_cycle4(n_top):
                 level.append(index[image])
             per_level.append(tuple(level))
         maps.append(tuple(per_level))
-    return simplicial_action(g, space, maps)
+    return SimplicialGAction(g, space, maps)
 
 
 class TestGroups:
@@ -222,7 +222,7 @@ class TestTransformationGroupoid:
 
 VALIDATED = (SemiSimplicialSet, BiSemiSimplicialSet, FiniteGroupoid,
              FiniteGroup, GroupoidAction, SimplicialGAction, GModule,
-             LieAlgebraData, TripleComplex)
+             LieAlgebraData)
 
 
 def test_each_object_validated_once(monkeypatch):
