@@ -21,7 +21,7 @@ from pathlib import Path
 
 from stackcoh.cli import parse_input
 from stackcoh.exactalg import GF, QQ, Mat
-from stackcoh.groupcoh import module_from_matrices, trivial_module
+from stackcoh.groupcoh import GModule, trivial_module
 from stackcoh.homalg import CoefficientComplex
 from stackcoh.models import CORPUS, cycle_rotation_action, pair_swap_action
 from stackcoh.simplicial import trivial_groupoid
@@ -46,8 +46,8 @@ def hyper_cases():
     yield "fixture", data["action"], data["coefficient_complex"], 5
     for field in (QQ, GF(2), GF(3)):
         m = trivial_module(z2, field)
-        sign = module_from_matrices(z2, field, [Mat.identity(1, field),
-                                                Mat.from_rows([[-1]], field)])
+        sign = GModule(z2, field, 1, [Mat.identity(1, field),
+                                      Mat.from_rows([[-1]], field)])
         yield (f"single/p{field.p}", point, CoefficientComplex((m,), ()), 4)
         yield (f"identity/p{field.p}", swap,
                CoefficientComplex((m, m), (Mat.identity(1, field),)), 4)

@@ -337,10 +337,6 @@ def cartan_E1(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int) -> dict:
     return table
 
 
-def _mat_key(m: Mat):
-    return (m.rows, m.cols, tuple(sorted(m.entries.items())))
-
-
 CLOSURE_LIMIT = 4096
 
 
@@ -409,23 +405,20 @@ def mulclose_mats(gens: list, limit: int = CLOSURE_LIMIT) -> list:
     identity tuple first.  A generator that lies in the closure of the
     ones before it is dropped, and every other one at least doubles the
     group, so at most log2(limit) + 1 generators are ever multiplied and
-    a long redundant list costs one lookup per generator.
+    a long redundant list costs one lookup per generator.  Tuples of
+    Mats are hashable, so the closure is a dict keyed by its elements.
     """
-    def key(t):
-        return tuple(_mat_key(m) for m in t)
-
     def close(kept):
         ident = tuple(Mat.identity(m.rows, m.field) for m in kept[0])
-        seen = {key(ident): ident}
+        seen = {ident: None}
         frontier = [ident]
         while frontier:
             new = []
             for w in frontier:
                 for g in kept:
                     prod = tuple(a * b for a, b in zip(w, g))
-                    k = key(prod)
-                    if k not in seen:
-                        seen[k] = prod
+                    if prod not in seen:
+                        seen[prod] = None
                         new.append(prod)
                         if len(seen) > limit:
                             raise InvariantViolation(
@@ -435,10 +428,10 @@ def mulclose_mats(gens: list, limit: int = CLOSURE_LIMIT) -> list:
 
     kept, seen = [], {}
     for g in gens:
-        if key(g) not in seen:
+        if g not in seen:
             kept.append(g)
             seen = close(kept)
-    return list(seen.values())
+    return list(seen)
 
 
 def sym_power_matrix(w: Mat, p: int, monos: list, mono_index: dict) -> Mat:
@@ -464,21 +457,17 @@ def sym_power_matrix(w: Mat, p: int, monos: list, mono_index: dict) -> Mat:
 
 
 def invariant_polynomials(lie: LieAlgebraData, weyl_gens: list,
-                          poly_trunc: int, field: Field = QQ) -> list:
-    """Per-degree dimensions of the W-invariant polynomials: the rank of
-    the sum of the W-actions, which is |W| times the averaging projector
-    (|W| is invertible in the field); an empty generator list means
-    trivial W."""
+                          poly_trunc: int) -> list:
+    """Per-degree dimensions of the W-invariant polynomials over Q: the
+    rank of the sum of the W-actions, which is |W| times the averaging
+    projector; an empty generator list means trivial W."""
     group = [w for (w,) in mulclose_mats([(g,) for g in weyl_gens])] \
-        if weyl_gens else [Mat.identity(lie.dim, field)]
-    if field.p and len(group) % field.p == 0:
-        raise NonInvertibleOrder(
-            f"|W| = {len(group)} not invertible in characteristic {field.p}")
+        if weyl_gens else [Mat.identity(lie.dim, QQ)]
     out = []
     for p in range(poly_trunc + 1):
         monos = monomials(lie.dim, p)
         mono_index = {m: i for i, m in enumerate(monos)}
-        total = Mat.zero(len(monos), len(monos), field)
+        total = Mat.zero(len(monos), len(monos), QQ)
         for w in group:
             total = total + sym_power_matrix(w, p, monos, mono_index)
         out.append(rank(total))
@@ -488,7 +477,7 @@ def invariant_polynomials(lie: LieAlgebraData, weyl_gens: list,
 @dataclass
 class TorusWeylReport:
     degrees: list
-    series_invariant_cohomology: list
+    series: list    # dimensions of the invariant cohomology
     series_e_infinity: list
     e1_matches: list
     per_degree_ok: list
@@ -497,10 +486,6 @@ class TorusWeylReport:
     def ok(self) -> bool:
         return all(self.per_degree_ok) and \
             all(row["ok"] for row in self.e1_matches)
-
-    @property
-    def series(self) -> list:
-        return self.series_invariant_cohomology
 
 
 def torus_weyl_check(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,

@@ -25,12 +25,12 @@ from .errors import (
 from .exactalg import Field, GF, QQ, Mat
 from .homalg import CoefficientComplex, cohomology
 from .simplicial import (
-    SemiSimplicialSet, cochains, groupoid_from_tables, nerve,
+    FiniteGroupoid, SemiSimplicialSet, cochains, nerve,
 )
 from .stackact import (
     FiniteGroup, GroupoidAction, SimplicialGAction, equivariant_cohomology,
 )
-from .groupcoh import GModule, module_from_matrices
+from .groupcoh import GModule
 from .spectra import atlas_ss, discrete_borel_ss, hyper_ss
 from .getzler import getzler_total_cohomology
 from .cartan import (
@@ -211,9 +211,9 @@ def parse_groupoid(obj, loc="/groupoid"):
     morphisms = _expect(obj, "morphisms", loc, (None,), ends)
     n = len(morphisms)
     comp = _expect(obj, "comp", loc, (n, n), partial(_index, n, nullable=True))
-    return _located(groupoid_from_tables, f"{loc}/comp", names,
-                    [src for src, _ in morphisms],
-                    [tgt for _, tgt in morphisms],
+    return _located(FiniteGroupoid, f"{loc}/comp", tuple(names),
+                    tuple(src for src, _ in morphisms),
+                    tuple(tgt for _, tgt in morphisms),
                     {(a, b): c for a, row in enumerate(comp)
                      for b, c in enumerate(row) if c is not None})
 
@@ -264,7 +264,7 @@ def parse_module(obj, group, field, loc) -> GModule:
     mats = [parse_matrix(rho, dim, dim, field, at) for rho, at in
             _per_element(_expect(obj, "rho", loc), group, f"{loc}/rho",
                          "matrix")]
-    return _located(module_from_matrices, loc, group, field, mats)
+    return _located(GModule, loc, group, field, dim, mats)
 
 
 def parse_lie(obj, loc="/lie") -> LieAlgebraData:
@@ -398,6 +398,23 @@ def parse_input(payload: dict, field: Field | None = None) -> dict:
             payload["weyl_on_algebra"], (None,), "/weyl_on_algebra",
             lambda v, at: _matrices(v, squares, active, at))
     return data
+
+
+def _complex_reaches(job: JobSpec, data: dict, flag: str):
+    """Refuse at flag, before anything is built, a raw complex that stops
+    below what the job reads: cohomology certifies the degrees below the
+    complex's top level, and the action jobs build up to the truncation."""
+    if job.kind == "cohomology" and "complex" in data:
+        need = max(job.degrees) + 1
+    elif job.kind not in ("cartan", "check") and "action" not in data \
+            and "complex_action" in data:
+        need = job.trunc
+    else:
+        return
+    top = data["complex"].trunc
+    if top < need:
+        _fail(f"the complex stops at level {top}; this job needs level "
+              f"{need}", flag)
 
 
 def _action_for(data):
@@ -551,7 +568,12 @@ def _parse_degrees(text: str) -> list:
     """a..b or a,b,...: each bound is checked before the range is built,
     and a degree d needs truncation d + 2 <= MAX_TRUNC."""
     span = ".." in text
-    ends = [int(x) for x in (text.split("..", 1) if span else text.split(","))]
+    try:
+        ends = [int(x) for x in (text.split("..", 1) if span
+                                 else text.split(","))]
+    except ValueError:
+        _fail(f"expected a..b or a,b,... of integers, got {text!r}",
+              "--degrees")
     for d in ends:
         _bounded(d, "--degrees", MAX_TRUNC - 2)
     degrees = list(range(ends[0], ends[1] + 1)) if span else ends
@@ -628,6 +650,8 @@ def main(argv=None) -> int:
                       "validated": sorted(k for k in data if k != "field"),
                       "assertions": [], "ok": True}
         else:
+            _complex_reaches(job, data, "--degrees" if args.trunc is None
+                             else "--trunc")
             report = run(job, data)
     except json.JSONDecodeError as exc:
         sys.stderr.write(f"input error: invalid JSON: {exc}\n")

@@ -9,10 +9,6 @@ class DimensionMismatch(StackcohError):
     """Matrix or complex shapes are incompatible."""
 
 
-class CompositionNonzero(StackcohError):
-    """Two consecutive differentials do not compose to zero."""
-
-
 class InvariantViolation(StackcohError):
     """A structural invariant (d^2 = 0, commutation, axioms) fails.
 

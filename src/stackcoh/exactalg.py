@@ -7,7 +7,7 @@ Field.coerce, zeros dropped), so every producer, here and in the other
 modules, passes plain Python sums and products and reduces nothing
 itself.  A sparse vector that never becomes a Mat goes through reduced(),
 the same step.  All elimination in the package (Sieve, hence rank, kernels,
-cohomology_dim and solve_multi, and the filtered kernels of
+cohomology dimensions and solve_multi, and the filtered kernels of
 spectra._FilteredTotal) goes through two module-level steps: _prepare
 clears a vector to integers over Q (returning the multiplier) or reduces
 it mod p, and _eliminate clears one pivot entry.  Elimination is
@@ -36,9 +36,7 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .errors import (
-    CompositionNonzero, DimensionMismatch, InvariantViolation, NoSolution,
-)
+from .errors import DimensionMismatch, InvariantViolation, NoSolution
 
 
 # Miller-Rabin with the first thirteen primes as bases is exact below
@@ -464,22 +462,13 @@ def _normalise(vec: dict, f: Field) -> dict:
             for i, v in sorted(vec.items())}
 
 
-def cohomology_dim(d_out: Mat, d_in: Mat, reps: bool = False):
-    """dim ker(d_out) - rank(d_in) for the two-step complex d_in then d_out.
+def _cohomology_dim(d_out: Mat, d_in: Mat, reps: bool):
+    """dim ker(d_out) - rank(d_in) for a pair d_in then d_out already
+    known to compose to zero (a CochainComplex checks that).
 
     With reps=True also returns cocycle vectors spanning a complement of
     im(d_in) inside ker(d_out), chosen deterministically.
     """
-    if d_out.cols != d_in.rows:
-        raise DimensionMismatch(
-            f"cols(d_out)={d_out.cols} != rows(d_in)={d_in.rows}")
-    if not (d_out * d_in).is_zero():
-        raise CompositionNonzero("d_out . d_in != 0")
-    return _cohomology_dim(d_out, d_in, reps)
-
-
-def _cohomology_dim(d_out: Mat, d_in: Mat, reps: bool):
-    """cohomology_dim for a pair already known to compose to zero."""
     if not reps:
         return d_out.cols - rank(d_out) - rank(d_in)
     kernel = kernel_basis(d_out)

@@ -51,10 +51,6 @@ class GetzlerContext:
         self.value_dim = off
         self._dc = None
 
-    @property
-    def group(self):
-        return self.sa.group
-
     def value_index(self, n: int, cell: int, coord: int = 0) -> int:
         return self.offsets[n] + cell * self.module.dim + coord
 
@@ -73,7 +69,7 @@ class GetzlerContext:
     def twist(self, gi: int, vec: dict) -> dict:
         """Left action of gi^-1 on module-valued cochains: pull the base
         point through gi and the value through rho(gi^-1)."""
-        g = self.group
+        g = self.sa.group
         rho = self.module.rho[g.inverse(gi)]
         out = {}
         for idx, v in vec.items():
@@ -85,9 +81,6 @@ class GetzlerContext:
                 key = self.value_index(n, moved, r)
                 out[key] = out.get(key, 0) + u * v
         return reduced(out, self.module.field)
-
-    def cochain(self, p: int, table: dict) -> "GetzlerCochain":
-        return GetzlerCochain(self, p, table)
 
 
 @dataclass
@@ -133,7 +126,7 @@ def dbar(f_cochain: GetzlerCochain) -> GetzlerCochain:
     + (-1)^{p+1} (g_{p+1}^{-1} . f(g_1..g_p)).
     """
     ctx = f_cochain.ctx
-    g = ctx.group
+    g = ctx.sa.group
     p = f_cochain.p
     out = {}
 
@@ -209,7 +202,7 @@ def dbar_matrix(ctx: GetzlerContext, p: int) -> Mat:
     differentials of the underlying double complex.
     """
     dc = ctx.double_complex()
-    order = ctx.group.order
+    order = ctx.sa.group.order
     field = ctx.module.field
     src_dim = (order ** p) * ctx.value_dim
     dst_dim = (order ** (p + 1)) * ctx.value_dim

@@ -37,9 +37,6 @@ class GModule:
         self.rho = tuple(self.rho)
         self.validate()
 
-    def rho_mat(self, gi: int) -> Mat:
-        return self.rho[gi]
-
     def validate(self):
         g = self.group
         if len(self.rho) != g.order:
@@ -62,13 +59,6 @@ class GModule:
 def trivial_module(group: FiniteGroup, field: Field, dim: int = 1) -> GModule:
     ident = Mat.identity(dim, field)
     return GModule(group, field, dim, tuple(ident for _ in range(group.order)))
-
-
-def module_from_matrices(group: FiniteGroup, field: Field,
-                         matrices) -> GModule:
-    mats = tuple(matrices)
-    dim = mats[0].rows if mats else 0
-    return GModule(group, field, dim, mats)
 
 
 def restrict_module(m: GModule, members: list, sub: FiniteGroup) -> GModule:

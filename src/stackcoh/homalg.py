@@ -318,8 +318,8 @@ class CoefficientComplex:
             if d.shape != (dst.dim, src.dim):
                 raise InvariantViolation(f"coefficient differential {r} shape")
             for gi in range(len(group.elements)):
-                left = d * src.rho_mat(gi)
-                right = dst.rho_mat(gi) * d
+                left = d * src.rho[gi]
+                right = dst.rho[gi] * d
                 if left != right:
                     from .errors import NonEquivariantCoefficients
                     raise NonEquivariantCoefficients(
@@ -328,7 +328,3 @@ class CoefficientComplex:
         for r in range(len(self.diffs) - 1):
             if not (self.diffs[r + 1] * self.diffs[r]).is_zero():
                 raise InvariantViolation("coefficient complex: d.d != 0")
-
-    @property
-    def length(self) -> int:
-        return len(self.modules)

@@ -74,15 +74,12 @@ class CorpusInstance:
     """One equivariant computation with its certified budget."""
 
     name: str
-    build: object          # n_top -> GroupoidAction | SimplicialGAction
+    action: object         # n_top -> GroupoidAction | SimplicialGAction
     field: Field
     deg_max: int           # certified degrees 0..deg_max for Betti tables
     expected: list | None  # frozen equivariant dims, or None
     ss_deg_max: int | None = None   # degree budget for spectral runs
     dims_only: bool = False         # route pages through the rank formula
-
-    def action(self, n_top: int):
-        return self.build(n_top)
 
     @property
     def ss_budget(self) -> int:

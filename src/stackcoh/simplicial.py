@@ -7,7 +7,9 @@ __post_init__ runs the exhaustive face-identity (or groupoid-axiom)
 check, so consumers such as cochains and total_cochains trust what they
 are handed.  The identities d_i d_j = d_{j-1} d_i of a semi-simplicial
 set and of both directions of a bisimplicial set are checked by one
-routine, _face_identities, on the stored face tables.
+routine, _face_identities, on the stored face tables.  A groupoid is
+given by its composition table alone: its check finds the identities
+and inverses, which no builder works out by hand.
 
 Cells are kept as opaque, canonically ordered labels; a nerve cell at
 level n is the tuple of its n morphism indices.
@@ -65,9 +67,6 @@ class SemiSimplicialSet:
     def face(self, n: int, i: int, c: int) -> int:
         return self.faces[n][i][c]
 
-    def index(self, n: int, label) -> int:
-        return self.cells[n].index(label)
-
     def validate(self):
         """Exhaustive check of the identities d_i d_j = d_{j-1} d_i, i < j."""
         for n in range(2, self.trunc + 1):
@@ -93,14 +92,16 @@ def _face_identities(upper, lower, message):
 
 @dataclass
 class FiniteGroupoid:
-    """Finite groupoid: comp[(a, b)] = a after b, defined iff src(a) = tgt(b)."""
+    """Finite groupoid: comp[(a, b)] = a after b, defined iff src(a) = tgt(b).
+
+    validate() finds the identity ids[x] of each object and the inverse
+    inv[m] of each morphism, and keeps them.
+    """
 
     objects: tuple
     mor_src: tuple
     mor_tgt: tuple
     comp: dict
-    ids: tuple
-    inv: tuple
 
     def __post_init__(self):
         self.validate()
@@ -114,81 +115,56 @@ class FiniteGroupoid:
         return len(self.mor_src)
 
     def validate(self):
+        """The groupoid axioms; the one check of group axioms as well,
+        since a group is checked as its one-object groupoid."""
         n_obj, n_mor = self.n_objects, self.n_morphisms
-        if len(self.ids) != n_obj or len(self.inv) != n_mor:
-            raise InvariantViolation("ids/inv table size mismatch")
+        src, tgt, comp = self.mor_src, self.mor_tgt, self.comp
         for m in range(n_mor):
-            if not (0 <= self.mor_src[m] < n_obj and 0 <= self.mor_tgt[m] < n_obj):
+            if not (0 <= src[m] < n_obj and 0 <= tgt[m] < n_obj):
                 raise InvariantViolation(f"morphism {m} endpoints out of range")
-        for (a, b), c in self.comp.items():
-            if self.mor_src[a] != self.mor_tgt[b]:
+        for (a, b), c in comp.items():
+            if src[a] != tgt[b]:
                 raise InvariantViolation(f"comp defined on non-composable ({a},{b})")
-            if self.mor_src[c] != self.mor_src[b] or self.mor_tgt[c] != self.mor_tgt[a]:
+            if src[c] != src[b] or tgt[c] != tgt[a]:
                 raise InvariantViolation(f"comp endpoints wrong at ({a},{b})")
-        for a in range(n_mor):
-            for b in range(n_mor):
-                if (self.mor_src[a] == self.mor_tgt[b]) != ((a, b) in self.comp):
-                    raise InvariantViolation(
-                        f"comp domain wrong at ({a},{b})")
-        for x in range(n_obj):
-            e = self.ids[x]
-            if self.mor_src[e] != x or self.mor_tgt[e] != x:
-                raise InvariantViolation(f"identity of object {x} has wrong ends")
+        into = [[] for _ in range(n_obj)]     # morphisms by target
         for m in range(n_mor):
-            if self.comp[(m, self.ids[self.mor_src[m]])] != m:
-                raise InvariantViolation(f"right identity fails at {m}")
-            if self.comp[(self.ids[self.mor_tgt[m]], m)] != m:
-                raise InvariantViolation(f"left identity fails at {m}")
-            i = self.inv[m]
-            if self.comp[(i, m)] != self.ids[self.mor_src[m]] or \
-                    self.comp[(m, i)] != self.ids[self.mor_tgt[m]]:
-                raise InvariantViolation(f"inverse fails at {m}")
-        for a in range(n_mor):
-            for b in range(n_mor):
-                if (a, b) not in self.comp:
-                    continue
-                for c in range(n_mor):
-                    if (b, c) not in self.comp:
-                        continue
-                    if self.comp[(self.comp[(a, b)], c)] != \
-                            self.comp[(a, self.comp[(b, c)])]:
-                        raise InvariantViolation(
-                            f"associativity fails at ({a},{b},{c})")
-
-
-def groupoid_from_tables(objects, src, tgt, comp) -> FiniteGroupoid:
-    """Build a groupoid from raw tables, deriving identities and inverses."""
-    n_obj = len(objects)
-    n_mor = len(src)
-    ids = [None] * n_obj
-    for m in range(n_mor):
-        if src[m] == tgt[m] and comp.get((m, m)) == m:
-            # neutral candidate: must be neutral on everything it composes with
-            if all(comp.get((m, b)) == b for b in range(n_mor)
-                   if src[b] == src[m] and (m, b) in comp) and \
-               all(comp.get((a, m)) == a for a in range(n_mor)
-                   if tgt[a] == src[m] and (a, m) in comp):
+            into[tgt[m]].append(m)
+        if len(comp) != sum(len(into[src[a]]) for a in range(n_mor)):
+            raise InvariantViolation("comp is not defined on every "
+                                     "composable pair")
+        # in a groupoid the only idempotent loop at x is its identity
+        ids = [None] * n_obj
+        for m in range(n_mor):
+            if src[m] == tgt[m] and ids[src[m]] is None and comp[(m, m)] == m:
                 ids[src[m]] = m
-    if any(e is None for e in ids):
-        raise InvariantViolation("some object has no identity morphism")
-    inv = [None] * n_mor
-    for m in range(n_mor):
-        for cand in range(n_mor):
-            if comp.get((cand, m)) == ids[src[m]] and \
-                    comp.get((m, cand)) == ids[tgt[m]]:
-                inv[m] = cand
-                break
-    if any(i is None for i in inv):
-        raise InvariantViolation("some morphism has no inverse")
-    return FiniteGroupoid(tuple(objects), tuple(src), tuple(tgt), dict(comp),
-                          tuple(ids), tuple(inv))
+        if None in ids:
+            raise InvariantViolation(
+                f"object {ids.index(None)} has no identity morphism")
+        inv = []
+        for m in range(n_mor):
+            if comp[(m, ids[src[m]])] != m:
+                raise InvariantViolation(f"right identity fails at {m}")
+            if comp[(ids[tgt[m]], m)] != m:
+                raise InvariantViolation(f"left identity fails at {m}")
+            inv.append(next((i for i in into[src[m]] if src[i] == tgt[m]
+                             and comp[(i, m)] == ids[src[m]]
+                             and comp[(m, i)] == ids[tgt[m]]), None))
+            if inv[m] is None:
+                raise InvariantViolation(f"morphism {m} has no inverse")
+        for (a, b), ab in comp.items():
+            for c in into[src[b]]:
+                if comp[(ab, c)] != comp[(a, comp[(b, c)])]:
+                    raise InvariantViolation(
+                        f"associativity fails at ({a},{b},{c})")
+        self.ids, self.inv = tuple(ids), tuple(inv)
 
 
 def trivial_groupoid(k: int) -> FiniteGroupoid:
     """Disjoint union of k points: only identity morphisms."""
     comp = {(m, m): m for m in range(k)}
-    return FiniteGroupoid(tuple(range(k)), tuple(range(k)), tuple(range(k)), comp,
-                          tuple(range(k)), tuple(range(k)))
+    return FiniteGroupoid(tuple(range(k)), tuple(range(k)), tuple(range(k)),
+                          comp)
 
 
 def pair_groupoid(k: int) -> FiniteGroupoid:
@@ -203,9 +179,7 @@ def pair_groupoid(k: int) -> FiniteGroupoid:
         for b, (tb, sb) in enumerate(mor):
             if sa == tb:
                 comp[(a, b)] = index[(ta, sb)]
-    ids = tuple(index[(i, i)] for i in range(k))
-    inv = tuple(index[(s, t)] for (t, s) in mor)
-    return FiniteGroupoid(objects, src, tgt, comp, ids, inv)
+    return FiniteGroupoid(objects, src, tgt, comp)
 
 
 def nerve(g: FiniteGroupoid, n_top: int) -> SemiSimplicialSet:

@@ -16,7 +16,10 @@ Face conventions are never trusted.  Each object is checked once, at
 construction: groups, actions and the Borel objects run their
 exhaustive axiom, functoriality or simplicial-identity check in
 __post_init__ (a failing build aborts with SimplicialIdentityFailure or
-NotFunctorial), and no consumer checks an argument again.
+NotFunctorial), and no consumer checks an argument again.  A group is
+checked as its one-object groupoid G => pt, whose nerve is the bar
+construction BG: FiniteGroupoid.validate is the one check of the group
+axioms, and FiniteGroup takes its identity and inverses from it.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ class FiniteGroup:
         return len(self.elements)
 
     def validate(self):
+        """The table's shape here; the group axioms are the groupoid
+        axioms of G as a one-object groupoid, whose check also finds the
+        identity and the inverses."""
         n = self.order
         if len(self.mul) != n or any(len(row) != n for row in self.mul):
             raise InvariantViolation("multiplication table is not n x n")
@@ -60,26 +66,8 @@ class FiniteGroup:
                 if not 0 <= self.mul[i][j] < n:
                     raise InvariantViolation(
                         f"product ({i},{j}) out of range")
-        e = next((e for e in range(n)
-                  if all(self.mul[e][i] == i and self.mul[i][e] == i
-                         for i in range(n))), None)
-        if e is None:
-            raise InvariantViolation("no identity element")
-        inverses = []
-        for i in range(n):
-            j = next((j for j in range(n)
-                      if self.mul[i][j] == e and self.mul[j][i] == e), None)
-            if j is None:
-                raise InvariantViolation(f"element {i} has no inverse")
-            inverses.append(j)
-        # kept for the identity and inverse lookups
-        self._identity, self._inverses = e, tuple(inverses)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.mul[self.mul[i][j]][k] != self.mul[i][self.mul[j][k]]:
-                        raise InvariantViolation(
-                            f"associativity fails at ({i},{j},{k})")
+        point = one_object_groupoid(self)
+        (self._identity,), self._inverses = point.ids, point.inv
 
     @property
     def identity(self) -> int:
@@ -87,10 +75,6 @@ class FiniteGroup:
 
     def inverse(self, i: int) -> int:
         return self._inverses[i]
-
-    def __eq__(self, other):
-        return (isinstance(other, FiniteGroup)
-                and self.elements == other.elements and self.mul == other.mul)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -124,9 +108,7 @@ def subgroup(group: FiniteGroup, members) -> tuple[FiniteGroup, list]:
 def one_object_groupoid(group: FiniteGroup) -> FiniteGroupoid:
     n = group.order
     comp = {(a, b): group.mul[a][b] for a in range(n) for b in range(n)}
-    return FiniteGroupoid((0,), (0,) * n, (0,) * n, comp,
-                          (group.identity,),
-                          tuple(group.inverse(i) for i in range(n)))
+    return FiniteGroupoid((0,), (0,) * n, (0,) * n, comp)
 
 
 def _check_permutation_action(group: FiniteGroup, perms, size: int, error):
@@ -250,19 +232,6 @@ def as_simplicial_action(a, n_top: int) -> SimplicialGAction:
     return induced_nerve_action(a, n_top)
 
 
-@dataclass
-class BorelObject:
-    """Homotopy-quotient simplicial object with provenance.
-
-    Level n is G^n x X_n with the two-sided bar faces; the level-0 cells
-    coincide with X_0.
-    """
-
-    space: SemiSimplicialSet
-    group: FiniteGroup
-    base: SemiSimplicialSet
-
-
 def _tuples(group: FiniteGroup, n: int):
     return list(itertools.product(range(group.order), repeat=n))
 
@@ -312,8 +281,10 @@ def _interned(faces, ints):
         yield tuple(map(ints.__getitem__, face))
 
 
-def borel_object(sa: SimplicialGAction, n_top: int | None = None) -> BorelObject:
-    """Diagonal homotopy-quotient object: level n = G^n x X_n.
+def borel_object(sa: SimplicialGAction,
+                 n_top: int | None = None) -> SemiSimplicialSet:
+    """Diagonal homotopy-quotient object: level n = G^n x X_n, whose
+    level-0 cells are those of X_0.
 
     d_i is bar face i after base face i, composed one face at a time.
     """
@@ -339,7 +310,7 @@ def borel_object(sa: SimplicialGAction, n_top: int | None = None) -> BorelObject
         raise InvariantViolation(
             f"homotopy quotient has {space.size(0)} vertices, the base "
             f"{s.size(0)}")
-    return BorelObject(space, g, s)
+    return space
 
 
 def borel_bisimplicial(sa: SimplicialGAction, n_top: int | None = None,
@@ -395,7 +366,7 @@ def equivariant_cohomology(a, field: Field, degrees, n_top: int | None = None,
     if n_top is None:
         n_top = max(degrees) + 2
     sa = as_simplicial_action(a, n_top)
-    complex_diag = cochains(borel_object(sa, n_top).space, field)
+    complex_diag = cochains(borel_object(sa, n_top), field)
     dims = [cohomology(complex_diag, n) for n in degrees]
     del complex_diag    # not held while the totalization is built
     if check_total:
@@ -424,10 +395,7 @@ def transformation_groupoid(group: FiniteGroup, perms) -> FiniteGroupoid:
         for b_idx, (g1, x) in enumerate(mor):
             if y == perms[g1][x]:
                 comp[(a_idx, b_idx)] = index[(group.mul[g2][g1], x)]
-    e = group.identity
-    ids = tuple(index[(e, x)] for x in range(npts))
-    inv = tuple(index[(group.inverse(gi), perms[gi][x])] for (gi, x) in mor)
-    return FiniteGroupoid(tuple(range(npts)), src, tgt, comp, ids, inv)
+    return FiniteGroupoid(tuple(range(npts)), src, tgt, comp)
 
 
 def set_action_on_trivial_groupoid(group: FiniteGroup, perms) -> GroupoidAction:

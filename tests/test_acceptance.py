@@ -75,7 +75,7 @@ def test_criterion_3_diagonal_equals_totalization():
         n_top = inst.deg_max + 2
         sa = as_simplicial_action(inst.action(n_top), n_top)
         bo = borel_object(sa, n_top)
-        diag_complex = cochains(bo.space, inst.field)
+        diag_complex = cochains(bo, inst.field)
         bis = borel_bisimplicial(sa, n_top, max_total=n_top + 1)
         diag_again = diagonal_dims_match(bis, bo, n_top)
         assert diag_again
@@ -90,7 +90,7 @@ def test_criterion_3_diagonal_equals_totalization():
 def diagonal_dims_match(bis, bo, n_top):
     # structural spot check: the diagonal blocks carry the same cells
     for n in range(n_top + 1):
-        if bis.size(n, n) and bis.cells[(n, n)] != bo.space.cells[n]:
+        if bis.size(n, n) and bis.cells[(n, n)] != bo.cells[n]:
             return False
     return True
 
@@ -238,7 +238,7 @@ def test_criterion_11_structural_suite():
         n_top = min(inst.deg_max, 3) + 2
         sa = as_simplicial_action(inst.action(n_top), n_top)
         sa.space.validate()
-        borel_object(sa, n_top).space.validate()
+        borel_object(sa, n_top).validate()
         borel_bisimplicial(sa, n_top, max_total=n_top + 1).validate()
     # Morita invariance: pair groupoids on k <= 4 points against the point
     point_complex = cochains(nerve(trivial_groupoid(1), 5), QQ)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from stackcoh.cli import main
 
 from .strategies import fixture_mutations
+from .test_simplicial import MONOID_TABLES
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -71,6 +72,18 @@ class TestParsing:
              "--degrees", "0..4", "--trunc", "3"], capsys)
         assert code == 2
         assert "--trunc" in err or "truncation" in err
+
+    @pytest.mark.parametrize("name", sorted(MONOID_TABLES))
+    def test_monoid_groupoid_exits_2_at_comp(self, name, capsys, tmp_path):
+        payload = {"groupoid": {
+            "objects": ["pt"],
+            "morphisms": [{"src": 0, "tgt": 0}, {"src": 0, "tgt": 0}],
+            "comp": MONOID_TABLES[name]}}
+        path = tmp_path / "monoid.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(["check", str(path)], capsys)
+        assert code == 2
+        assert "(at /groupoid/comp)" in err
 
 
 class Literal(str):
@@ -233,15 +246,33 @@ class TestIndexTables:
         assert code == 0, err
 
 
-# (argv, flag): each value would build a list, a tower or a polynomial
-# basis that runs out of memory
-OVERSIZED_FLAGS = {
+# (argv, flag): each value is refused at its flag before anything is
+# built.  The first three would build a list, a tower or a polynomial
+# basis that runs out of memory.
+REFUSED_FLAGS = {
     "degrees": (["check", "point.json", "--degrees", "0..10000000000"],
                 "--degrees"),
     "trunc": (["cohomology", "point.json", "--trunc", "100000000"],
               "--trunc"),
     "poly-trunc": (["cartan", "cartan_point.json", "--poly-trunc", "100000"],
                    "--poly-trunc"),
+    "degrees-word": (["equivariant", "z2_point.json", "--degrees", "x"],
+                     "--degrees"),
+    "degrees-two-spans": (["equivariant", "z2_point.json",
+                           "--degrees", "1..2..3"], "--degrees"),
+    "degrees-empty-item": (["equivariant", "z2_point.json",
+                            "--degrees", "1,,2"], "--degrees"),
+    # the raw complex of circle_action.json stops at level 5
+    "equivariant-short-complex": (["equivariant", "circle_action.json",
+                                   "--degrees", "0..9"], "--degrees"),
+    "cohomology-short-complex": (["cohomology", "circle_action.json",
+                                  "--degrees", "0..9"], "--degrees"),
+    "equivariant-short-complex-trunc": (
+        ["equivariant", "circle_action.json", "--degrees", "0..3",
+         "--trunc", "6"], "--trunc"),
+    "cohomology-short-complex-trunc": (
+        ["cohomology", "circle_action.json", "--degrees", "0..5",
+         "--trunc", "7"], "--trunc"),
 }
 
 
@@ -252,11 +283,11 @@ def _address_space_cap():
 
 
 class TestOversizedFlags:
-    @pytest.mark.parametrize("case", sorted(OVERSIZED_FLAGS))
+    @pytest.mark.parametrize("case", sorted(REFUSED_FLAGS))
     def test_refused_before_anything_is_built(self, case):
         # run capped in a child process, so a regression fails there
         # instead of taking the memory of the test run
-        (kind, name, *flags), flag = OVERSIZED_FLAGS[case]
+        (kind, name, *flags), flag = REFUSED_FLAGS[case]
         proc = subprocess.run(
             [sys.executable, "-m", "stackcoh.cli", kind, fixture(name),
              *flags], capture_output=True, text=True, timeout=60,
@@ -290,6 +321,21 @@ class TestSchemaFuzz:
 
 
 class TestJobs:
+    @pytest.mark.parametrize("argv", [
+        ["cohomology", "--degrees", "0..4"],
+        ["cohomology", "--degrees", "0..4", "--trunc", "9"],
+        ["equivariant", "--degrees", "0..3"],
+        ["equivariant", "--degrees", "0..2", "--trunc", "5"],
+    ])
+    def test_degrees_within_a_raw_complex_run(self, argv, capsys):
+        # circle_action.json's complex stops at level 5: cohomology
+        # certifies degrees up to 4, and an action job runs up to
+        # truncation 5
+        kind, *flags = argv
+        code, out, err = run_cli(
+            [kind, fixture("circle_action.json"), *flags], capsys)
+        assert code == 0, err
+
     def test_equivariant_z2_point_tower(self, capsys):
         code, out, err = run_cli(
             ["equivariant", fixture("z2_point.json"), "--degrees", "0..4"],

@@ -30,7 +30,7 @@ def make_ctx(action, field, n_top):
 
 
 def basis_cochains(ctx, p):
-    for t in itertools.product(range(ctx.group.order), repeat=p):
+    for t in itertools.product(range(ctx.sa.group.order), repeat=p):
         for idx in range(ctx.value_dim):
             yield GetzlerCochain(ctx, p, {t: {idx: 1}})
 
@@ -40,14 +40,14 @@ class TestDbar:
         ctx = make_ctx(z2_swap_s0(), QQ, 2)
         # constant 0-cochain with G-invariant value: sum over the orbit
         invariant = {ctx.value_index(0, 0): 1, ctx.value_index(0, 1): 1}
-        f = ctx.cochain(0, {(): invariant})
+        f = GetzlerCochain(ctx, 0, {(): invariant})
         assert dbar(f).is_zero()
 
     def test_degree_zero_formula(self):
         # (dbar f)(g) = v - g.v for a 0-cochain with value v
         ctx = make_ctx(z2_swap_s0(), QQ, 2)
         v = {ctx.value_index(0, 0): 1}
-        f = ctx.cochain(0, {(): v})
+        f = GetzlerCochain(ctx, 0, {(): v})
         df = dbar(f)
         assert df.value((0,)) == {}
         swapped = df.value((1,))
@@ -75,7 +75,7 @@ class TestDbar:
 
     def test_dbar_matches_matrix_route(self):
         ctx = make_ctx(z2_cycle4(2), QQ, 2)
-        order = ctx.group.order
+        order = ctx.sa.group.order
         mat = dbar_matrix(ctx, 1)
         for f in itertools.islice(basis_cochains(ctx, 1), 24):
             df = dbar(f)
@@ -94,14 +94,14 @@ class TestDbar:
         # twisting the last face by rho(g) instead of rho(g^-1) breaks the
         # square-zero law on a nonabelian group with nontrivial module
         from stackcoh.exactalg import Mat
-        from stackcoh.groupcoh import module_from_matrices
+        from stackcoh.groupcoh import GModule
         g = symmetric_group(3)
         perm_mats = []
         for gi in range(6):
             word = g.elements[gi]
             perm_mats.append(Mat(3, 3, {(int(word[x]), x): 1
                                         for x in range(3)}, QQ))
-        module = module_from_matrices(g, QQ, perm_mats)
+        module = GModule(g, QQ, 3, perm_mats)
 
         def forward_dbar(p):
             import itertools as it

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from stackcoh.exactalg import GF, QQ, Mat, joint_kernel
 from stackcoh.groupcoh import (
-    action_on_cohomology, bar_complex, module_from_matrices, trivial_module,
+    GModule, action_on_cohomology, bar_complex, trivial_module,
 )
 from stackcoh.homalg import cohomology
 from stackcoh.simplicial import cochains, nerve
@@ -30,8 +30,8 @@ def invariants_dim(m) -> int:
 
 def sign_module_z2():
     g = cyclic_group(2)
-    return module_from_matrices(g, QQ, [Mat.identity(1, QQ),
-                                        Mat.from_rows([[-1]], QQ)])
+    return GModule(g, QQ, 1, [Mat.identity(1, QQ),
+                              Mat.from_rows([[-1]], QQ)])
 
 
 class TestBarComplex:
@@ -79,7 +79,7 @@ class TestBarComplex:
             word = s3.elements[gi]
             entries = {(int(word[x]), x): 1 for x in range(3)}
             perm_mats.append(Mat(3, 3, entries, QQ))
-        modules.append(module_from_matrices(s3, QQ, perm_mats))
+        modules.append(GModule(s3, QQ, 3, perm_mats))
         for m in modules:
             c = bar_complex(m, 2)
             assert cohomology(c, 0) == invariants_dim(m)
@@ -104,7 +104,7 @@ class TestBarComplex:
             return  # generator order does not divide |G|; skip draw
         mats = [s * gen_pow[k] * s_inv for k in range(order)]
         try:
-            m = module_from_matrices(g, QQ, mats)
+            m = GModule(g, QQ, dim, mats)
         except Exception:
             return
         c = bar_complex(m, 3)
@@ -152,4 +152,4 @@ class TestGModuleValidation:
         g = cyclic_group(2)
         bad = [Mat.identity(1, QQ), Mat.from_rows([[2]], QQ)]
         with pytest.raises(Exception):
-            module_from_matrices(g, QQ, bad)
+            GModule(g, QQ, 1, bad)

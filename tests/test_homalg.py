@@ -26,6 +26,18 @@ class TestCochainComplex:
         with pytest.raises(InvariantViolation):
             CochainComplex(QQ, (1, 1, 1), (bad, bad))
 
+    def test_composition_checked(self):
+        d_in = Mat.from_rows([[1], [0]], QQ)
+        d_out = Mat.from_rows([[1, 0]], QQ)
+        with pytest.raises(InvariantViolation, match="d.d != 0"):
+            CochainComplex(QQ, (1, 2, 1), (d_in, d_out))
+
+    def test_shape_checked(self):
+        # a 3 x 1 map into degree 1 of dimension 2
+        with pytest.raises(InvariantViolation, match="shape"):
+            CochainComplex(QQ, (1, 2, 1),
+                           (Mat.zero(3, 1, QQ), Mat.zero(1, 2, QQ)))
+
     def test_point(self):
         c = point_complex()
         assert cohomology(c, 0) == 1

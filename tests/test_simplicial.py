@@ -7,12 +7,25 @@ from stackcoh.errors import (
 )
 from stackcoh.exactalg import GF, QQ
 from stackcoh.homalg import cohomology, total_complex
+from stackcoh.models import s3_natural_perms
 from stackcoh.simplicial import (
-    BiSemiSimplicialSet, SemiSimplicialSet, cochains, cycle_space, diagonal,
-    nerve, pair_groupoid, total_cochains, trivial_groupoid,
+    BiSemiSimplicialSet, FiniteGroupoid, SemiSimplicialSet, cochains,
+    cycle_space, diagonal, nerve, pair_groupoid, total_cochains,
+    trivial_groupoid,
+)
+from stackcoh.stackact import (
+    one_object_groupoid, symmetric_group, transformation_groupoid,
 )
 
 F2 = GF(2)
+
+# one-object composition tables of monoids that are not groups
+MONOID_TABLES = {
+    # z z = z 1 = 1 z = z: the first idempotent loop z is not neutral
+    "idempotent-not-neutral": [[0, 0], [0, 1]],
+    # 0 is neutral, but z z = z, so z has no inverse
+    "no-inverse": [[0, 1], [1, 1]],
+}
 
 
 class TestGroupoids:
@@ -31,7 +44,29 @@ class TestGroupoids:
         key = next(k for k in bad if bad[k] != g.ids[0])
         bad[key] = (bad[key] + 1) % g.n_morphisms
         with pytest.raises(InvariantViolation):
-            type(g)(g.objects, g.mor_src, g.mor_tgt, bad, g.ids, g.inv)
+            type(g)(g.objects, g.mor_src, g.mor_tgt, bad)
+
+    @pytest.mark.parametrize("build, ids, inv", [
+        (lambda: pair_groupoid(3), (0, 4, 8), (0, 3, 6, 1, 4, 7, 2, 5, 8)),
+        (lambda: trivial_groupoid(2), (0, 1), (0, 1)),
+        (lambda: one_object_groupoid(symmetric_group(3)), (0,),
+         (0, 1, 2, 4, 3, 5)),
+        (lambda: transformation_groupoid(symmetric_group(3),
+                                         s3_natural_perms()),
+         (0, 1, 2),
+         (0, 1, 2, 3, 5, 4, 7, 6, 8, 13, 14, 12, 11, 9, 10, 17, 16, 15)),
+    ], ids=["pair", "trivial", "one-object", "transformation"])
+    def test_derived_identities_and_inverses(self, build, ids, inv):
+        # the tuples these builders once worked out by hand
+        g = build()
+        assert (g.ids, g.inv) == (ids, inv)
+
+    @pytest.mark.parametrize("name", sorted(MONOID_TABLES))
+    def test_monoid_table_rejected(self, name):
+        comp = {(a, b): c for a, row in enumerate(MONOID_TABLES[name])
+                for b, c in enumerate(row)}
+        with pytest.raises(InvariantViolation):
+            FiniteGroupoid(("pt",), (0, 0), (0, 0), comp)
 
 
 class TestNerve:

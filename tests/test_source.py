@@ -168,3 +168,56 @@ def test_convergence_ranks_are_not_the_rank_table():
     assert "_column_sieve" not in _names(rank)
     assert _names(check) & {"pairs", "_pairs", "rank_table", "rank_at",
                             "_rank_tables"} == set()
+
+
+def _definitions():
+    """(file:qualified name, node) of each top-level function and method."""
+    for path in sorted(Path(stackcoh.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{path.name}:{node.name}", node
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        yield f"{path.name}:{node.name}.{fn.name}", fn
+
+
+def _calls(node, name) -> list:
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name) and n.func.id == name]
+
+
+def _constructor_arity(call) -> int | None:
+    """Arguments a call hands FiniteGroupoid: a direct call, or
+    cli._located(FiniteGroupoid, loc, *args)."""
+    if isinstance(call.func, ast.Name) and call.func.id == "FiniteGroupoid":
+        return len(call.args) + len(call.keywords)
+    if isinstance(call.func, ast.Name) and call.func.id == "_located" and \
+            call.args and isinstance(call.args[0], ast.Name) and \
+            call.args[0].id == "FiniteGroupoid":
+        return len(call.args) - 2 + len(call.keywords)
+    return None
+
+
+def test_one_check_of_group_and_groupoid_axioms():
+    # FiniteGroupoid.validate is the one check of the axioms: a group is
+    # checked as its one-object groupoid, and no caller hands a groupoid
+    # identities or inverses it worked out by hand
+    defs = dict(_definitions())
+    raising = sorted(key for key, fn in defs.items()
+                     for node in ast.walk(fn) if isinstance(node, ast.Raise)
+                     if any(isinstance(n, ast.Constant)
+                            and isinstance(n.value, str)
+                            and "associativity" in n.value
+                            for n in ast.walk(node)))
+    assert raising == ["simplicial.py:FiniteGroupoid.validate"]
+    functions = {key.split(":")[1]: fn for key, fn in defs.items()}
+    builders = {"FiniteGroupoid"} | {
+        name for name, fn in functions.items()
+        if "." not in name and _calls(fn, "FiniteGroupoid")}
+    group_check = defs["stackact.py:FiniteGroup.validate"]
+    assert any(_calls(group_check, name) for name in builders)
+    wide = [f"{key}:{call.lineno}" for key, fn in defs.items()
+            for call in ast.walk(fn) if isinstance(call, ast.Call)
+            and (_constructor_arity(call) or 0) > 4]
+    assert wide == []

@@ -351,10 +351,10 @@ class TestDiscreteBorel:
         assert rep.ok
 
     def test_module_coefficients_sign(self):
-        from stackcoh.groupcoh import module_from_matrices
+        from stackcoh.groupcoh import GModule
         g = cyclic_group(2)
-        sign = module_from_matrices(g, QQ, [Mat.identity(1, QQ),
-                                            Mat.from_rows([[-1]], QQ)])
+        sign = GModule(g, QQ, 1, [Mat.identity(1, QQ),
+                                  Mat.from_rows([[-1]], QQ)])
         a = trivial_action(g, trivial_groupoid(1))
         rep = discrete_borel_ss(a, sign, 4)
         assert rep.ok
@@ -533,10 +533,10 @@ class TestHyper:
 
     def test_nonequivariant_coefficients_rejected(self):
         from stackcoh.errors import NonEquivariantCoefficients
-        from stackcoh.groupcoh import module_from_matrices
+        from stackcoh.groupcoh import GModule
         g = cyclic_group(2)
-        sign = module_from_matrices(g, QQ, [Mat.identity(1, QQ),
-                                            Mat.from_rows([[-1]], QQ)])
+        sign = GModule(g, QQ, 1, [Mat.identity(1, QQ),
+                                  Mat.from_rows([[-1]], QQ)])
         triv = trivial_module(g, QQ)
         with pytest.raises(NonEquivariantCoefficients):
             CoefficientComplex((triv, sign), (Mat.identity(1, QQ),))

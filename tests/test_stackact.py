@@ -95,23 +95,23 @@ class TestBorelObject:
     def test_trivial_group_on_point(self):
         a = trivial_action(cyclic_group(1), trivial_groupoid(1))
         bo = borel_object(induced_nerve_action(a, 3))
-        assert [bo.space.size(n) for n in range(4)] == [1, 1, 1, 1]
+        assert [bo.size(n) for n in range(4)] == [1, 1, 1, 1]
 
     def test_z2_on_point_gives_classifying_levels(self):
         a = trivial_action(cyclic_group(2), trivial_groupoid(1))
         bo = borel_object(induced_nerve_action(a, 4))
-        assert [bo.space.size(n) for n in range(5)] == [1, 2, 4, 8, 16]
+        assert [bo.size(n) for n in range(5)] == [1, 2, 4, 8, 16]
 
     def test_z2_swap_s0_levels(self):
         bo = borel_object(induced_nerve_action(z2_swap_s0(), 4))
-        assert [bo.space.size(n) for n in range(5)] == [2, 4, 8, 16, 32]
+        assert [bo.size(n) for n in range(5)] == [2, 4, 8, 16, 32]
 
     def test_diagonal_equals_borel_structurally(self):
         for sa in [induced_nerve_action(z2_swap_s0(), 3), z2_cycle4(3)]:
             bo = borel_object(sa)
             diag = diagonal(borel_bisimplicial(sa))
-            assert diag.cells == bo.space.cells
-            assert diag.faces == bo.space.faces
+            assert diag.cells == bo.cells
+            assert diag.faces == bo.faces
 
 
 class TestBisimplicial:
@@ -193,22 +193,22 @@ class TestTransformationGroupoid:
 
         for n in range(4):
             mapping = []
-            for (gs, x) in bo.space.cells[n]:
+            for (gs, x) in bo.cells[n]:
                 if n == 0:
                     label = ("obj", x)
                 else:
                     label = to_chain(gs, x)
-                mapping.append(tn.index(n, label))
+                mapping.append(tn.cells[n].index(label))
             assert sorted(mapping) == list(range(tn.size(n)))
             if n >= 1:
                 prev = []
-                for (gs, x) in bo.space.cells[n - 1]:
-                    prev.append(tn.index(
-                        n - 1, ("obj", x) if n == 1 else to_chain(gs, x)))
+                for (gs, x) in bo.cells[n - 1]:
+                    prev.append(tn.cells[n - 1].index(
+                        ("obj", x) if n == 1 else to_chain(gs, x)))
                 for i in range(n + 1):
-                    for c in range(bo.space.size(n)):
+                    for c in range(bo.size(n)):
                         assert tn.face(n, i, mapping[c]) == \
-                            prev[bo.space.face(n, i, c)]
+                            prev[bo.face(n, i, c)]
 
     def test_set_action_equivariant_matches_transformation_nerve(self):
         g = cyclic_group(3)
