@@ -645,13 +645,13 @@ def main(argv=None) -> int:
                       poly_trunc=poly_trunc, degrees=degrees,
                       mode=getattr(args, "mode", "atlas"),
                       check_total=args.check_total)
+        _complex_reaches(job, data, "--degrees" if args.trunc is None
+                         else "--trunc")
         if args.check_only:
             report = {"kind": args.kind, "check_only": True,
                       "validated": sorted(k for k in data if k != "field"),
                       "assertions": [], "ok": True}
         else:
-            _complex_reaches(job, data, "--degrees" if args.trunc is None
-                             else "--trunc")
             report = run(job, data)
     except json.JSONDecodeError as exc:
         sys.stderr.write(f"input error: invalid JSON: {exc}\n")

@@ -579,8 +579,9 @@ def borel_hyper_complex(sa, coeffs: CoefficientComplex, n_top: int,
     are the columns of the result, joined block-diagonally by the
     remaining Borel differential: t is the vertical index in "atlas" mode,
     and the result is transposed so that t is the horizontal index in
-    "discrete-borel" mode.  The faces need no check of their own: see
-    DoubleComplex._derived.
+    "discrete-borel" mode.  Like every double complex, the result is
+    checked once, as its total in pages; the module complexes and the
+    faces are contained in it, so that check covers theirs too.
     """
     if mode not in ("atlas", "discrete-borel"):
         raise ValueError("mode must be 'atlas' or 'discrete-borel'")
@@ -616,7 +617,7 @@ def borel_hyper_complex(sa, coeffs: CoefficientComplex, n_top: int,
                     d_h[(a, r)] = inside[r][block(a, t)]
                 if r < top:
                     d_v[(a, r)] = coefficient_map(r, block(a, t))
-        faces.append(TotalLayout(DoubleComplex._derived(
+        faces.append(TotalLayout(DoubleComplex(
             field, (0, n_top), (0, top), dims, d_h, d_v)))
     s_max = faces[0].n_max
     dims, d_h, d_v = {}, {}, {}

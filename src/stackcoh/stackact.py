@@ -158,10 +158,6 @@ class GroupoidAction:
                     raise NotFunctorial(
                         f"element {g.elements[gi]} does not preserve ends of "
                         f"morphism {m}")
-            for x in range(a.n_objects):
-                if mor[a.ids[x]] != a.ids[obj[x]]:
-                    raise NotFunctorial(
-                        f"element {g.elements[gi]} does not preserve identities")
             for (m1, m2), m3 in a.comp.items():
                 if a.comp[(mor[m1], mor[m2])] != mor[m3]:
                     raise NotFunctorial(

@@ -267,6 +267,9 @@ REFUSED_FLAGS = {
                                    "--degrees", "0..9"], "--degrees"),
     "cohomology-short-complex": (["cohomology", "circle_action.json",
                                   "--degrees", "0..9"], "--degrees"),
+    "equivariant-short-complex-check-only": (
+        ["equivariant", "circle_action.json", "--degrees", "0..9",
+         "--check-only"], "--degrees"),
     "equivariant-short-complex-trunc": (
         ["equivariant", "circle_action.json", "--degrees", "0..3",
          "--trunc", "6"], "--trunc"),

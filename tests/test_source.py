@@ -88,6 +88,14 @@ def test_validate_only_at_construction():
     assert found == []
 
 
+def test_no_constructor_bypass():
+    # every object runs its own constructor check: a __new__ call
+    # assembles an instance that no check has seen
+    found = [f"{name}:{node.lineno}" for name, node in _nodes()
+             if isinstance(node, ast.Attribute) and node.attr == "__new__"]
+    assert found == []
+
+
 def test_coerce_only_in_exactalg():
     # Mat.__init__ and exactalg.reduced are the one normalisation of
     # entries; a producer that coerces its own terms reduces them twice

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stackcoh import exactalg, homalg, spectra
 from stackcoh.cartan import abelian_lie, torus_weyl_check
+from stackcoh.errors import InvariantViolation
 from stackcoh.exactalg import (
     GF, QQ, Mat, Sieve, mat_from_columns, rank, solve_multi,
 )
@@ -510,26 +511,50 @@ class TestHyper:
         for n in range(1, 4):
             assert hs[n] == hs_single[n] + hs_single[n - 1]
 
-    def test_one_check_per_module_and_collapsed(self, monkeypatch):
-        # each module's Borel complex and the collapsed complex run their
-        # check; the faces and the transpose are not checked again
+    def test_no_block_products_before_the_total(self, monkeypatch):
+        # a double complex is checked once, as D^2 = 0 of its total:
+        # building one, its transpose or a hyper Borel complex multiplies
+        # no matrix
         from stackcoh.models import pair_swap_action
         m = trivial_module(cyclic_group(2), QQ)
         cc = CoefficientComplex((m, m, m), (Mat.zero(1, 1, QQ),) * 2)
         sa = as_simplicial_action(pair_swap_action(), 3)
         calls = []
-        original = DoubleComplex.__post_init__
+        original = Mat.__mul__
 
-        def counting(self):
-            calls.append(self)
-            original(self)
-        monkeypatch.setattr(DoubleComplex, "__post_init__", counting)
+        def counting(self, other):
+            calls.append((self.shape, other.shape))
+            return original(self, other)
+        monkeypatch.setattr(Mat, "__mul__", counting)
+        zigzag(QQ).transpose()
         for mode in ("atlas", "discrete-borel"):
-            calls.clear()
-            dc = spectra.borel_hyper_complex(sa, cc, 3, mode)
-            assert len(calls) == len(cc.modules) + 1
-            assert calls[-1] is dc if mode == "atlas" else \
-                calls[-1].p_range == dc.q_range == (0, 5)
+            spectra.borel_hyper_complex(sa, cc, 3, mode)
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", ["atlas", "discrete-borel"])
+    @pytest.mark.parametrize("axis", ["d_h", "d_v"])
+    @pytest.mark.parametrize("key", [(0, 0), (1, 0), (0, 1), (1, 1)])
+    def test_corrupted_module_block_refused(self, monkeypatch, mode, axis,
+                                            key):
+        # doubling one nonzero block of the first module's Borel complex
+        # breaks its commutation with the coefficient differential; the
+        # check of the collapsed complex's total refuses it before any
+        # page is computed
+        from stackcoh.models import pair_swap_action
+        original = spectra.borel_double_complex
+        built = []
+
+        def corrupted(*args, **kwargs):
+            dc = original(*args, **kwargs)
+            if not built:
+                block = getattr(dc, axis)[key]
+                assert not block.is_zero()
+                getattr(dc, axis)[key] = block + block
+            built.append(dc)
+            return dc
+        monkeypatch.setattr(spectra, "borel_double_complex", corrupted)
+        with pytest.raises(InvariantViolation, match=r"d\.d != 0"):
+            hyper_ss(pair_swap_action(), _two_term(), mode, n_top=3)
 
     def test_nonequivariant_coefficients_rejected(self):
         from stackcoh.errors import NonEquivariantCoefficients

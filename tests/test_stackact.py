@@ -17,8 +17,8 @@ from stackcoh.spectra import atlas_ss, discrete_borel_ss
 from stackcoh.stackact import (
     FiniteGroup, GroupoidAction, SimplicialGAction, borel_bisimplicial,
     borel_object, cyclic_group, equivariant_cohomology, induced_nerve_action,
-    is_free, orbit_space, set_action_on_trivial_groupoid, symmetric_group,
-    subgroup, transformation_groupoid, trivial_action,
+    is_free, one_object_groupoid, orbit_space, set_action_on_trivial_groupoid,
+    symmetric_group, subgroup, transformation_groupoid, trivial_action,
 )
 
 F2 = GF(2)
@@ -89,6 +89,15 @@ class TestInducedAction:
         with pytest.raises(NotFunctorial):
             GroupoidAction(g, atlas, ((0, 1), (0, 1)),
                            ((0, 1), (1, 0))).validate()
+
+    def test_identity_swapped_with_a_loop_rejected(self):
+        # a map that preserves ends and composition sends identities to
+        # identities, so swapping e and s of the one-object Z/2 is
+        # refused as a failure of composition
+        g = cyclic_group(2)
+        with pytest.raises(NotFunctorial, match="composition"):
+            GroupoidAction(g, one_object_groupoid(g), ((0,), (0,)),
+                           ((0, 1), (1, 0)))
 
 
 class TestBorelObject:
