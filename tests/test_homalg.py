@@ -98,6 +98,22 @@ def identity_square():
 
 
 class TestTotalComplex:
+    def test_transpose_is_not_revalidated(self, monkeypatch):
+        # the transpose runs the constructor, which checks shapes only:
+        # it multiplies no matrix and carries the blocks over unchanged
+        dc = identity_square()
+        calls = []
+        original = Mat.__mul__
+
+        def counting(self, other):
+            calls.append((self.shape, other.shape))
+            return original(self, other)
+        monkeypatch.setattr(Mat, "__mul__", counting)
+        tr = dc.transpose()
+        assert calls == []
+        assert tr.d_h[(0, 0)] is dc.d_v[(0, 0)]
+        assert tr.d_v[(1, 0)] is dc.d_h[(0, 1)]
+
     def test_single_entry(self):
         tot = total_complex(single_block_dc())
         assert tot.dims == (1,)
