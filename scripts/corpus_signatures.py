@@ -11,12 +11,15 @@ of its page entries, d_r matrices, reps, flags, identification and
 convergence rows, hashed by perfbench/jobs.py.  The last line is one
 digest over every run.  Two checkouts compute the same results exactly
 when they print the same digest; point PYTHONPATH at the src/ of the
-checkout to measure.
+checkout to measure.  Each run's wall seconds go to stderr, one
+"label seconds" line per run, so stdout and the digest do not depend on
+timing.
 """
 
 import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
 from stackcoh.cli import parse_input
@@ -77,10 +80,14 @@ def runs():
 
 def main():
     digest = hashlib.sha256()
+    start = time.perf_counter()
     for label, report in runs():
+        seconds = time.perf_counter() - start
         line = f"{label} {signature(_ss_payload(report))}"
         print(line, flush=True)
+        print(f"{label} {seconds:.2f} s", file=sys.stderr, flush=True)
         digest.update(line.encode() + b"\n")
+        start = time.perf_counter()
     print(f"digest {digest.hexdigest()}")
 
 

@@ -14,18 +14,22 @@ it mod p, and _eliminate clears one pivot entry.  Elimination is
 fraction-free over Q: _eliminate forms a*vec - b*w and divides vec and
 its combination by the gcd of all their entries, so there is no rounding
 and no runaway coefficient growth.  Pivoting is deterministic: a stored
-vector's pivot is its smallest row index, and an inserted vector is
-cleared against the stored pivots in their insertion order, found from
-its support through a heap rather than by scanning every pivot.  Kernels,
-representatives and solves insert columns left to right, so every kernel
-and representative basis is reproducible across runs; the rank table of
-spectra inserts them right to left.  rank sieves rows instead, top to
-bottom with column j stored at index -j, so each row's pivot is its
-largest column: a rank does not depend on the order, and the same
-reduction costs far less on rows (de Silva, Morozov and
-Vejdemo-Johansson, "Dualities in persistent (co)homology", Inverse
-Problems 27, 2011).  A Mat's rank is computed at most once and kept on
-the (immutable) matrix.
+vector's pivot is its smallest index, and an inserted vector is cleared
+against the stored pivots in their insertion order, found from its
+support through a heap rather than by scanning every pivot.  The caller
+picks the pivot order through the indices it inserts, and there are
+three.  Kernels and solves pivot on the smallest row: they insert
+columns left to right, so every kernel and representative basis is
+reproducible across runs (the rank table of spectra inserts them right
+to left).  rank sieves rows instead, top to bottom with column j stored
+at index -j, so each row's pivot is its largest column: a rank does not
+depend on the order, and the same reduction costs far less on rows (de
+Silva, Morozov and Vejdemo-Johansson, "Dualities in persistent
+(co)homology", Inverse Problems 27, 2011).  The page sieves of spectra
+store block index i at -i, so a pivot is the largest block index; the
+vectors they keep are facts about spans, which no pivot order changes.
+A Mat's rank is computed at most once and kept on the (immutable)
+matrix.
 """
 
 from __future__ import annotations

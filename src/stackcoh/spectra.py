@@ -12,7 +12,13 @@ coordinates: the projected boundaries first, then the projected Z_r^p
 generators, and a generator is a representative when its projection is
 independent.  A generator lies in the span of the boundaries and the
 earlier generators exactly when its projection does, so these are the
-representatives a sieve over whole T^n vectors would pick.
+representatives a sieve over whole T^n vectors would pick; for the same
+reason the block sieve may pivot on its largest block index, which costs
+less here.  Two shortcuts leave every output as it was.  A block sieve
+that holds dim(p, q) pivots spans the block, so nothing more goes into
+it.  kernel_at clamps the filtration start at pmin and the target at
+pmax + 1, so a later page often hands a block the very snapshot lists of
+the page before; that block keeps the earlier page's sieve.
 Representatives stay in full T^n coordinates.  d_r is solved in the
 target block (p + r, q - r + 1), against the projected boundaries and
 representatives there; the coordinates of a rep are unique, as in
@@ -23,11 +29,13 @@ every Z_r in one pass and keeps representative bases, so d_r matrices are
 reproducible and can be compared entrywise against oracles.  It keeps
 D . z next to each kernel vector z (the elimination acts on both), stored
 for the one block that the pages read, so no image is multiplied out
-again.  An independent rank-table formula provides a dims-only fast
-path; the two agree by property test.  Both routes share only the
-arithmetic: the filtered kernels reduce rows in filtration order with
-exactalg._prepare and exactalg._eliminate, the rank table runs a column
-Sieve built on the same two steps, and neither route calls the other.
+again.  It walks the rows of D^n once, in sorted order, over columns
+prepared once per degree.  An independent rank-table formula provides a
+dims-only fast path; the two agree by property test.  Both routes share
+only the arithmetic: the filtered kernels reduce rows in filtration
+order with exactalg._prepare and exactalg._eliminate, the rank table
+runs a column Sieve built on the same two steps, and neither route calls
+the other.
 
 The rank table sieves each total degree once.  The columns of D^n go
 into one Sieve last to first, and every independent column is paired
@@ -64,7 +72,6 @@ the vertical index.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -115,6 +122,7 @@ class _FilteredTotal:
         self.layout = TotalLayout(dc)
         self.total = total_complex(dc)
         self.pmin, self.pmax = dc.p_range
+        self._prepared = {}
         self._kernels = {}
         self._pairs = {}
         self._rank_tables = {}
@@ -145,53 +153,58 @@ class _FilteredTotal:
         (_prepare and _eliminate act on both), so the images come from
         the elimination.  A column no elimination touched since the last
         snapshot shares that snapshot's combo dict; nothing mutates them.
+
+        The columns of D^n are prepared once per degree and copied here,
+        since elimination over F_p works in place.  The rows are walked
+        once, in sorted order: an elimination brings in only rows of w,
+        which some column already held, so no row is ever added.  An
+        image is built only for a vector with a row in block t.
         """
         p0 = max(p0, self.pmin)
         key = (n, p0)
         if key in self._kernels:
             return self._kernels[key]
         f = self.field
-        d = self.dmat(n)
-        start = self.col_start(n, p0)
-        active = {}
+        if n not in self._prepared:
+            self._prepared[n] = [_prepare(col, f)
+                                 for col in self.dmat(n).columns()]
+        prepared = self._prepared[n]
+        active = {}     # ascending in j: later only popped or reassigned
         row_index = {}
-        heap = []
-        for j in range(start, d.cols):
-            vec, lam = _prepare(d.columns()[j], f)
-            active[j] = (vec, {j: lam})
+        for j in range(self.col_start(n, p0), len(prepared)):
+            vec, lam = prepared[j]
+            active[j] = (dict(vec), {j: lam})
             for r in vec:
                 row_index.setdefault(r, set()).add(j)
-                heapq.heappush(heap, r)
+        rows = sorted(row_index)
+        k = 0
         snapshots = {}
-        seen_rows = set()
         shared = {}     # column -> combo copy of the last snapshot
         for t in self._snapshot_ts(p0):
             boundary = self.col_start(n + 1, t)
-            while heap and heap[0] < boundary:
-                r = heapq.heappop(heap)
-                if r in seen_rows:
-                    continue
-                ids = sorted(j for j in row_index.get(r, ())
+            while k < len(rows) and rows[k] < boundary:
+                r = rows[k]
+                k += 1
+                ids = sorted(j for j in row_index[r]
                              if j in active and r in active[j][0])
                 if not ids:
                     continue
-                seen_rows.add(r)
                 w, cw = active.pop(ids[0])
                 for j in ids[1:]:
                     active[j] = _eliminate(*active[j], w, cw, r, f.p)
                     shared.pop(j, None)
-                    # active[j] may gain rows of w: each is already queued
-                    # in heap (no active vector holds a popped row), so
-                    # only the row index needs j
+                    # active[j] may gain rows of w, each a later row of
+                    # the walk (no active vector holds a passed row)
                     for i in w:
                         row_index[i].add(j)
             stop = self.col_start(n + 1, t + 1)
             snapshot = []
-            for j, (vec, combo) in sorted(active.items()):
+            for j, (vec, combo) in active.items():
                 if j not in shared:
                     shared[j] = dict(combo)
-                snapshot.append((shared[j], {i: v for i, v in vec.items()
-                                             if i < stop}))
+                image = {i: v for i, v in vec.items() if i < stop} \
+                    if vec and min(vec) < stop else {}
+                snapshot.append((shared[j], image))
             snapshots[t] = snapshot
         self._kernels[key] = snapshots
         return snapshots
@@ -294,6 +307,33 @@ class SSRunReport:
             all(row["ok"] for row in self.identification)
 
 
+def _sieve_block(field, dim: int, stop: int, boundaries, generators):
+    """The page sieve of a block of dimension dim whose T^n indices end
+    below stop: (independent projected boundaries, reps, projected reps,
+    images of the reps).
+
+    Block index i goes in at -i, so a pivot is the largest index (the
+    module docstring says why no output depends on that); a sieve with
+    dim pivots spans the block, so nothing more goes in.
+    """
+    sieve = Sieve(field)
+    b_independent, reps, proj, images = [], [], [], []
+    for _, img in boundaries:
+        if sieve.rank == dim:
+            break
+        if img and sieve.insert({-i: v for i, v in img.items()})[0]:
+            b_independent.append(img)
+    for combo, img in generators:
+        if sieve.rank == dim:
+            break
+        z = {-j: v for j, v in combo.items() if j < stop}
+        if z and sieve.insert(z)[0]:
+            reps.append(combo)
+            proj.append({-j: v for j, v in z.items()})
+            images.append(img)
+    return b_independent, reps, proj, images
+
+
 def pages(dc: DoubleComplex, filtration: str = "columns",
           dims_only: bool = False) -> SSRunReport:
     """The run of dc filtered by columns or rows: pages E_0 .. E_stab,
@@ -313,6 +353,7 @@ def pages(dc: DoubleComplex, filtration: str = "columns",
 
     result = []
     prev = None
+    sieved = {}     # (p, q) -> (boundaries, generators, _sieve_block of them)
     for r in range(r_stab + 1):
         entries, reps = {}, {}
         # per block: the projected independent boundaries, the projected
@@ -323,22 +364,20 @@ def pages(dc: DoubleComplex, filtration: str = "columns",
                 entries[(p, q)] = ft.entry_dim_by_ranks(p, q, r)
                 continue
             n = p + q
-            stop = ft.col_start(n, p + 1)
-            sieve = Sieve(work.field)
-            b_independent = []
             # D Z_{r-1}^{p-r+1} projected to block (p, q): the snapshot at
             # t = p holds exactly that block; for r = 0 it lies in F_{p+1}
-            if r and ft.total_dim(n - 1):
-                for _, img in ft.kernel_at(n - 1, p - r + 1, p):
-                    if img and sieve.insert(img)[0]:
-                        b_independent.append(img)
-            entry_reps, proj, images = [], [], []
-            for combo, img in ft.kernel_at(n, p, p + r):
-                z = {j: v for j, v in combo.items() if j < stop}
-                if z and sieve.insert(z)[0]:
-                    entry_reps.append(combo)
-                    proj.append(z)
-                    images.append(img)
+            boundaries = ft.kernel_at(n - 1, p - r + 1, p) \
+                if r and ft.total_dim(n - 1) else ()
+            generators = ft.kernel_at(n, p, p + r)
+            # kernel_at clamps p0 and t, so a later page often hands a
+            # block the same two snapshot lists: keep that block's sieve
+            last = sieved.get((p, q))
+            if last is None or last[0] is not boundaries or \
+                    last[1] is not generators:
+                last = sieved[(p, q)] = (boundaries, generators, _sieve_block(
+                    work.field, work.dim(p, q), ft.col_start(n, p + 1),
+                    boundaries, generators))
+            b_independent, entry_reps, proj, images = last[2]
             entries[(p, q)] = len(entry_reps)
             reps[(p, q)] = entry_reps
             bases[(p, q)] = b_independent

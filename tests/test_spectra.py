@@ -200,6 +200,10 @@ class TestProjectedSubquotients:
             d = ft.dmat(n)
             for p0 in range(ft.pmin, ft.pmax + 1):
                 for t, snapshot in ft.kernels(n, p0).items():
+                    # a skipped or repeated row of the walk would leave
+                    # a kernel of the wrong size
+                    assert len(snapshot) == (d.cols - ft.col_start(n, p0)) \
+                        - corner_rank(ft, n, p0, t)
                     low = ft.col_start(n + 1, t)
                     stop = ft.col_start(n + 1, t + 1)
                     for combo, image in snapshot:
@@ -207,6 +211,42 @@ class TestProjectedSubquotients:
                         assert all(i >= low for i in full)
                         assert image == {i: v for i, v in full.items()
                                          if i < stop}
+
+    @pytest.mark.parametrize("field", [QQ, F2])
+    @pytest.mark.parametrize("runner", [discrete_borel_ss, atlas_ss],
+                             ids=["borel", "atlas"])
+    def test_page_sieves_reuse_and_stop(self, runner, field, monkeypatch):
+        # the filtration clamps on this complex, so later pages hand some
+        # blocks the same snapshots, and some block sieves fill up
+        sieves, dims = [], []
+        sieve_block = spectra._sieve_block
+
+        class RecordingSieve(exactalg.Sieve):
+            def __init__(self, field):
+                super().__init__(field)
+                self.dim = dims[-1]
+                self.full_inserts = 0
+                sieves.append(self)
+
+            def insert(self, vec, combo=None):
+                self.full_inserts += self.rank == self.dim
+                return super().insert(vec, combo)
+
+        def recording_sieve_block(field, dim, *args):
+            dims.append(dim)
+            return sieve_block(field, dim, *args)
+
+        monkeypatch.setattr(spectra, "Sieve", RecordingSieve)
+        monkeypatch.setattr(spectra, "_sieve_block", recording_sieve_block)
+        rep = runner(z2_cycle4(3), field, 3)
+        assert rep.ok
+        blocks = len(rep.dc.dims)
+        assert len(sieves) == len(dims) < len(rep.pages) * blocks
+        assert any(s.dim and s.rank == s.dim for s in sieves)
+        assert sum(s.full_inserts for s in sieves) == 0
+        monkeypatch.undo()
+        assert_pages_match_full_coordinates(
+            rep.dc, "rows" if runner is atlas_ss else "columns")
 
 
 def corner_rank(ft, n, p0, t):
