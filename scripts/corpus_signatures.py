@@ -12,8 +12,8 @@ convergence rows, hashed by perfbench/jobs.py.  The last line is one
 digest over every run.  Two checkouts compute the same results exactly
 when they print the same digest; point PYTHONPATH at the src/ of the
 checkout to measure.  Each run's wall seconds go to stderr, one
-"label seconds" line per run, so stdout and the digest do not depend on
-timing.
+"label seconds" line per run and a last "total seconds" line with their
+sum, so stdout and the digest do not depend on timing.
 """
 
 import hashlib
@@ -80,14 +80,17 @@ def runs():
 
 def main():
     digest = hashlib.sha256()
+    total = 0.0
     start = time.perf_counter()
     for label, report in runs():
         seconds = time.perf_counter() - start
+        total += seconds
         line = f"{label} {signature(_ss_payload(report))}"
         print(line, flush=True)
         print(f"{label} {seconds:.2f} s", file=sys.stderr, flush=True)
         digest.update(line.encode() + b"\n")
         start = time.perf_counter()
+    print(f"total {total:.2f} s", file=sys.stderr, flush=True)
     print(f"digest {digest.hexdigest()}")
 
 

@@ -252,8 +252,8 @@ def _restrict(op: Mat, basis: list, target: list, error) -> Mat:
     """op from span(basis) to span(target), in those bases; raises error
     when an image leaves span(target)."""
     try:
-        coords = solve_multi(mat_from_columns(target, op.rows, op.field),
-                             [op.mul_vec(v) for v in basis])
+        coords = solve_multi(target, [op.mul_vec(v) for v in basis],
+                             op.field)
     except NoSolution as exc:
         raise error from exc
     return mat_from_columns(coords, len(target), op.field)

@@ -18,18 +18,19 @@ vector's pivot is its smallest index, and an inserted vector is cleared
 against the stored pivots in their insertion order, found from its
 support through a heap rather than by scanning every pivot.  The caller
 picks the pivot order through the indices it inserts, and there are
-three.  Kernels and solves pivot on the smallest row: they insert
-columns left to right, so every kernel and representative basis is
-reproducible across runs (the rank table of spectra inserts them right
-to left).  rank sieves rows instead, top to bottom with column j stored
-at index -j, so each row's pivot is its largest column: a rank does not
-depend on the order, and the same reduction costs far less on rows (de
-Silva, Morozov and Vejdemo-Johansson, "Dualities in persistent
-(co)homology", Inverse Problems 27, 2011).  The page sieves of spectra
-store block index i at -i, so a pivot is the largest block index; the
-vectors they keep are facts about spans, which no pivot order changes.
-A Mat's rank is computed at most once and kept on the (immutable)
-matrix.
+three.  Kernels pivot on the smallest row: they insert columns left to
+right, so every kernel and representative basis is reproducible across
+runs (the rank table of spectra inserts them right to left); solve_multi
+pivots in its caller's indices.  rank sieves rows instead, top to bottom
+with column j stored at index -j, so each row's pivot is its largest
+column: a rank does not depend on the order, and the same reduction
+costs far less on rows (de Silva, Morozov and Vejdemo-Johansson,
+"Dualities in persistent (co)homology", Inverse Problems 27, 2011).  The
+page sieves of spectra and its d_r solve store block index i at -i, so a
+pivot is the largest block index; the vectors they keep and the unique
+coordinates they solve for are facts about spans, which no pivot order
+changes.  A Mat's rank is computed at most once and kept on the
+(immutable) matrix.
 """
 
 from __future__ import annotations
@@ -489,28 +490,33 @@ def _cohomology_dim(d_out: Mat, d_in: Mat, reps: bool):
     return dim, chosen
 
 
-def solve_multi(a: Mat, rhs: list[dict]) -> list[dict]:
-    """Solve a . x = b exactly for each sparse b in rhs.
+def solve_multi(cols: list[dict], rhs: list[dict], field: Field,
+                modulo=()) -> list[dict]:
+    """The coordinates x of each sparse b in rhs in cols, modulo
+    span(modulo): b - sum_k x[k] cols[k] lies in that span.
 
-    Requires a to have full column rank; raises NoSolution otherwise or if
-    some b is not in the column space.  Each b is inserted as one extra
-    column a.cols, so a zero residual gives  a . combo + c * b == 0.
+    cols must be independent modulo the span, so x is unique; raises
+    NoSolution otherwise or if some b has no coordinates.  The modulo
+    vectors, which may be dependent, go in with empty combos, so they get
+    no coordinates; each b goes in with a marker column len(cols).
     """
-    f = a.field
-    sieve = Sieve(f)
-    for j, col in enumerate(a.columns()):
-        vec, _ = sieve.insert(col, {j: 1})
-        if not vec:
-            raise NoSolution("matrix does not have full column rank")
+    sieve = Sieve(field)
+    for v in modulo:
+        sieve.insert(v, {})
+    for k, col in enumerate(cols):
+        if not sieve.insert(col, {k: 1})[0]:
+            raise NoSolution("columns are dependent modulo the span")
+    mark = len(cols)
+    p = field.p
     sols = []
     for b in rhs:
-        vec, combo = sieve.insert(b, {a.cols: 1})
+        vec, combo = sieve.insert(b, {mark: 1})
         if vec:
             raise NoSolution("inconsistent system")
-        c = combo.pop(a.cols)
-        if f.p:
-            inv = pow(c, f.p - 2, f.p)
-            sols.append({i: -v * inv % f.p for i, v in combo.items()})
+        c = combo.pop(mark)
+        if p:
+            inv = pow(c, p - 2, p)
+            sols.append({i: -v * inv % p for i, v in combo.items()})
         else:
             sols.append({i: Fraction(-v, c) for i, v in combo.items()})
     return sols

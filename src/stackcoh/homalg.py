@@ -25,8 +25,9 @@ takes its faces from stackact.bar_faces and base_faces; these oracles
 write the bar formula themselves and read neither.
 induced_cohomology_matrix is the "coordinates in H^n" solve of the
 oracles (groupcoh.action_on_cohomology and the Weyl traces of
-cartan.torus_weyl_check); the d_r solve in spectra.pages is the route
-they check and does not call it.
+cartan.torus_weyl_check): coordinates in the representatives modulo
+the image.  The d_r solve in spectra.pages is the route they check; it
+does not call it, and both call exactalg.solve_multi.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, TruncationBoundary
 from .exactalg import (
-    Field, Mat, Sieve, _cohomology_dim, mat_from_columns, solve_multi,
+    Field, Mat, _cohomology_dim, mat_from_columns, solve_multi,
 )
 
 
@@ -111,22 +112,17 @@ def cohomology(c: CochainComplex, n: int, override: bool = False,
 def induced_cohomology_matrix(c: CochainComplex, n: int, ops: list) -> list:
     """Matrices on H^n induced by degree-n operators commuting with d.
 
-    Representatives are the deterministic cocycle complement and the
-    image basis is the independent columns of the incoming differential;
-    both are computed once, and every operator's images are solved in one
-    elimination against image basis plus representatives, so the output
-    is reproducible.  Raises NoSolution if an image leaves the cocycles.
+    Representatives are the deterministic cocycle complement, computed
+    once; every operator's images are solved in one elimination for their
+    coordinates in the representatives modulo the image of the incoming
+    differential, so the output is reproducible.  Raises NoSolution if an
+    image leaves the cocycles.
     """
     field = c.field
     dim, reps = cohomology(c, n, reps=True)
-    sieve = Sieve(field)
-    image_cols = [col for col in c.diff_into(n).columns()
-                  if sieve.insert(col)[0]]
-    basis = mat_from_columns(image_cols + reps, c.dims[n], field)
-    coords = solve_multi(basis, [op.mul_vec(v) for op in ops for v in reps])
-    skip = len(image_cols)
-    cols = [{r - skip: v for r, v in x.items() if r >= skip} for x in coords]
-    return [mat_from_columns(cols[o * dim:(o + 1) * dim], dim, field)
+    coords = solve_multi(reps, [op.mul_vec(v) for op in ops for v in reps],
+                         field, modulo=c.diff_into(n).columns())
+    return [mat_from_columns(coords[o * dim:(o + 1) * dim], dim, field)
             for o in range(len(ops))]
 
 

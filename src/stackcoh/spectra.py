@@ -20,9 +20,10 @@ it.  kernel_at clamps the filtration start at pmin and the target at
 pmax + 1, so a later page often hands a block the very snapshot lists of
 the page before; that block keeps the earlier page's sieve.
 Representatives stay in full T^n coordinates.  d_r is solved in the
-target block (p + r, q - r + 1), against the projected boundaries and
-representatives there; the coordinates of a rep are unique, as in
-T^{n+1}.
+target block (p + r, q - r + 1), in the page sieve's -i coordinates:
+the coordinates of each image in the projected representatives there,
+modulo the projected boundaries.  They are unique, as in T^{n+1}, so the
+solve may pivot like the page sieve.
 
 A progressive kernel elimination per (degree, filtration start) yields
 every Z_r in one pass and keeps representative bases, so d_r matrices are
@@ -57,8 +58,9 @@ every D^n from that total and compares E_infinity with its H^n; the
 runners and cartan.torus_weyl_check add only their identifications.
 
 The d_r solve in pages is the route that the "coordinates in H^n"
-oracle (homalg.induced_cohomology_matrix) checks, so it stays a separate
-solve; the homalg docstring lists every route and its oracle.
+oracle (homalg.induced_cohomology_matrix) checks; the two share only
+exactalg.solve_multi, the one solve modulo a span, and the homalg
+docstring lists every route and its oracle.
 
 borel_double_complex (and borel_hyper_complex through it) sums the
 faces of stackact.bar_faces and base_faces; quotient_cohomology_oracle,
@@ -79,8 +81,7 @@ from .errors import InvariantViolation
 # kernel_basis is not called here; perfbench/layers.py instruments it at
 # this import site.
 from .exactalg import (
-    Mat, Sieve, _eliminate, _prepare, kernel_basis, mat_from_columns, rank,
-    solve_multi,
+    Mat, Sieve, _eliminate, _prepare, kernel_basis, rank, solve_multi,
 )
 from .groupcoh import (
     GModule, action_on_cohomology, bar_complex, module_tensor,
@@ -314,23 +315,25 @@ def _sieve_block(field, dim: int, stop: int, boundaries, generators):
 
     Block index i goes in at -i, so a pivot is the largest index (the
     module docstring says why no output depends on that); a sieve with
-    dim pivots spans the block, so nothing more goes in.
+    dim pivots spans the block, so nothing more goes in.  All but the
+    reps are returned in these -i coordinates, for the d_r solve.
     """
     sieve = Sieve(field)
     b_independent, reps, proj, images = [], [], [], []
     for _, img in boundaries:
         if sieve.rank == dim:
             break
-        if img and sieve.insert({-i: v for i, v in img.items()})[0]:
-            b_independent.append(img)
+        b = {-i: v for i, v in img.items()}
+        if b and sieve.insert(b)[0]:
+            b_independent.append(b)
     for combo, img in generators:
         if sieve.rank == dim:
             break
         z = {-j: v for j, v in combo.items() if j < stop}
         if z and sieve.insert(z)[0]:
             reps.append(combo)
-            proj.append({-j: v for j, v in z.items()})
-            images.append(img)
+            proj.append(z)
+            images.append({-i: v for i, v in img.items()})
     return b_independent, reps, proj, images
 
 
@@ -393,20 +396,13 @@ def pages(dc: DoubleComplex, filtration: str = "columns",
                     differentials[(p, q)] = Mat.zero(tdim, len(src_reps),
                                                      work.field)
                     continue
-                # coordinates of the images in block (tp, tq): the rep
-                # coordinates are unique there, as in T^{n+1}
-                solver_cols = bases[(tp, tq)] + rep_proj[(tp, tq)]
-                a = mat_from_columns(solver_cols, ft.total_dim(p + q + 1),
-                                     work.field)
-                xs = solve_multi(a, rep_images[(p, q)])
-                offset = len(bases[(tp, tq)])
-                entries_m = {}
-                for col_idx, x in enumerate(xs):
-                    for row_idx, v in x.items():
-                        if row_idx >= offset:
-                            entries_m[(row_idx - offset, col_idx)] = v
-                differentials[(p, q)] = Mat(tdim, len(src_reps), entries_m,
-                                            work.field)
+                # coordinates of the images in block (tp, tq), modulo its
+                # boundaries: the rep coordinates are unique there
+                xs = solve_multi(rep_proj[(tp, tq)], rep_images[(p, q)],
+                                 work.field, modulo=bases[(tp, tq)])
+                differentials[(p, q)] = Mat(tdim, len(src_reps), {
+                    (i, j): v for j, x in enumerate(xs) for i, v in x.items()},
+                    work.field)
             for (p, q) in keys:
                 dr = differentials[(p, q)]
                 nxt = differentials.get((p + r, q - r + 1))

@@ -243,29 +243,28 @@ class TestProperties:
         cols = m.columns()
         if rank(m) == m.cols and m.cols:
             targets = [dict(c) for c in cols]
-            sols = solve_multi(m, targets)
+            sols = solve_multi(cols, targets, QQ)
             for j, x in enumerate(sols):
                 assert m.mul_vec(x) == {i: v for i, v in cols[j].items()}
-        # targets A . x for fractional x: the solution is unique
-        a = _full_column_rank(m)
-        xs = data.draw(st.lists(sparse_vecs(a.cols, QQ), max_size=3))
-        assert solve_multi(a, [a.mul_vec(x) for x in xs]) == xs
+        assert_solve_recovers(m, data, QQ)
 
     @settings(max_examples=40, deadline=None)
     @given(sparse_mats(F3), st.data())
     def test_solve_roundtrip_f3(self, m, data):
-        a = _full_column_rank(m)
-        xs = data.draw(st.lists(sparse_vecs(a.cols, F3), max_size=3))
-        assert solve_multi(a, [a.mul_vec(x) for x in xs]) == xs
+        assert_solve_recovers(m, data, F3)
 
     def test_solve_inconsistent(self):
         a = Mat.from_rows([[1], [0]], QQ)
         with pytest.raises(NoSolution):
-            solve_multi(a, [{1: 1}])
+            solve_multi(a.columns(), [{1: 1}], QQ)
         # rank-deficient: column 1 is twice column 0, even for b in the span
         deficient = Mat.from_rows([[1, 2], [2, 4]], QQ)
         with pytest.raises(NoSolution):
-            solve_multi(deficient, [{0: 1, 1: 2}])
+            solve_multi(deficient.columns(), [{0: 1, 1: 2}], QQ)
+        # column 1 lies in span(modulo), even for b in the span
+        with pytest.raises(NoSolution):
+            solve_multi([{0: 1}, {1: 2}], [{0: 1}], QQ,
+                        modulo=[{1: 1, 2: 1}, {2: 1}])
 
 
 def _full_column_rank(m: Mat) -> Mat:
@@ -273,6 +272,33 @@ def _full_column_rank(m: Mat) -> Mat:
     entries = dict(m.entries)
     entries.update({(m.rows + j, j): 1 for j in range(m.cols)})
     return Mat(m.rows + m.cols, m.cols, entries, m.field)
+
+
+def assert_solve_recovers(m: Mat, data, field):
+    """Targets A . x + B . y solve to x, for A = _full_column_rank(m) and B
+    a drawn list that holds dependent columns.  B has no entry on A's
+    identity rows, so A's columns stay independent modulo span(B)."""
+    a = _full_column_rank(m)
+    b = data.draw(sparse_mats(field))
+    # rows of b from m.rows on move below A's identity rows
+    modulo = [{i if i < m.rows else i + a.cols: v for i, v in col.items()}
+              for col in b.columns()]
+    # dependent columns: each one again, scaled by -2, and the sum of all
+    total = {}
+    for col in list(modulo):
+        modulo.append({i: -2 * v for i, v in col.items()})
+        for i, v in col.items():
+            total[i] = total.get(i, 0) + v
+    modulo = data.draw(st.permutations(modulo + [total]))
+    xs = data.draw(st.lists(sparse_vecs(a.cols, field), max_size=3))
+    targets = []
+    for x in xs:
+        t = a.mul_vec(x)
+        for k, y in data.draw(sparse_vecs(len(modulo), field)).items():
+            for i, v in modulo[k].items():
+                t[i] = t.get(i, 0) + y * v
+        targets.append(t)
+    assert solve_multi(a.columns(), targets, field, modulo=modulo) == xs
 
 
 @st.composite

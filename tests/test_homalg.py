@@ -3,10 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stackcoh.errors import InvariantViolation, TruncationBoundary
+from stackcoh.errors import InvariantViolation, NoSolution, TruncationBoundary
 from stackcoh.exactalg import GF, QQ, Mat
 from stackcoh.homalg import (
-    CochainComplex, DoubleComplex, cohomology, total_complex,
+    CochainComplex, DoubleComplex, cohomology, induced_cohomology_matrix,
+    total_complex,
 )
 
 from .strategies import build_double_complex, fields, piece_lists
@@ -79,6 +80,46 @@ class TestCochainComplex:
         c = point_complex()
         with pytest.raises(TruncationBoundary):
             cohomology(c, 99)
+
+
+def two_class_complex(field):
+    """F -> F^4 -> F with d0 = (1, 1, 0, 0) and d1 = (1, -1, 0, 0): the
+    cocycles in degree 1 are b = (1, 1, 0, 0), e2 and e3, and b spans the
+    image of d0, so H^1 has dimension 2."""
+    d0 = Mat.from_rows([[1], [1], [0], [0]], field)
+    d1 = Mat.from_rows([[1, -1, 0, 0]], field)
+    return CochainComplex(field, (1, 4, 1), (d0, d1))
+
+
+def plus_columns(field, scale, extra):
+    """scale * identity on F^4, plus extra[j] added to column j."""
+    entries = {(i, i): scale for i in range(4)}
+    for j, col in extra.items():
+        for i, v in col.items():
+            entries[(i, j)] = entries.get((i, j), 0) + v
+    return Mat(4, 4, entries, field)
+
+
+class TestInducedCohomologyMatrix:
+    @pytest.mark.parametrize("field", [QQ, F2], ids=["QQ", "F2"])
+    def test_coboundary_shift_induces_scalar(self, field):
+        # op(v) = scale * v + (v2 + 2 v3) b: the shift is a coboundary, so
+        # the induced matrix is scale * identity whatever reps are chosen;
+        # without the image as the span, the shift has no coordinates
+        c = two_class_complex(field)
+        b = {0: 1, 1: 1}
+        shift = {2: b, 3: {i: 2 * v for i, v in b.items()}}
+        ops = [plus_columns(field, 1, shift), plus_columns(field, 2, shift)]
+        got = induced_cohomology_matrix(c, 1, ops)
+        assert got == [Mat.identity(2, field), Mat.identity(2, field).scale(2)]
+
+    @pytest.mark.parametrize("field", [QQ, F2], ids=["QQ", "F2"])
+    def test_image_off_the_cocycles_raises(self, field):
+        # op(v) = v + v2 e0, and d1 e0 = 1: e2's class leaves the cocycles
+        c = two_class_complex(field)
+        op = plus_columns(field, 1, {2: {0: 1}})
+        with pytest.raises(NoSolution):
+            induced_cohomology_matrix(c, 1, [op])
 
 
 def euler_characteristic(c: CochainComplex) -> int:

@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 from stackcoh import exactalg, homalg, spectra
 from stackcoh.cartan import abelian_lie, torus_weyl_check
 from stackcoh.errors import InvariantViolation
-from stackcoh.exactalg import (
-    GF, QQ, Mat, Sieve, mat_from_columns, rank, solve_multi,
-)
+from stackcoh.exactalg import GF, QQ, Mat, Sieve, rank, solve_multi
 from stackcoh.groupcoh import trivial_module
 from stackcoh.homalg import (
     CoefficientComplex, DoubleComplex, cohomology, total_complex,
@@ -104,7 +102,7 @@ def full_coordinate_pages(dc):
 
     Every generator of Z_{r-1}^{p+1} and every D z of D Z_{r-1}^{p-r+1}
     goes into the sieve before the Z_r^p generators, and d_r solves the
-    multiplied-out D . rep against the target boundaries and reps.
+    multiplied-out D . rep in the target reps, modulo the target boundaries.
     """
     f = dc.field
     ft = _FilteredTotal(dc)
@@ -131,13 +129,11 @@ def full_coordinate_pages(dc):
             if not src or not tdim:
                 diffs[(p, q)] = Mat.zero(tdim, len(src), f)
                 continue
-            a = mat_from_columns(bases[tgt] + reps[tgt],
-                                 ft.total_dim(p + q + 1), f)
-            xs = solve_multi(a, [ft.dmat(p + q).mul_vec(v) for v in src])
-            off = len(bases[tgt])
+            xs = solve_multi(reps[tgt],
+                             [ft.dmat(p + q).mul_vec(v) for v in src], f,
+                             modulo=bases[tgt])
             diffs[(p, q)] = Mat(tdim, len(src), {
-                (i - off, j): v for j, x in enumerate(xs)
-                for i, v in x.items() if i >= off}, f)
+                (i, j): v for j, x in enumerate(xs) for i, v in x.items()}, f)
         result.append((entries, reps, diffs))
     return result
 
