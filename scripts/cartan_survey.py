@@ -1,14 +1,22 @@
 #!/usr/bin/env python3
 """Survey of the Cartan-model corpus: equivariant series, truncation
-stability, and the SU(2)-style torus-Weyl comparison on the point.
+stability, the SU(2)-style torus-Weyl comparison on the point, and the
+B4 Weyl group (order 384, three generators) on the rank-4 point from
+tests/fixtures/cartan_b4.json, with the wall time of each B4 step.
+
+    PYTHONPATH=src python3 scripts/cartan_survey.py
 """
 
 import argparse
+import json
 import sys
+import time
+from pathlib import Path
 
 from stackcoh.cartan import (
     abelian_lie, cartan_cohomology, invariant_polynomials, torus_weyl_check,
 )
+from stackcoh.cli import parse_input
 from stackcoh.exactalg import QQ, Mat
 from stackcoh.models import CARTAN_CORPUS, point_algebra
 
@@ -38,6 +46,21 @@ def main():
     print(f"torus-Weyl series on the point: {check.series} "
           f"[{'ok' if check.ok else 'FAIL'}]")
     failures += 0 if check.ok else 1
+
+    fixture = Path(__file__).resolve().parents[1] / "tests" / "fixtures" \
+        / "cartan_b4.json"
+    data = parse_input(json.loads(fixture.read_text()))
+    start = time.perf_counter()
+    series = invariant_polynomials(data["lie"], data["weyl"], 4)
+    print(f"invariant polynomials, B4 on the rank-4 point, P=4: {series} "
+          f"({time.perf_counter() - start:.3f} s)")
+    start = time.perf_counter()
+    check = torus_weyl_check(data["lie"], data["gdga"], 4, data["weyl"],
+                             data["weyl_on_algebra"], degrees=range(9))
+    print(f"torus-Weyl series, B4 on the rank-4 point: {check.series} "
+          f"[{'ok' if check.ok else 'FAIL'}] "
+          f"({time.perf_counter() - start:.3f} s)")
+    failures += 0 if check.ok and series == [1, 0, 1, 0, 2] else 1
     return 1 if failures else 0
 
 

@@ -13,12 +13,19 @@ the Lie derivatives.  The Cartan complex is the total complex of
 cartan_double_complex, assembled by homalg.total_complex, the one
 totalization.
 
+Every invariant subspace is a joint kernel over generators: A^g is the
+joint kernel of the L_a, and the W-invariants (of S^p in
+invariant_polynomials, of each block in torus_weyl_check) the joint
+kernel of w - 1 over the generators w, since W fixes exactly what each
+generator fixes.  The closure of W (mulclose_mats) serves only |W| and
+the Weyl-averaged E_1 traces.
+
 Routes and oracles: cartan_cohomology is the route.  cartan_E1 computes
 S^p (x) H(A) from the algebra alone and checks the E_1 page of the
 double complex; torus_weyl_check restricts W to A^g, takes the
 W-invariant total complex, its pages and its E_infinity sums from one
 spectra.pages run, compares the invariant cohomology with E_infinity and
-checks E_1 against Weyl-averaged traces, read off
+checks E_1 against Weyl-averaged traces over all of W, read off
 homalg.induced_cohomology_matrix on H(A^g).
 """
 
@@ -35,7 +42,7 @@ from .errors import (
     NotClosedUnderOperators,
 )
 from .exactalg import (
-    Field, Mat, QQ, _is_prime, joint_kernel, mat_from_columns, rank, reduced,
+    Field, Mat, QQ, _is_prime, joint_kernel, mat_from_columns, reduced,
     solve_multi,
 )
 from .errors import NoSolution
@@ -398,15 +405,16 @@ def matrix_order(w: Mat, limit: int = CLOSURE_LIMIT) -> int | None:
         else None
 
 
-def mulclose_mats(gens: list, limit: int = CLOSURE_LIMIT) -> list:
+def mulclose_mats(gens: list) -> list:
     """Multiplicative closure of tuples of invertible matrices.
 
     Tuples multiply componentwise; the result is in BFS order with the
     identity tuple first.  A generator that lies in the closure of the
     ones before it is dropped, and every other one at least doubles the
-    group, so at most log2(limit) + 1 generators are ever multiplied and
-    a long redundant list costs one lookup per generator.  Tuples of
-    Mats are hashable, so the closure is a dict keyed by its elements.
+    group, so at most log2(CLOSURE_LIMIT) + 1 generators are ever
+    multiplied and a long redundant list costs one lookup per generator.
+    Tuples of Mats are hashable, so the closure is a dict keyed by its
+    elements.
     """
     def close(kept):
         ident = tuple(Mat.identity(m.rows, m.field) for m in kept[0])
@@ -420,7 +428,7 @@ def mulclose_mats(gens: list, limit: int = CLOSURE_LIMIT) -> list:
                     if prod not in seen:
                         seen[prod] = None
                         new.append(prod)
-                        if len(seen) > limit:
+                        if len(seen) > CLOSURE_LIMIT:
                             raise InvariantViolation(
                                 "matrix group closure exceeds limit")
             frontier = new
@@ -459,18 +467,16 @@ def sym_power_matrix(w: Mat, p: int, monos: list, mono_index: dict) -> Mat:
 def invariant_polynomials(lie: LieAlgebraData, weyl_gens: list,
                           poly_trunc: int) -> list:
     """Per-degree dimensions of the W-invariant polynomials over Q: the
-    rank of the sum of the W-actions, which is |W| times the averaging
-    projector; an empty generator list means trivial W."""
-    group = [w for (w,) in mulclose_mats([(g,) for g in weyl_gens])] \
-        if weyl_gens else [Mat.identity(lie.dim, QQ)]
+    joint kernel of S^p(w) - 1 over the generators w, as W fixes exactly
+    what every generator fixes; an empty generator list means trivial W."""
     out = []
     for p in range(poly_trunc + 1):
         monos = monomials(lie.dim, p)
         mono_index = {m: i for i, m in enumerate(monos)}
-        total = Mat.zero(len(monos), len(monos), QQ)
-        for w in group:
-            total = total + sym_power_matrix(w, p, monos, mono_index)
-        out.append(rank(total))
+        ident = Mat.identity(len(monos), QQ)
+        out.append(len(joint_kernel(
+            [sym_power_matrix(w, p, monos, mono_index) + (-ident)
+             for w in weyl_gens], len(monos), QQ)))
     return out
 
 
@@ -490,76 +496,61 @@ class TorusWeylReport:
 
 def torus_weyl_check(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,
                      weyl_dual_gens: list, weyl_algebra_gens: list,
-                     degrees=None) -> TorusWeylReport:
+                     degrees) -> TorusWeylReport:
     """Invariant-series comparison for a torus with Weyl symmetry.
 
     weyl_dual_gens: generators acting on the dual of the Lie algebra;
     weyl_algebra_gens: matching generators acting degree-wise on the
-    algebra (list of per-degree matrix tuples, aligned with the dual
-    generators).  The combined action must commute with the Cartan
-    differential; the W-invariant subcomplex is computed and its
-    cohomology compared against the E_infinity of the invariant double
-    complex, with the E_1 entries checked against the averaged
-    (S^p (x) H^{q-p})^W dimensions.
+    algebra (list of per-degree matrix tuples, one per dual generator).
+    The combined action must commute with the Cartan differential; the
+    W-invariant subcomplex is computed and its cohomology compared
+    against the E_infinity of the invariant double complex, with the E_1
+    entries checked against the averaged (S^p (x) H^{q-p})^W dimensions.
     """
     from .spectra import pages
+    from .groupcoh import kron
+    if len(weyl_dual_gens) != len(weyl_algebra_gens):
+        raise InvariantViolation(
+            f"{len(weyl_dual_gens)} Weyl generators on the dual but "
+            f"{len(weyl_algebra_gens)} on the algebra")
     f = algebra.field
     bases = _lie_invariant_bases(lie, algebra)
     inv = invariants_subalgebra(lie, algebra, bases)
     # W acts on A; the Cartan model is built on A^g, so each map is
     # restricted to A^g in the same bases
-    weyl_algebra_gens = [
-        tuple(_restrict(w, bases[m], bases[m], NonEquivariantInput(
-            f"W generator {k} leaves the Lie-invariant subalgebra at "
-            f"degree {m}")) for m, w in enumerate(ga))
-        for k, ga in enumerate(weyl_algebra_gens)]
-    if degrees is None:
-        degrees = list(range(max(2 * poly_trunc - inv.top, 0) + 1))
+    gens = [(gd, tuple(_restrict(w, bases[m], bases[m], NonEquivariantInput(
+        f"W generator {k} leaves the Lie-invariant subalgebra at "
+        f"degree {m}")) for m, w in enumerate(ga)))
+        for k, (gd, ga) in enumerate(zip(weyl_dual_gens, weyl_algebra_gens))]
     dc = cartan_double_complex(lie, inv, poly_trunc)
 
-    # close the W action on pairs (dual matrix, per-degree algebra maps)
-    if weyl_dual_gens:
-        group = [(t[0], t[1:]) for t in mulclose_mats(
-            [(gd, *ga) for gd, ga in zip(weyl_dual_gens, weyl_algebra_gens)])]
-    else:
-        group = [(Mat.identity(lie.dim, f),
-                  tuple(Mat.identity(inv.dims[m], f)
-                        for m in range(inv.top + 1)))]
+    # the whole group only sizes |W| and feeds the averaged E_1 traces
+    one = (Mat.identity(lie.dim, f), *(Mat.identity(n, f) for n in inv.dims))
+    group = [(t[0], t[1:]) for t in
+             mulclose_mats([(gd, *ga) for gd, ga in gens] or [one])]
     if f.p and len(group) % f.p == 0:
         raise NonInvertibleOrder("|W| not invertible in the coefficient field")
 
     # equivariance check: each algebra map must commute with d degree-wise
-    for (wd, wa) in group:
+    for (wd, wa) in gens:
         for m in range(inv.top):
             if wa[m + 1] * inv.dmat(m) != inv.dmat(m) * wa[m]:
                 raise NonEquivariantInput(
                     "W generator does not commute with the differential")
 
-    # block action of W on the double complex, plus commutation with the
-    # Cartan differential (checked mechanically on the truncated data)
+    # block action of W on the double complex; the invariant blocks are
+    # the vectors every generator fixes, and the Cartan differential must
+    # preserve them (checked mechanically on the truncated data)
     monos = {p: monomials(lie.dim, p) for p in range(poly_trunc + 1)}
     mono_index = {p: {m: i for i, m in enumerate(monos[p])}
                   for p in range(poly_trunc + 1)}
-
-    def block_action(pair, p, q):
-        wd, wa = pair
-        m = q - p
-        if not 0 <= m <= inv.top or dc.dim(p, q) == 0:
-            return Mat.zero(dc.dim(p, q), dc.dim(p, q), f)
-        from .groupcoh import kron
-        sp = sym_power_matrix(wd, p, monos[p], mono_index[p])
-        return kron(sp, wa[m])
-
     inv_bases = {}
-    for p in range(dc.p_range[0], dc.p_range[1] + 1):
-        for q in range(dc.q_range[0], dc.q_range[1] + 1):
-            if dc.dim(p, q) == 0:
-                inv_bases[(p, q)] = []
-                continue
-            ident = Mat.identity(dc.dim(p, q), f)
-            inv_bases[(p, q)] = joint_kernel(
-                [block_action(pair, p, q) + (-ident) for pair in group],
-                dc.dim(p, q), f)
+    for (p, q), dim in dc.dims.items():
+        ident = Mat.identity(dim, f)
+        inv_bases[(p, q)] = joint_kernel(
+            [kron(sym_power_matrix(wd, p, monos[p], mono_index[p]),
+                  wa[q - p]) + (-ident) for wd, wa in gens],
+            dim, f) if dim else []
 
     def restrict(op: Mat, src_key, dst_key, name):
         return _restrict(op, inv_bases[src_key], inv_bases[dst_key],

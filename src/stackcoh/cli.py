@@ -392,10 +392,11 @@ def parse_input(payload: dict, field: Field | None = None) -> dict:
         # the cartan job closes them under products, so that is done here
         _located(mulclose_mats, "/weyl", [(w,) for w in data["weyl"]])
     if "weyl_on_algebra" in payload:
-        _requires(data, ("gdga",), "/weyl_on_algebra")
+        _requires(data, ("gdga", "weyl"), "/weyl_on_algebra")
         squares = [(n, n) for n in data["gdga"].dims]
         data["weyl_on_algebra"] = _array(
-            payload["weyl_on_algebra"], (None,), "/weyl_on_algebra",
+            payload["weyl_on_algebra"], (len(data["weyl"]),),
+            "/weyl_on_algebra",
             lambda v, at: _matrices(v, squares, active, at))
     return data
 
@@ -403,7 +404,16 @@ def parse_input(payload: dict, field: Field | None = None) -> dict:
 def _complex_reaches(job: JobSpec, data: dict, flag: str):
     """Refuse at flag, before anything is built, a raw complex that stops
     below what the job reads: cohomology certifies the degrees below the
-    complex's top level, and the action jobs build up to the truncation."""
+    complex's top level, and the action jobs build up to the truncation.
+    The Cartan model certifies degrees up to 2 poly-trunc - top(A), so a
+    cartan job refuses any degree above that at --degrees."""
+    if job.kind == "cartan" and "gdga" in data:
+        most = 2 * job.poly_trunc - data["gdga"].top
+        if max(job.degrees) > most:
+            _fail(f"degree {max(job.degrees)} is above {most}, the top "
+                  f"degree --poly-trunc {job.poly_trunc} certifies",
+                  "--degrees")
+        return
     if job.kind == "cohomology" and "complex" in data:
         need = max(job.degrees) + 1
     elif job.kind not in ("cartan", "check") and "action" not in data \

@@ -168,9 +168,9 @@ class Mat:
         self._rank = None
 
     @classmethod
-    def from_rows(cls, rows_data, field: Field, cols: int | None = None) -> "Mat":
+    def from_rows(cls, rows_data, field: Field) -> "Mat":
         nrows = len(rows_data)
-        ncols = cols if cols is not None else (len(rows_data[0]) if rows_data else 0)
+        ncols = len(rows_data[0]) if rows_data else 0
         entries = {}
         for i, row in enumerate(rows_data):
             if len(row) != ncols:

@@ -160,7 +160,7 @@ def iota_bar(f_cochain: GetzlerCochain, lie=None) -> GetzlerCochain:
 
 
 def total_differential_matrices(ctx: GetzlerContext,
-                                max_total: int | None = None) -> tuple:
+                                max_total: int) -> tuple:
     """Degree-s matrices of dbar + (-1)^p d_simplicial on the graded pieces.
 
     This is the total complex of the transposed Borel double complex, so

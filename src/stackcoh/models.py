@@ -168,37 +168,37 @@ def corpus_by_name(name: str) -> CorpusInstance:
 # Cartan corpus: (name, lie, algebra builder, poly truncation, expected)
 
 
-def point_algebra(field: Field = QQ) -> GDGA:
-    return GDGA(field, (1,), (), ((),), ((Mat.zero(1, 1, field),),),
+def point_algebra() -> GDGA:
+    return GDGA(QQ, (1,), (), ((),), ((Mat.zero(1, 1, QQ),),),
                 mul={(0, 0): [[{0: 1}]]})
 
 
-def free_circle_algebra(field: Field = QQ) -> GDGA:
-    d = (Mat.zero(1, 1, field),)
-    iota = ((Mat.from_rows([[1]], field),),)
-    lie_der = ((Mat.zero(1, 1, field), Mat.zero(1, 1, field)),)
+def free_circle_algebra() -> GDGA:
+    d = (Mat.zero(1, 1, QQ),)
+    iota = ((Mat.from_rows([[1]], QQ),),)
+    lie_der = ((Mat.zero(1, 1, QQ), Mat.zero(1, 1, QQ)),)
     mul = {(0, 0): [[{0: 1}]], (0, 1): [[{0: 1}]],
            (1, 0): [[{0: 1}]], (1, 1): [[{}]]}
-    return GDGA(field, (1, 1), d, iota, lie_der, mul=mul)
+    return GDGA(QQ, (1, 1), d, iota, lie_der, mul=mul)
 
 
-def trivial_circle_algebra(field: Field = QQ) -> GDGA:
-    d = (Mat.zero(1, 1, field),)
-    iota = ((Mat.zero(1, 1, field),),)
-    lie_der = ((Mat.zero(1, 1, field), Mat.zero(1, 1, field)),)
-    return GDGA(field, (1, 1), d, iota, lie_der)
+def trivial_circle_algebra() -> GDGA:
+    d = (Mat.zero(1, 1, QQ),)
+    iota = ((Mat.zero(1, 1, QQ),),)
+    lie_der = ((Mat.zero(1, 1, QQ), Mat.zero(1, 1, QQ)),)
+    return GDGA(QQ, (1, 1), d, iota, lie_der)
 
 
-def torus_two_data(field: Field = QQ):
+def torus_two_data():
     lie2 = abelian_lie(2)
     dims = (1, 2, 1)
-    d = (Mat.zero(2, 1, field), Mat.zero(1, 2, field))
-    iota1 = (Mat.from_rows([[1, 0]], field), Mat.from_rows([[0], [1]], field))
-    iota2 = (Mat.from_rows([[0, 1]], field), Mat.from_rows([[-1], [0]], field))
+    d = (Mat.zero(2, 1, QQ), Mat.zero(1, 2, QQ))
+    iota1 = (Mat.from_rows([[1, 0]], QQ), Mat.from_rows([[0], [1]], QQ))
+    iota2 = (Mat.from_rows([[0, 1]], QQ), Mat.from_rows([[-1], [0]], QQ))
     lie_der = tuple(
-        tuple(Mat.zero(dims[m], dims[m], field) for m in range(3))
+        tuple(Mat.zero(dims[m], dims[m], QQ) for m in range(3))
         for _ in range(2))
-    return lie2, GDGA(field, dims, d, (iota1, iota2), lie_der)
+    return lie2, GDGA(QQ, dims, d, (iota1, iota2), lie_der)
 
 
 @dataclass

@@ -606,13 +606,14 @@ def borel_hyper_complex(sa, coeffs: CoefficientComplex, n_top: int,
     coefficient degree r totalized into one axis.
 
     Module r contributes its Borel double complex, cut above total degree
-    n_top + 1 - r.  For each level t (mode "atlas") or group degree t
-    ("discrete-borel"), the face over (other axis, r) has the module
-    complexes' blocks as its horizontal maps and the coefficient
+    n_top + 1 - r, and transposed in mode "discrete-borel", so that its
+    vertical index t is the level (mode "atlas") or the group degree.
+    For each t, the face over (other axis, r) has the module complexes'
+    horizontal maps as its horizontal maps and the coefficient
     differential, cell by cell, as its vertical maps; TotalLayout
     totalizes it with the sign (-1)^r on the horizontal maps.  The faces
-    are the columns of the result, joined block-diagonally by the
-    remaining Borel differential: t is the vertical index in "atlas" mode,
+    are the columns of the result, joined block-diagonally by the module
+    complexes' vertical maps: t is the vertical index in "atlas" mode,
     and the result is transposed so that t is the horizontal index in
     "discrete-borel" mode.  Like every double complex, the result is
     checked once, as its total in pages; the module complexes and the
@@ -624,21 +625,17 @@ def borel_hyper_complex(sa, coeffs: CoefficientComplex, n_top: int,
     field = coeffs.modules[0].field
     subs = [borel_double_complex(sa, module, n_top, max_total=n_top + 1 - r)
             for r, module in enumerate(coeffs.modules)]
+    if not atlas:
+        subs = [sub.transpose() for sub in subs]
     top = len(subs) - 1
-    # the Borel differential inside each face, and the one between faces
-    inside = [sub.d_h if atlas else sub.d_v for sub in subs]
-    across = [sub.d_v if atlas else sub.d_h for sub in subs]
-
-    def block(a, t):
-        return (a, t) if atlas else (t, a)
 
     def coefficient_map(r, key):
         """The differential of module r on each cell of block key."""
         diff = coeffs.diffs[r]
         src, dst = coeffs.modules[r].dim, coeffs.modules[r + 1].dim
         rows = subs[r + 1].dim(*key)
-        cells = sa.group.order ** key[0] * sa.space.size(key[1]) if rows else 0
-        entries = {(c * dst + i, c * src + j): v for c in range(cells)
+        entries = {(c * dst + i, c * src + j): v
+                   for c in range(rows // dst if dst else 0)
                    for (i, j), v in diff.entries.items()}
         return Mat(rows, subs[r].dim(*key), entries, field)
 
@@ -647,11 +644,11 @@ def borel_hyper_complex(sa, coeffs: CoefficientComplex, n_top: int,
         dims, d_h, d_v = {}, {}, {}
         for r, sub in enumerate(subs):
             for a in range(n_top + 1):
-                dims[(a, r)] = sub.dim(*block(a, t))
+                dims[(a, r)] = sub.dim(a, t)
                 if a < n_top:
-                    d_h[(a, r)] = inside[r][block(a, t)]
+                    d_h[(a, r)] = sub.d_h[(a, t)]
                 if r < top:
-                    d_v[(a, r)] = coefficient_map(r, block(a, t))
+                    d_v[(a, r)] = coefficient_map(r, (a, t))
         faces.append(TotalLayout(DoubleComplex(
             field, (0, n_top), (0, top), dims, d_h, d_v)))
     s_max = faces[0].n_max
@@ -665,7 +662,7 @@ def borel_hyper_complex(sa, coeffs: CoefficientComplex, n_top: int,
                 nxt, entries = faces[t + 1], {}
                 for (a, r) in lay.blocks[s]:
                     row0, col0 = nxt.offsets[(a, r)], lay.offsets[(a, r)]
-                    for (i, j), v in across[r][block(a, t)].entries.items():
+                    for (i, j), v in subs[r].d_v[(a, t)].entries.items():
                         entries[(row0 + i, col0 + j)] = v
                 d_v[(s, t)] = Mat(nxt.total_dims[s], lay.total_dims[s],
                                   entries, field)
@@ -674,8 +671,8 @@ def borel_hyper_complex(sa, coeffs: CoefficientComplex, n_top: int,
     return dc if atlas else dc.transpose()
 
 
-def hyper_ss(a, coeffs: CoefficientComplex, mode: str, n_top: int,
-             dims_only: bool = False) -> SSRunReport:
+def hyper_ss(a, coeffs: CoefficientComplex, mode: str,
+             n_top: int) -> SSRunReport:
     """Spectral sequence with coefficients in a bounded complex of modules.
 
     mode "atlas" totalizes (group, coefficient) and filters by level;
@@ -685,4 +682,4 @@ def hyper_ss(a, coeffs: CoefficientComplex, mode: str, n_top: int,
     """
     dc = borel_hyper_complex(as_simplicial_action(a, n_top), coeffs, n_top,
                              mode)
-    return pages(dc, "rows" if mode == "atlas" else "columns", dims_only)
+    return pages(dc, "rows" if mode == "atlas" else "columns")

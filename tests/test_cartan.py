@@ -1,17 +1,20 @@
 """Cartan model: calculus validation, cohomology, invariants, Weyl data."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stackcoh import cartan
 from stackcoh.cartan import (
     GDGA, LieAlgebraData, abelian_lie, cartan_E1, cartan_cohomology,
     cartan_double_complex, invariant_polynomials, invariants_subalgebra,
-    matrix_order, monomials, torus_weyl_check, validate_gdga,
+    matrix_order, monomials, mulclose_mats, sym_power_matrix,
+    torus_weyl_check, validate_gdga,
 )
 from stackcoh.errors import (
     InvariantViolation, NonEquivariantInput, NotClosedUnderOperators,
     TruncationBoundary,
 )
-from stackcoh.exactalg import QQ, Mat
+from stackcoh.exactalg import GF, QQ, Mat, rank
 from stackcoh.homalg import TotalLayout, total_complex
 from stackcoh.spectra import convergence_check, pages
 
@@ -249,6 +252,115 @@ class TestInvariantPolynomials:
         gens = [Mat.from_rows([[0, 1], [1, 0]], QQ)]
         assert invariant_polynomials(abelian_lie(2), gens, 5) == \
             [1, 1, 2, 2, 3, 3]
+
+
+def signed_permutation(perm, signs, field=QQ):
+    """The matrix sending e_i to signs[i] e_perm[i]."""
+    n = len(perm)
+    return Mat(n, n, {(perm[i], i): signs[i] for i in range(n)}, field)
+
+
+def group_sum_rank(weyl_gens, dim, p):
+    """dim (S^p)^W as the rank of the sum of the W-actions on S^p, which
+    is |W| times the averaging projector (the oracle)."""
+    group = [w for (w,) in mulclose_mats([(g,) for g in weyl_gens])] \
+        if weyl_gens else [Mat.identity(dim, QQ)]
+    monos = monomials(dim, p)
+    mono_index = {m: i for i, m in enumerate(monos)}
+    total = Mat.zero(len(monos), len(monos), QQ)
+    for w in group:
+        total = total + sym_power_matrix(w, p, monos, mono_index)
+    return rank(total)
+
+
+@st.composite
+def signed_permutation_gens(draw):
+    dim = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.tuples(
+        st.permutations(range(dim)),
+        st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim)),
+        max_size=3))
+    return dim, [signed_permutation(perm, signs) for perm, signs in gens]
+
+
+class TestInvariantsFromGenerators:
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              database=None)
+    @given(case=signed_permutation_gens())
+    def test_matches_group_sum_rank(self, case):
+        dim, gens = case
+        assert invariant_polynomials(abelian_lie(dim), gens, 4) == \
+            [group_sum_rank(gens, dim, p) for p in range(5)]
+
+    @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+    def test_block_bases_from_generators_equal_all_elements(
+            self, field, monkeypatch):
+        # the symmetries of a square (|W| = 8, prime to 3) permute four
+        # coordinates alike on the dual and on A^1 of an algebra whose d,
+        # iota and L vanish; permutation matrices keep the traces of the
+        # E_1 oracle exact over F_3
+        lie = abelian_lie(4)
+        algebra = GDGA(field, (1, 4), (Mat.zero(4, 1, field),),
+                       ((Mat.zero(1, 4, field),),) * 4,
+                       ((Mat.zero(1, 1, field), Mat.zero(4, 4, field)),) * 4)
+        dual = [signed_permutation((1, 2, 3, 0), (1,) * 4, field),
+                signed_permutation((0, 3, 2, 1), (1,) * 4, field)]
+        on_algebra = [(Mat.identity(1, field), w) for w in dual]
+        group = mulclose_mats([(wd, *wa) for wd, wa in zip(dual, on_algebra)])
+        assert len(group) == 8
+        real = cartan.joint_kernel
+
+        def bases(dual_gens, algebra_gens):
+            found = []
+
+            def recording(mats, cols, f):
+                found.append(real(mats, cols, f))
+                return found[-1]
+
+            monkeypatch.setattr(cartan, "joint_kernel", recording)
+            report = torus_weyl_check(lie, algebra, 3, dual_gens,
+                                      algebra_gens, degrees=range(6))
+            monkeypatch.setattr(cartan, "joint_kernel", real)
+            assert report.ok
+            return found, report.series
+
+        from_all = bases([t[0] for t in group], [t[1:] for t in group])
+        assert bases(dual, on_algebra) == from_all
+
+    def test_generators_only(self, monkeypatch):
+        # B4: signed permutations of four coordinates, |W| = 384, from
+        # three generators, on the point with four zero L maps
+        lie = abelian_lie(4)
+        algebra = GDGA(QQ, (1,), (), ((),) * 4, ((Mat.zero(1, 1, QQ),),) * 4)
+        gens = [signed_permutation((0, 1, 2, 3), (-1, 1, 1, 1)),
+                signed_permutation((1, 0, 2, 3), (1, 1, 1, 1)),
+                signed_permutation((1, 2, 3, 0), (1, 1, 1, 1))]
+        inv = invariants_subalgebra(lie, algebra)
+        blocks = sum(1 for d in cartan_double_complex(lie, inv, 4)
+                     .dims.values() if d)
+        closures, kernel_calls = [], []
+        real_close, real_kernel = cartan.mulclose_mats, cartan.joint_kernel
+        monkeypatch.setattr(cartan, "mulclose_mats", lambda g: (
+            closures.append(len(g)), real_close(g))[1])
+        monkeypatch.setattr(cartan, "joint_kernel", lambda mats, *rest: (
+            kernel_calls.append(len(mats)), real_kernel(mats, *rest))[1])
+        assert invariant_polynomials(lie, gens, 4) == [1, 0, 1, 0, 2]
+        assert closures == []
+        kernel_calls.clear()
+        report = torus_weyl_check(lie, algebra, 4, gens,
+                                  [(Mat.identity(1, QQ),)] * 3,
+                                  degrees=range(9))
+        assert report.ok
+        assert report.series == [1, 0, 0, 0, 1, 0, 0, 0, 2]
+        # one call per degree of A for A^g, with one L_a each, then one
+        # per nonzero block, with one matrix per generator
+        assert kernel_calls == [4] + [3] * blocks
+
+    def test_unequal_generator_counts_rejected(self):
+        with pytest.raises(InvariantViolation):
+            torus_weyl_check(LIE1, point_algebra(), 3,
+                             [Mat.from_rows([[-1]], QQ)], [],
+                             degrees=range(4))
 
 
 def naive_order(w, limit):

@@ -136,6 +136,11 @@ BAD_INDEX_TABLES = {
     "iota-count": ("cartan_point.json", ["lie"], {"dim": 2}, "/gdga/iota"),
     "weyl-on-algebra": ("cartan_point.json", ["weyl_on_algebra", 0], 1,
                         "/weyl_on_algebra/0"),
+    # one entry per Weyl generator: none, or one too many
+    "weyl-on-algebra-none": ("cartan_point.json", ["weyl_on_algebra"], [],
+                             "/weyl_on_algebra"),
+    "weyl-on-algebra-extra": ("cartan_point.json", ["weyl_on_algebra"],
+                              [[[[1]]], [[[1]]]], "/weyl_on_algebra"),
     "coefficient-modules": ("hyper_z2_point.json",
                             ["coefficient_complex", "modules"], [],
                             "/coefficient_complex/modules"),
@@ -231,6 +236,17 @@ class TestIndexTables:
         assert f"(at {pointer})" in err
         assert "Traceback" not in err
 
+    def test_weyl_on_algebra_needs_weyl(self, capsys, tmp_path):
+        with open(fixture("cartan_point.json")) as handle:
+            data = json.load(handle)
+        del data["weyl"]
+        path = tmp_path / "no_weyl.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["check", str(path)], capsys)
+        assert code == 2
+        assert "(at /weyl_on_algebra)" in err
+        assert "Traceback" not in err
+
     def test_composite_p_exits_2_with_pointer(self, capsys):
         code, out, err = run_cli(
             ["check", fixture("z2_point.json"), "--field", "Fp",
@@ -276,6 +292,16 @@ REFUSED_FLAGS = {
     "cohomology-short-complex-trunc": (
         ["cohomology", "circle_action.json", "--degrees", "0..5",
          "--trunc", "7"], "--trunc"),
+    # the Cartan model certifies degrees up to 2 poly-trunc - top(A)
+    "cartan-beyond-certified": (["cartan", "cartan_rotation.json",
+                                 "--degrees", "0..9", "--poly-trunc", "3"],
+                                "--degrees"),
+    "cartan-poly-trunc-0": (["cartan", "cartan_point.json",
+                             "--degrees", "0..3", "--poly-trunc", "0"],
+                            "--degrees"),
+    "cartan-beyond-certified-check-only": (
+        ["cartan", "cartan_rotation.json", "--degrees", "0..6",
+         "--poly-trunc", "3", "--check-only"], "--degrees"),
 }
 
 
@@ -399,6 +425,16 @@ class TestJobs:
              "--degrees", "0..5"], capsys)
         assert code == 0, err
         assert "# torus_weyl_series\t1,1,0,0,1,1" in out
+        assert "# torus-weyl\tPASS" in out
+
+    def test_cartan_b4_from_generators(self, capsys):
+        # |W| = 384 from three generators on the rank-4 point algebra
+        code, out, err = run_cli(
+            ["cartan", fixture("cartan_b4.json"), "--degrees", "0..8",
+             "--poly-trunc", "4"], capsys)
+        assert code == 0, err
+        assert "# invariant_polynomials\t1,0,1,0,2" in out
+        assert "# torus_weyl_series\t1,0,0,0,1,0,0,0,2" in out
         assert "# torus-weyl\tPASS" in out
 
     def test_getzler_agrees_with_homotopy_quotient(self, capsys):
