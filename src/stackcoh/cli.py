@@ -398,6 +398,13 @@ def parse_input(payload: dict, field: Field | None = None) -> dict:
             payload["weyl_on_algebra"], (len(data["weyl"]),),
             "/weyl_on_algebra",
             lambda v, at: _matrices(v, squares, active, at))
+        # torus_weyl_check reads the generators over the algebra's field
+        for k, w in enumerate(data["weyl"]):
+            try:
+                Mat(w.rows, w.cols, w.entries, active)
+            except ZeroDivisionError:
+                _fail(f"a Weyl generator has no value mod {active.p}",
+                      f"/weyl/{k}")
     return data
 
 

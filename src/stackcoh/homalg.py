@@ -17,17 +17,23 @@ spectra.borel_hyper_complex totalizes each face (a Borel axis against
 the coefficient degree) of the Borel complex of a coefficient complex.
 
 Routes and their oracles: the subquotient pages of spectra.pages and
-its rank table check each other; the E_1 / E_2 identifications are
-checked by spectra.quotient_cohomology_oracle and groupcoh.bar_complex,
-which never build a double complex; the element-wise getzler.dbar
-checks the Borel blocks behind getzler.dbar_matrix.  Every Borel route
-takes its faces from stackact.bar_faces and base_faces; these oracles
-write the bar formula themselves and read neither.
-induced_cohomology_matrix is the "coordinates in H^n" solve of the
-oracles (groupcoh.action_on_cohomology and the Weyl traces of
-cartan.torus_weyl_check): coordinates in the representatives modulo
-the image.  The d_r solve in spectra.pages is the route they check; it
-does not call it, and both call exactalg.solve_multi.
+its rank table check each other; the E_infinity of either is checked
+against H^n of the total, ranked by the total's own pass
+(CochainComplex.rank_through), which reads none of the rank table's
+pairs.  Every cohomology dimension without reps, in the Borel, Getzler
+and Cartan routes and in the oracles' bar complexes, reads that pass of
+its complex, and a lone matrix is ranked by exactalg.rank.  The E_1 /
+E_2 identifications are checked by spectra.quotient_cohomology_oracle
+and groupcoh.bar_complex, which never build a double complex; the
+element-wise getzler.dbar checks the Borel blocks behind
+getzler.dbar_matrix.  Every Borel route takes its faces from
+stackact.bar_faces and base_faces; these oracles write the bar formula
+themselves and read neither.  induced_cohomology_matrix is the
+"coordinates in H^n" solve of the oracles (groupcoh.action_on_cohomology
+and the E_1 group sums of cartan.torus_weyl_check): coordinates in the
+representatives modulo the image.  The d_r solve in spectra.pages is the
+route they check; it does not call it, and both call
+exactalg.solve_multi.
 """
 
 from __future__ import annotations
@@ -36,7 +42,8 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, TruncationBoundary
 from .exactalg import (
-    Field, Mat, _cohomology_dim, mat_from_columns, solve_multi,
+    Field, Mat, _cohomology_dim, _column_sieve, mat_from_columns,
+    solve_multi,
 )
 
 
@@ -49,6 +56,9 @@ class CochainComplex:
     longer certifies.  None means the top degree: every degree below it is
     certified, and cohomology at the top degree (whose outgoing map is not
     stored) is refused unless overridden.
+
+    The ranks of the differentials come from one ascending pass per
+    complex (rank_through), which cohomology extends as far as it reads.
     """
 
     field: Field
@@ -72,6 +82,24 @@ class CochainComplex:
         for n in range(len(self.diffs) - 1):
             if not (self.diffs[n + 1] * self.diffs[n]).is_zero():
                 raise InvariantViolation(f"d.d != 0 at degree {n}")
+        self._ranked = 0            # differentials the rank pass has sieved
+        self._cleared = frozenset()  # the pivots of the last one's sieve
+
+    def rank_through(self, n: int):
+        """Extend the rank pass through D^n, filling each one's rank.
+
+        The columns of D^m go into exactalg._column_sieve left to right,
+        skipping the pivots of D^{m-1}'s sieve (the clearing of Bauer,
+        Kerber and Reininghaus, "Clear and compress", 2014).  The reduced
+        columns of D^{m-1} lie in im D^{m-1}, inside ker D^m, and have
+        distinct pivots, so every skipped column of D^m is a combination
+        of the kept ones and the rank is unchanged.  Each differential is
+        sieved once per complex, whatever order the degrees are asked in.
+        """
+        while self._ranked <= min(n, len(self.diffs) - 1):
+            sieve = _column_sieve(self.diffs[self._ranked], self._cleared)
+            self._cleared = frozenset(sieve.pivots)
+            self._ranked += 1
 
     @property
     def top_degree(self) -> int:
@@ -106,6 +134,8 @@ def cohomology(c: CochainComplex, n: int, override: bool = False,
             f"degree {n} is beyond the certified range (< {bound}); "
             "pass override=True to force")
     # __post_init__ checked the shapes and d.d = 0 at every degree
+    if not reps:
+        c.rank_through(n)
     return _cohomology_dim(c.diff(n), c.diff_into(n), reps)
 
 

@@ -47,11 +47,16 @@ pairs inside it: the pairing does not depend on how the columns were
 reduced (Cohen-Steiner, Edelsbrunner and Morozov, "Vines and vineyards
 by updating persistence in linear time", SoCG 2006; Bauer et al.,
 "PHAT", J. Symb. Comput. 78, 2017).  So one pass per degree gives the
-rank for every filtration start p0 and every boundary t.  The check of
-the table is convergence_check: in dims-only mode E_infinity comes from
-the table, and H^n of the total complex from exactalg.rank, which sieves
-the rows of each D^n rather than its columns, so the two sides are
-different eliminations.
+rank for every filtration start p0 and every boundary t.  The degrees
+are sieved with the twist of Chen and Kerber ("Persistent homology
+computation with a twist", EuroCG 2011): a column of D^n that is the
+pivot row of a pair of D^{n-1} is skipped, because the sieve would
+reduce it to zero, so every pair stays as it was.  The check of the
+table is convergence_check: in dims-only mode E_infinity comes from the
+table, and H^n of the total complex from the total's own rank pass
+(homalg.CochainComplex.rank_through), which sieves the columns of each
+D^n left to right, cleared by its own pivots of D^{n-1}.  Neither side
+reads the other's pivots, so the two are different eliminations.
 
 pages is the whole run: it totalizes the filtered complex once, reads
 every D^n from that total and compares E_infinity with its H^n; the
@@ -219,14 +224,21 @@ class _FilteredTotal:
         """(column, pivot row) of every independent column of D^n.
 
         The columns go into one untracked Sieve last to first, so a
-        column is reduced only by the columns to its right.
+        column is reduced only by the columns to its right.  The pivot
+        row r of each pair of D^{n-1} is skipped: that pair's reduced
+        column v has smallest row r and D^n v = 0, so column r lies in
+        the span of the columns to its right and would reduce to zero.
         """
         if n not in self._pairs:
+            cleared = {r for _, r in self.pairs(n - 1)} \
+                if self.total_dim(n - 1) else set()
             d = self.dmat(n)
             cols = d.columns()
             sieve = Sieve(self.field)
             pairs = []
             for j in range(d.cols - 1, -1, -1):
+                if j in cleared:
+                    continue
                 vec, _ = sieve.insert(cols[j])
                 if vec:
                     pairs.append((j, min(vec)))

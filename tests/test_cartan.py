@@ -48,16 +48,18 @@ def rotation_algebra():
     return GDGA(QQ, (3, 3), d, ((rot,),), ((rot, rot),))
 
 
-def torus_two():
+def torus_two(field=QQ):
     lie2 = abelian_lie(2)
     dims = (1, 2, 1)
-    d = (Mat.zero(2, 1, QQ), Mat.zero(1, 2, QQ))
-    iota1 = (Mat.from_rows([[1, 0]], QQ), Mat.from_rows([[0], [1]], QQ))
-    iota2 = (Mat.from_rows([[0, 1]], QQ), Mat.from_rows([[-1], [0]], QQ))
+    d = (Mat.zero(2, 1, field), Mat.zero(1, 2, field))
+    iota1 = (Mat.from_rows([[1, 0]], field),
+             Mat.from_rows([[0], [1]], field))
+    iota2 = (Mat.from_rows([[0, 1]], field),
+             Mat.from_rows([[-1], [0]], field))
     lie_der = tuple(
-        tuple(Mat.zero(dims[m], dims[m], QQ) for m in range(3))
+        tuple(Mat.zero(dims[m], dims[m], field) for m in range(3))
         for _ in range(2))
-    return lie2, GDGA(QQ, dims, d, (iota1, iota2), lie_der)
+    return lie2, GDGA(field, dims, d, (iota1, iota2), lie_der)
 
 
 LIE1 = abelian_lie(1)
@@ -355,6 +357,29 @@ class TestInvariantsFromGenerators:
         # one call per degree of A for A^g, with one L_a each, then one
         # per nonzero block, with one matrix per generator
         assert kernel_calls == [4] + [3] * blocks
+
+    def test_signed_generators_over_f3(self):
+        # W = <diag(-1, 1), swap> (order 8, prime to 3) on the rank-2
+        # exterior algebra, by det on A^2: its -1 entries are stored as 2
+        # over F_3, and the E_1 group sums still give the Q dimensions;
+        # the dual generators may be given over Q
+        def run(field, dual_field):
+            lie2, algebra = torus_two(field)
+            dual = [signed_permutation(perm, signs, dual_field)
+                    for perm, signs in (((0, 1), (-1, 1)), ((1, 0), (1, 1)))]
+            on_algebra = [(Mat.identity(1, field),
+                           signed_permutation(perm, signs, field),
+                           Mat.from_rows([[-1]], field))
+                          for perm, signs in (((0, 1), (-1, 1)),
+                                              ((1, 0), (1, 1)))]
+            report = torus_weyl_check(lie2, algebra, 4, dual, on_algebra,
+                                      degrees=range(7))
+            assert report.ok
+            return report.series, report.e1_matches
+
+        rational = run(QQ, QQ)
+        assert run(GF(3), GF(3)) == run(GF(3), QQ) == rational
+        assert any(row["expected"] for row in rational[1])
 
     def test_unequal_generator_counts_rejected(self):
         with pytest.raises(InvariantViolation):

@@ -247,6 +247,25 @@ class TestIndexTables:
         assert "(at /weyl_on_algebra)" in err
         assert "Traceback" not in err
 
+    def test_weyl_generator_without_value_mod_p(self, capsys, tmp_path):
+        # swapping two coordinates scaled by 3 and 1/3 has order 2 over Q
+        # but no value mod 3, where the torus-Weyl check would read it
+        with open(fixture("cartan_b4.json")) as handle:
+            data = json.load(handle)
+        data["weyl"] = [[[0, "1/3", 0, 0], [3, 0, 0, 0], [0, 0, 1, 0],
+                         [0, 0, 0, 1]]]
+        data["weyl_on_algebra"] = [[[[1]]]]
+        data["gdga"]["mul"][0]["table"] = [[[1]]]
+        path = tmp_path / "scaled_weyl.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["check", str(path)], capsys)
+        assert code == 0, err
+        code, out, err = run_cli(
+            ["check", str(path), "--field", "Fp", "--p", "3"], capsys)
+        assert code == 2
+        assert "(at /weyl/0)" in err
+        assert "Traceback" not in err
+
     def test_composite_p_exits_2_with_pointer(self, capsys):
         code, out, err = run_cli(
             ["check", fixture("z2_point.json"), "--field", "Fp",
@@ -364,6 +383,14 @@ class TestJobs:
         code, out, err = run_cli(
             [kind, fixture("circle_action.json"), *flags], capsys)
         assert code == 0, err
+
+    def test_torus_weyl_over_fp(self, capsys):
+        # the Weyl generators are read over Q and checked over F_3
+        code, out, err = run_cli(
+            ["cartan", fixture("cartan_rotation.json"), "--field", "Fp",
+             "--p", "3", "--degrees", "0..5", "--poly-trunc", "3"], capsys)
+        assert code == 0, err
+        assert "# torus-weyl\tPASS" in out.splitlines()
 
     def test_equivariant_z2_point_tower(self, capsys):
         code, out, err = run_cli(

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stackcoh import homalg
 from stackcoh.errors import InvariantViolation, NoSolution, TruncationBoundary
-from stackcoh.exactalg import GF, QQ, Mat
+from stackcoh.exactalg import GF, QQ, Mat, rank
 from stackcoh.homalg import (
     CochainComplex, DoubleComplex, cohomology, induced_cohomology_matrix,
     total_complex,
@@ -13,6 +14,8 @@ from stackcoh.homalg import (
 from .strategies import build_double_complex, fields, piece_lists
 
 F2 = GF(2)
+FIELDS = pytest.mark.parametrize("field", [QQ, F2, GF(3), GF(5)],
+                                 ids=["Q", "F2", "F3", "F5"])
 
 
 def point_complex(n_levels=4, field=QQ):
@@ -219,3 +222,60 @@ class TestTotalComplex:
         alt_h = sum((-1) ** n * cohomology(tot, n, override=True)
                     for n in range(len(tot.dims)))
         assert alt_h == alt_blocks
+
+
+class TestRankPass:
+    @FIELDS
+    @settings(max_examples=15, deadline=None)
+    @given(piece_lists, st.randoms(use_true_random=False))
+    def test_pass_ranks_equal_row_ranks(self, field, pieces, rng):
+        # the cleared ascending column pass fills the rank that the
+        # uncleared row sieve of a fresh copy finds, for every D^n
+        dc, _ = build_double_complex(pieces, field, rng)
+        for work in (dc, dc.transpose()):
+            c = total_complex(work)
+            c.rank_through(c.top_degree)
+            for d in c.diffs:
+                assert d._rank == rank(Mat(d.rows, d.cols, d.entries, field))
+
+    @FIELDS
+    @settings(max_examples=15, deadline=None)
+    @given(piece_lists, st.randoms(use_true_random=False))
+    def test_each_differential_sieved_once(self, field, pieces, rng):
+        # cohomology of every degree, asked in any order, sieves each
+        # differential once, in ascending order, and gives the pieces' H^n
+        dc, expected = build_double_complex(pieces, field, rng)
+        for work in (dc, dc.transpose()):
+            c = total_complex(work)
+            degrees = list(range(c.top_degree + 1))
+            rng.shuffle(degrees)
+            sieved = []
+            real = homalg._column_sieve
+
+            def recording(m, skip):
+                sieved.append(m)
+                return real(m, skip)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(homalg, "_column_sieve", recording)
+                dims = {n: cohomology(c, n, override=True) for n in degrees}
+            assert [id(m) for m in sieved] == [id(d) for d in c.diffs]
+            assert dims == {n: expected.get(n, 0) for n in degrees}
+
+    def test_pass_skips_the_previous_pivots(self):
+        # 0 -> F -> F^2 -> F -> 0 with D^0 = (1, 1)^T: the pivot of D^0's
+        # sieve is row 0, so column 0 of D^1 is never inserted
+        c = CochainComplex(QQ, (1, 2, 1), (Mat.from_rows([[1], [1]], QQ),
+                                           Mat.from_rows([[1, -1]], QQ)))
+        inserted = []
+        real = homalg._column_sieve
+
+        def recording(m, skip):
+            inserted.append(sorted(set(range(m.cols)) - skip))
+            return real(m, skip)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homalg, "_column_sieve", recording)
+            assert [cohomology(c, n, override=True) for n in (2, 0, 1)] == \
+                [0, 0, 0]
+        assert inserted == [[0], [1]]

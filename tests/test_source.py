@@ -178,6 +178,19 @@ def test_convergence_ranks_are_not_the_rank_table():
                             "_rank_tables"} == set()
 
 
+def test_rank_table_and_rank_pass_stay_apart():
+    # the rank table clears right to left from its own pairs, a complex's
+    # rank pass left to right from its own pivots; convergence_check
+    # compares the two, so neither may call or read the other
+    defs = dict(_definitions())
+    pairs = _names(defs["spectra.py:_FilteredTotal.pairs"])
+    rank_pass = _names(defs["homalg.py:CochainComplex.rank_through"])
+    assert pairs & {"rank_through", "cohomology", "_column_sieve",
+                    "_cleared", "_ranked", "total"} == set()
+    assert rank_pass & {"pairs", "_pairs", "rank_table", "rank_at",
+                        "_rank_tables"} == set()
+
+
 def _definitions():
     """(file:qualified name, node) of each top-level function and method."""
     for path in sorted(Path(stackcoh.__file__).parent.glob("*.py")):

@@ -280,11 +280,45 @@ class TestRankTable:
             for n in ft.layout.total_dims:
                 assert rank(ft.dmat(n)) == len(ft.pairs(n))
 
+    @pytest.mark.parametrize("field", [QQ, F2, F3, GF(5)],
+                             ids=["Q", "F2", "F3", "F5"])
+    @settings(max_examples=15, deadline=None)
+    @given(piece_lists, st.randoms(use_true_random=False))
+    def test_skipped_columns_reduce_to_zero(self, field, pieces, rng):
+        # every column that pairs(n) skips, inserted anyway after the
+        # columns to its right, leaves a zero residual, and the pairs are
+        # those of the uncleared sieve
+        dc, _ = build_double_complex(pieces, field, rng)
+        for work in (dc, dc.transpose()):
+            ft = _FilteredTotal(work)
+            for n in sorted(ft.layout.total_dims):
+                inserted = set()
+
+                class RecordingSieve(Sieve):
+                    def insert(self, vec, combo=None):
+                        inserted.add(id(vec))
+                        return super().insert(vec, combo)
+
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(spectra, "Sieve", RecordingSieve)
+                    found = ft.pairs(n)
+                cols = ft.dmat(n).columns()
+                sieve = Sieve(field)
+                uncleared = []
+                for j in range(len(cols) - 1, -1, -1):
+                    vec, _ = sieve.insert(cols[j])
+                    if id(cols[j]) not in inserted:
+                        assert not vec
+                    if vec:
+                        uncleared.append((j, min(vec)))
+                assert found == uncleared
+
     def test_one_sieve_per_degree_and_one_rank_per_matrix(self, monkeypatch):
         sieves = []
         table_keys = set()
         sieved = []
-        row_sieved = []
+        passed = []     # (matrix, sieved from inside a rank table call)
+        in_table = []
 
         class CountingSieve(exactalg.Sieve):
             def __init__(self, field):
@@ -297,29 +331,40 @@ class TestRankTable:
 
         def counting_rank_table(self, n, p0):
             table_keys.add((n, max(p0, self.pmin)))
-            return rank_table(self, n, p0)
+            in_table.append(n)
+            try:
+                return rank_table(self, n, p0)
+            finally:
+                in_table.pop()
 
-        def recording_column_sieve(m):
+        def recording_column_sieve(m, skip=frozenset()):
             sieved.append(m)
-            return column_sieve(m)
+            return column_sieve(m, skip)
+
+        def recording_pass_sieve(m, skip):
+            passed.append((m, bool(in_table)))
+            return recording_column_sieve(m, skip)
 
         def recording_row_sieve(m):
             sieved.append(m)
-            row_sieved.append(m)
             return row_sieve(m)
 
         monkeypatch.setattr(spectra, "Sieve", CountingSieve)
         monkeypatch.setattr(spectra._FilteredTotal, "rank_table",
                             counting_rank_table)
         monkeypatch.setattr(exactalg, "_column_sieve", recording_column_sieve)
+        monkeypatch.setattr(homalg, "_column_sieve", recording_pass_sieve)
         monkeypatch.setattr(exactalg, "_row_sieve", recording_row_sieve)
         rep = discrete_borel_ss(z2_cycle4(3), QQ, 3, dims_only=True)
         assert rep.ok
         degrees = {n for n, _ in table_keys}
         assert len(table_keys) > len(degrees)
         assert len(sieves) == len(degrees)
-        # the convergence ranks of every D^n go through the rows sieve
-        assert {id(d) for d in rep.total.diffs} <= {id(m) for m in row_sieved}
+        # the convergence ranks of every D^n go through the complex's
+        # rank pass, and none of them through the rank table
+        passed_ids = [id(m) for m, _ in passed]
+        assert all(passed_ids.count(id(d)) == 1 for d in rep.total.diffs)
+        assert not any(inside for _, inside in passed)
         assert len({id(m) for m in sieved}) == len(sieved)
 
 
