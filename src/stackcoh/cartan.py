@@ -502,13 +502,15 @@ def torus_weyl_check(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,
     weyl_dual_gens: generators acting on the dual of the Lie algebra;
     weyl_algebra_gens: matching generators acting degree-wise on the
     algebra (list of per-degree matrix tuples, one per dual generator).
-    The dual generators are read over the algebra's field.  The combined
-    action must commute with the Cartan differential; the W-invariant
-    subcomplex is computed and its cohomology compared against the
-    E_infinity of the invariant double complex, with the E_1 entries
-    checked against dim (S^p (x) H^{q-p})^W, the rank of the sum over W
-    of S^p(w) (x) H^{q-p}(w): that sum is |W| times the averaging
-    projector, and |W| is invertible in the field.
+    The closure of the dual generators as given sizes |W|, so give them
+    over Q (the CLI does): mod 2 a generator -1 reads as 1 and the group
+    would shrink.  They are read over the algebra's field only where
+    S^p(w) is built.  The combined action must commute with the Cartan
+    differential; the W-invariant subcomplex is computed and its
+    cohomology compared against the E_infinity of the invariant double
+    complex, with the E_1 entries checked against dim (S^p (x) H^{q-p})^W,
+    the rank of the sum over W of S^p(w) (x) H^{q-p}(w): that sum is |W|
+    times the averaging projector, and |W| must be invertible in the field.
     """
     from .spectra import pages
     from .groupcoh import kron
@@ -519,21 +521,25 @@ def torus_weyl_check(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,
     f = algebra.field
     bases = _lie_invariant_bases(lie, algebra)
     inv = invariants_subalgebra(lie, algebra, bases)
-    # W acts on the dual, read over f, and on A; the Cartan model is
-    # built on A^g, so each map on A is restricted to A^g in the same bases
-    gens = [(Mat(gd.rows, gd.cols, gd.entries, f),
-             tuple(_restrict(w, bases[m], bases[m], NonEquivariantInput(
-                 f"W generator {k} leaves the Lie-invariant subalgebra at "
-                 f"degree {m}")) for m, w in enumerate(ga)))
+    # W acts on the dual and on A; the Cartan model is built on A^g, so
+    # each map on A is restricted to A^g in the same bases
+    gens = [(gd, tuple(_restrict(w, bases[m], bases[m], NonEquivariantInput(
+        f"W generator {k} leaves the Lie-invariant subalgebra at "
+        f"degree {m}")) for m, w in enumerate(ga)))
         for k, (gd, ga) in enumerate(zip(weyl_dual_gens, weyl_algebra_gens))]
     dc = cartan_double_complex(lie, inv, poly_trunc)
 
-    # the whole group only sizes |W| and feeds the E_1 group sums
-    one = (Mat.identity(lie.dim, f), *(Mat.identity(n, f) for n in inv.dims))
-    group = [(t[0], t[1:]) for t in
+    def over_f(w: Mat) -> Mat:
+        return w if w.field == f else Mat(w.rows, w.cols, w.entries, f)
+
+    # the whole group only sizes |W| and feeds the E_1 group sums; the
+    # dual stays as given, so the closure is W and not its reduction mod p
+    one = (Mat.identity(lie.dim, QQ), *(Mat.identity(n, f) for n in inv.dims))
+    group = [(over_f(t[0]), t[1:]) for t in
              mulclose_mats([(gd, *ga) for gd, ga in gens] or [one])]
     if f.p and len(group) % f.p == 0:
         raise NonInvertibleOrder("|W| not invertible in the coefficient field")
+    gens = [(over_f(gd), ga) for gd, ga in gens]
 
     # equivariance check: each algebra map must commute with d degree-wise
     for (wd, wa) in gens:

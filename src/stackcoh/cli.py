@@ -390,7 +390,8 @@ def parse_input(payload: dict, field: Field | None = None) -> dict:
         data["weyl"] = _array(payload["weyl"], (None,), "/weyl", weyl_matrix)
         # generators of finite order can still generate an infinite group;
         # the cartan job closes them under products, so that is done here
-        _located(mulclose_mats, "/weyl", [(w,) for w in data["weyl"]])
+        weyl_group = _located(mulclose_mats, "/weyl",
+                              [(w,) for w in data["weyl"]])
     if "weyl_on_algebra" in payload:
         _requires(data, ("gdga", "weyl"), "/weyl_on_algebra")
         squares = [(n, n) for n in data["gdga"].dims]
@@ -398,7 +399,12 @@ def parse_input(payload: dict, field: Field | None = None) -> dict:
             payload["weyl_on_algebra"], (len(data["weyl"]),),
             "/weyl_on_algebra",
             lambda v, at: _matrices(v, squares, active, at))
-        # torus_weyl_check reads the generators over the algebra's field
+        # torus_weyl_check averages over W, counted here over Q (mod 2 a
+        # generator -1 reads as 1), and reads the generators over the
+        # algebra's field
+        order = len(weyl_group) or 1    # no generators: W is trivial
+        if active.p and order % active.p == 0:
+            _fail(f"|W| = {order} is not invertible mod {active.p}", "/weyl")
         for k, w in enumerate(data["weyl"]):
             try:
                 Mat(w.rows, w.cols, w.entries, active)

@@ -408,11 +408,13 @@ def _column_sieve(m: Mat, skip=frozenset()) -> Sieve:
     whose indices are in skip; fills m._rank.  Unskipped, it is the span
     that _cohomology_dim(reps=True) reads.  The rank pass of a
     homalg.CochainComplex skips columns that are combinations of the
-    kept ones, so the rank it fills is still that of m."""
+    kept ones, so the rank it fills is still that of m.  A zero matrix
+    loads nothing, so a complex's zero differentials cost no columns."""
     sieve = Sieve(m.field)
-    for j, col in enumerate(m.columns()):
-        if j not in skip:
-            sieve.insert(col)
+    if m.entries:
+        for j, col in enumerate(m.columns()):
+            if j not in skip:
+                sieve.insert(col)
     m._rank = sieve.rank
     return sieve
 

@@ -95,6 +95,9 @@ class CochainComplex:
         distinct pivots, so every skipped column of D^m is a combination
         of the kept ones and the rank is unchanged.  Each differential is
         sieved once per complex, whatever order the degrees are asked in.
+        A first call at a high degree still starts at D^0: the lower
+        differentials are the small ones, and the cleared D^n costs less
+        than its rows would.
         """
         while self._ranked <= min(n, len(self.diffs) - 1):
             sieve = _column_sieve(self.diffs[self._ranked], self._cleared)

@@ -11,8 +11,8 @@ from stackcoh.cartan import (
     torus_weyl_check, validate_gdga,
 )
 from stackcoh.errors import (
-    InvariantViolation, NonEquivariantInput, NotClosedUnderOperators,
-    TruncationBoundary,
+    InvariantViolation, NonEquivariantInput, NonInvertibleOrder,
+    NotClosedUnderOperators, TruncationBoundary,
 )
 from stackcoh.exactalg import GF, QQ, Mat, rank
 from stackcoh.homalg import TotalLayout, total_complex
@@ -380,6 +380,22 @@ class TestInvariantsFromGenerators:
         rational = run(QQ, QQ)
         assert run(GF(3), GF(3)) == run(GF(3), QQ) == rational
         assert any(row["expected"] for row in rational[1])
+
+    def test_order_counted_before_reduction_mod_p(self):
+        # W = <-1> on the dual of a point's circle: |W| = 2, although -1
+        # reads as 1 mod 2 and the closure over F_2 has one element
+        def check(field):
+            algebra = GDGA(field, (1,), (), ((),),
+                           ((Mat.zero(1, 1, field),),),
+                           mul={(0, 0): [[{0: 1}]]})
+            return torus_weyl_check(LIE1, algebra, 3,
+                                    [Mat.from_rows([[-1]], QQ)],
+                                    [(Mat.identity(1, field),)],
+                                    degrees=range(4))
+
+        assert check(GF(3)).series == check(QQ).series == [1, 0, 0, 0]
+        with pytest.raises(NonInvertibleOrder):
+            check(GF(2))
 
     def test_unequal_generator_counts_rejected(self):
         with pytest.raises(InvariantViolation):

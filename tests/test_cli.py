@@ -266,6 +266,26 @@ class TestIndexTables:
         assert "(at /weyl/0)" in err
         assert "Traceback" not in err
 
+    def test_weyl_order_divisible_by_p(self, capsys, tmp_path):
+        # W = <-1> has order 2 over Q; mod 2 the generator reads as 1, so
+        # the order is counted before the torus-Weyl check reads it
+        with open(fixture("cartan_point.json")) as handle:
+            data = json.load(handle)
+        data["gdga"]["mul"][0]["table"] = [[[1]]]
+        path = tmp_path / "point_integral.json"
+        path.write_text(json.dumps(data))
+        flags = ["--degrees", "0..3", "--poly-trunc", "3"]
+        code, out, err = run_cli(
+            ["cartan", str(path), "--field", "Fp", "--p", "3", *flags],
+            capsys)
+        assert code == 0, err
+        code, out, err = run_cli(
+            ["cartan", str(path), "--field", "Fp", "--p", "2", *flags],
+            capsys)
+        assert code == 2
+        assert "|W| = 2" in err and "(at /weyl)" in err
+        assert "Traceback" not in err
+
     def test_composite_p_exits_2_with_pointer(self, capsys):
         code, out, err = run_cli(
             ["check", fixture("z2_point.json"), "--field", "Fp",
