@@ -472,7 +472,7 @@ def run(job: JobSpec, data: dict) -> dict:
         if "complex" in data:
             space = data["complex"]
         elif "groupoid" in data:
-            space = nerve(data["groupoid"], job.trunc)
+            space = nerve(data["groupoid"], max(job.degrees) + 1)
         else:
             _fail("cohomology requires a groupoid or a complex", "/")
         complex_ = cochains(space, job.field)
@@ -624,7 +624,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", nargs="?", default="-",
                        help="JSON input path (default: stdin)")
         p.add_argument("--trunc", type=int, default=None,
-                       help="simplicial truncation N (default degrees+2)")
+                       help="simplicial truncation N (default degrees+2);"
+                       " cohomology, equivariant and getzler build only to"
+                       " degrees+1")
         p.add_argument("--poly-trunc", type=int, default=6)
         p.add_argument("--field", choices=("Q", "Fp"), default=None)
         p.add_argument("--p", type=int, default=None)

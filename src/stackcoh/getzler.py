@@ -166,7 +166,9 @@ def total_differential_matrices(ctx: GetzlerContext,
     This is the total complex of the transposed Borel double complex, so
     TotalLayout lays block (p, n) out at total degree p + n in ascending
     simplicial level n, and CochainComplex checks that D^2 = 0.  Blocks
-    above max_total are never built.  Returns (dims, diffs).
+    above max_total are never built, so D^n is exact for n < max_total:
+    H^n reads total degrees n - 1..n + 1, and a caller asking for degrees
+    up to d passes max_total = d + 1.  Returns (dims, diffs).
     """
     dc = borel_double_complex(ctx.sa, ctx.module, ctx.n_top,
                               max_total=max_total)
@@ -179,7 +181,10 @@ def getzler_total_cohomology(a, coeff, degrees, n_top: int | None = None) -> lis
 
     Agrees with the homotopy-quotient computation exactly; the assembly
     uses the displayed sign placement and the squared differential is
-    checked mechanically.
+    checked mechanically.  The blocks are built up to total degree
+    max(degrees) + 1, which is all the asked degrees read; n_top (default
+    max(degrees) + 2) is the truncation the action must reach and a
+    ceiling: degrees at or above it are refused.
     """
     from .spectra import _as_module
     from .stackact import as_simplicial_action
@@ -189,9 +194,11 @@ def getzler_total_cohomology(a, coeff, degrees, n_top: int | None = None) -> lis
     sa = as_simplicial_action(a, n_top)
     module = _as_module(coeff, sa.group)
     ctx = GetzlerContext(sa, module, n_top)
-    dims, diffs = total_differential_matrices(ctx, max_total=n_top + 1)
+    top = max([0, *degrees]) + 1
+    dims, diffs = total_differential_matrices(ctx,
+                                              max_total=min(top, n_top + 1))
     complex_ = CochainComplex(module.field, dims, diffs,
-                              boundary_degree=n_top)
+                              boundary_degree=min(top, n_top))
     return [cohomology(complex_, s) for s in degrees]
 
 

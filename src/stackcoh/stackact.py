@@ -356,17 +356,21 @@ def equivariant_cohomology(a, field: Field, degrees, n_top: int | None = None,
 
     Computed from the diagonal object; with check_total the totalization
     of the bisimplicial double complex is computed as well and equality is
-    asserted degree by degree.
+    asserted degree by degree.  H^n reads levels n - 1..n + 1 only, so
+    both objects are built up to max(degrees) + 1; n_top (default
+    max(degrees) + 2) is the truncation the action must reach and a
+    ceiling: degrees at or above it are refused.
     """
     degrees = list(degrees)
     if n_top is None:
         n_top = max(degrees) + 2
     sa = as_simplicial_action(a, n_top)
-    complex_diag = cochains(borel_object(sa, n_top), field)
+    top = min(max([0, *degrees]) + 1, n_top)
+    complex_diag = cochains(borel_object(sa, top), field)
     dims = [cohomology(complex_diag, n) for n in degrees]
     del complex_diag    # not held while the totalization is built
     if check_total:
-        bis = borel_bisimplicial(sa, n_top, max_total=n_top + 1)
+        bis = borel_bisimplicial(sa, n_top, max_total=top)
         tot = total_complex(total_cochains(bis, field))
         for n, expected in zip(degrees, dims):
             got = cohomology(tot, n, override=True)
