@@ -503,17 +503,16 @@ def torus_weyl_check(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,
     weyl_algebra_gens: matching generators acting degree-wise on the
     algebra (list of per-degree matrix tuples, one per dual generator).
     The closure of the dual generators as given sizes |W|, so give them
-    over Q (the CLI does) or over F_p with p odd, where reduction is
-    injective on a finite group of p-integral matrices (Minkowski); over
-    F_2 a generator -1 reads as 1 and the group would shrink, so dual
-    generators over F_2 are refused.  They are read over the algebra's
-    field only where S^p(w) is built.  The combined action must commute
-    with the Cartan differential; the W-invariant subcomplex is computed
-    and its cohomology compared against the E_infinity of the invariant
-    double complex, with the E_1 entries checked against
-    dim (S^p (x) H^{q-p})^W, the rank of the sum over W of
-    S^p(w) (x) H^{q-p}(w): that sum is |W| times the averaging projector,
-    and |W| must be invertible in the field.
+    over Q (the CLI does): mod 2 a generator -1 reads as 1 and the group
+    would shrink, so dual generators over F_2 are refused; mod an odd p
+    reduction is injective on a finite group of p-integral matrices
+    (Minkowski).  They are read over the algebra's field only where
+    S^p(w) is built.  The combined action must commute with the Cartan
+    differential; the W-invariant subcomplex is computed and its
+    cohomology compared against the E_infinity of the invariant double
+    complex, with the E_1 entries checked against dim (S^p (x) H^{q-p})^W,
+    the rank of the sum over W of S^p(w) (x) H^{q-p}(w): that sum is |W|
+    times the averaging projector, and |W| must be invertible in the field.
     """
     from .spectra import pages
     from .groupcoh import kron

@@ -194,11 +194,9 @@ def getzler_total_cohomology(a, coeff, degrees, n_top: int | None = None) -> lis
     sa = as_simplicial_action(a, n_top)
     module = _as_module(coeff, sa.group)
     ctx = GetzlerContext(sa, module, n_top)
-    top = max([0, *degrees]) + 1
-    dims, diffs = total_differential_matrices(ctx,
-                                              max_total=min(top, n_top + 1))
-    complex_ = CochainComplex(module.field, dims, diffs,
-                              boundary_degree=min(top, n_top))
+    top = min(max([0, *degrees]) + 1, n_top)
+    dims, diffs = total_differential_matrices(ctx, max_total=top)
+    complex_ = CochainComplex(module.field, dims, diffs, boundary_degree=top)
     return [cohomology(complex_, s) for s in degrees]
 
 

@@ -397,6 +397,16 @@ class TestInvariantsFromGenerators:
         with pytest.raises(NonInvertibleOrder):
             check(GF(2))
 
+    def test_dual_generators_over_f2_refused(self):
+        # the same W = <-1> given over F_2 closes to one element, so |W|
+        # would read 1 and pass the NonInvertibleOrder guard
+        algebra = GDGA(GF(2), (1,), (), ((),), ((Mat.zero(1, 1, GF(2)),),),
+                       mul={(0, 0): [[{0: 1}]]})
+        with pytest.raises(InvariantViolation, match="F_2"):
+            torus_weyl_check(LIE1, algebra, 3,
+                             [Mat.from_rows([[-1]], GF(2))],
+                             [(Mat.identity(1, GF(2)),)], degrees=range(4))
+
     def test_unequal_generator_counts_rejected(self):
         with pytest.raises(InvariantViolation):
             torus_weyl_check(LIE1, point_algebra(), 3,

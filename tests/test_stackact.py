@@ -272,3 +272,77 @@ def test_each_object_validated_once(monkeypatch):
         # the action handed in, its group and its atlas were checked when
         # they were built, before the run
         assert set(counts) == {id(obj) for obj in built}, name
+
+
+class TestBuiltToAskedDegrees:
+    """Both Betti-number routes build up to max(degrees) + 1 only: H^n
+    reads levels n - 1..n + 1, so n_top is a ceiling, not a build target."""
+
+    # the three models-benchmark instances and an F_2 pair-groupoid atlas
+    NAMES = ("z2_cycle4_q", "z3_point_f3", "z2_pair2_swap_q",
+             "z2_pair2_swap_f2")
+
+    @staticmethod
+    def both_routes(action, field, degrees, n_top):
+        return (equivariant_cohomology(action, field, degrees, n_top=n_top,
+                                       check_total=True),
+                getzler_total_cohomology(action, field, degrees,
+                                         n_top=n_top))
+
+    def test_nothing_above_the_asked_degrees_is_built(self, monkeypatch):
+        from stackcoh import getzler, stackact
+        levels, blocks = [], []
+
+        def watch(module, name, read):
+            original = getattr(module, name)
+
+            def watched(*args, **kwargs):
+                built = original(*args, **kwargs)
+                read(built)
+                return built
+            monkeypatch.setattr(module, name, watched)
+
+        watch(stackact, "borel_object", lambda s: levels.append(s.trunc))
+        watch(stackact, "borel_bisimplicial", lambda b: blocks.append(
+            max(p + n for (p, n), cells in b.cells.items() if cells)))
+        watch(getzler, "borel_double_complex", lambda dc: blocks.append(
+            max(p + n for (p, n), dim in dc.dims.items() if dim)))
+        d = 2
+        for name in self.NAMES:
+            inst = corpus_by_name(name)
+            self.both_routes(inst.action(d + 3), inst.field, range(d + 1),
+                             d + 3)
+        # one diagonal, one bisimplicial and one Getzler object per
+        # instance, each reaching exactly total degree d + 1
+        assert levels == [d + 1] * len(self.NAMES)
+        assert blocks == [d + 1] * 2 * len(self.NAMES)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_betti_numbers_at_two_ceilings(self, name):
+        inst = corpus_by_name(name)
+        d = 4
+        want = inst.expected[:d + 1]
+        for n_top in (d + 2, d + 3):
+            assert self.both_routes(inst.action(n_top), inst.field,
+                                    range(d + 1), n_top) == (want, want)
+
+    def test_refusals_unchanged(self):
+        from stackcoh.errors import InvariantViolation, TruncationBoundary
+        sa = z2_cycle4(4)
+        for degrees, n_top in ((range(2), 5), ([], 5)):
+            # a raw complex below n_top is refused, whatever is asked
+            with pytest.raises(InvariantViolation):
+                equivariant_cohomology(sa, QQ, degrees, n_top=n_top)
+            with pytest.raises(InvariantViolation):
+                getzler_total_cohomology(sa, QQ, degrees, n_top=n_top)
+        for degrees in ([3], [4], range(5), [-1]):
+            # n_top = 3 certifies degrees 0..2 only
+            with pytest.raises(TruncationBoundary):
+                equivariant_cohomology(sa, QQ, degrees, n_top=3,
+                                       check_total=True)
+            with pytest.raises(TruncationBoundary):
+                getzler_total_cohomology(sa, QQ, degrees, n_top=3)
+        assert self.both_routes(sa, QQ, [], 3) == ([], [])
+        assert self.both_routes(sa, QQ, [2, 0], 3) == ([0, 1], [0, 1])
+        with pytest.raises(ValueError):
+            equivariant_cohomology(sa, QQ, [])
