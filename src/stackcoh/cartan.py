@@ -494,10 +494,9 @@ class TorusWeylReport:
             all(row["ok"] for row in self.e1_matches)
 
 
-def torus_weyl_check(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,
-                     weyl_dual_gens: list, weyl_algebra_gens: list,
-                     degrees) -> TorusWeylReport:
-    """Invariant-series comparison for a torus with Weyl symmetry.
+def weyl_action(lie: LieAlgebraData, algebra: GDGA, weyl_dual_gens: list,
+                weyl_algebra_gens: list):
+    """The input checks of torus_weyl_check, which build no Cartan model.
 
     weyl_dual_gens: generators acting on the dual of the Lie algebra;
     weyl_algebra_gens: matching generators acting degree-wise on the
@@ -506,16 +505,11 @@ def torus_weyl_check(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,
     over Q (the CLI does): mod 2 a generator -1 reads as 1 and the group
     would shrink, so dual generators over F_2 are refused; mod an odd p
     reduction is injective on a finite group of p-integral matrices
-    (Minkowski).  They are read over the algebra's field only where
-    S^p(w) is built.  The combined action must commute with the Cartan
-    differential; the W-invariant subcomplex is computed and its
-    cohomology compared against the E_infinity of the invariant double
-    complex, with the E_1 entries checked against dim (S^p (x) H^{q-p})^W,
-    the rank of the sum over W of S^p(w) (x) H^{q-p}(w): that sum is |W|
-    times the averaging projector, and |W| must be invertible in the field.
+    (Minkowski).  Each algebra map must preserve A^g and commute with d,
+    and |W|, the order of the closure of the (dual, algebra) pairs, must
+    be invertible in the field.  Returns A^g, and the generators and the
+    elements of W as pairs (dual over the algebra's field, maps on A^g).
     """
-    from .spectra import pages
-    from .groupcoh import kron
     if len(weyl_dual_gens) != len(weyl_algebra_gens):
         raise InvariantViolation(
             f"{len(weyl_dual_gens)} Weyl generators on the dual but "
@@ -533,7 +527,6 @@ def torus_weyl_check(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,
         f"W generator {k} leaves the Lie-invariant subalgebra at "
         f"degree {m}")) for m, w in enumerate(ga)))
         for k, (gd, ga) in enumerate(zip(weyl_dual_gens, weyl_algebra_gens))]
-    dc = cartan_double_complex(lie, inv, poly_trunc)
 
     def over_f(w: Mat) -> Mat:
         return w if w.field == f else Mat(w.rows, w.cols, w.entries, f)
@@ -544,15 +537,34 @@ def torus_weyl_check(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,
     group = [(over_f(t[0]), t[1:]) for t in
              mulclose_mats([(gd, *ga) for gd, ga in gens] or [one])]
     if f.p and len(group) % f.p == 0:
-        raise NonInvertibleOrder("|W| not invertible in the coefficient field")
+        raise NonInvertibleOrder(
+            f"|W| = {len(group)} is not invertible mod {f.p}")
     gens = [(over_f(gd), ga) for gd, ga in gens]
-
-    # equivariance check: each algebra map must commute with d degree-wise
-    for (wd, wa) in gens:
+    for k, (wd, wa) in enumerate(gens):
         for m in range(inv.top):
             if wa[m + 1] * inv.dmat(m) != inv.dmat(m) * wa[m]:
                 raise NonEquivariantInput(
-                    "W generator does not commute with the differential")
+                    f"W generator {k} does not commute with the "
+                    f"differential at degree {m}")
+    return inv, gens, group
+
+
+def torus_weyl_check(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,
+                     weyl_dual_gens: list, weyl_algebra_gens: list,
+                     degrees) -> TorusWeylReport:
+    """Invariant-series comparison for a torus with Weyl symmetry, on the
+    generators that weyl_action checks.  The cohomology of the W-invariant
+    subcomplex is compared against the E_infinity of the invariant double
+    complex, and E_1 against dim (S^p (x) H^{q-p})^W, the rank of the sum
+    over W of S^p(w) (x) H^{q-p}(w), which is |W| times the averaging
+    projector.
+    """
+    from .spectra import pages
+    from .groupcoh import kron
+    inv, gens, group = weyl_action(lie, algebra, weyl_dual_gens,
+                                   weyl_algebra_gens)
+    f = algebra.field
+    dc = cartan_double_complex(lie, inv, poly_trunc)
 
     # block action of W on the double complex; the invariant blocks are
     # the vectors every generator fixes, and the Cartan differential must

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from .errors import (
     InvariantViolation, SchemaError, StackcohError, TruncationBoundary,
@@ -36,7 +36,7 @@ from .getzler import getzler_total_cohomology
 from .cartan import (
     CLOSURE_LIMIT, GDGA, LieAlgebraData, abelian_lie, cartan_cohomology,
     invariant_polynomials, matrix_order, mulclose_mats, torus_weyl_check,
-    validate_gdga,
+    validate_gdga, weyl_action,
 )
 
 KINDS = ("cohomology", "equivariant", "spectral-atlas", "spectral-borel",
@@ -390,27 +390,23 @@ def parse_input(payload: dict, field: Field | None = None) -> dict:
         data["weyl"] = _array(payload["weyl"], (None,), "/weyl", weyl_matrix)
         # generators of finite order can still generate an infinite group;
         # the cartan job closes them under products, so that is done here
-        weyl_group = _located(mulclose_mats, "/weyl",
-                              [(w,) for w in data["weyl"]])
+        _located(mulclose_mats, "/weyl", [(w,) for w in data["weyl"]])
     if "weyl_on_algebra" in payload:
-        _requires(data, ("gdga", "weyl"), "/weyl_on_algebra")
+        _requires(data, ("lie", "gdga", "weyl"), "/weyl_on_algebra")
         squares = [(n, n) for n in data["gdga"].dims]
         data["weyl_on_algebra"] = _array(
             payload["weyl_on_algebra"], (len(data["weyl"]),),
             "/weyl_on_algebra",
             lambda v, at: _matrices(v, squares, active, at))
-        # torus_weyl_check averages over W, counted here over Q (mod 2 a
-        # generator -1 reads as 1), and reads the generators over the
-        # algebra's field
-        order = len(weyl_group) or 1    # no generators: W is trivial
-        if active.p and order % active.p == 0:
-            _fail(f"|W| = {order} is not invertible mod {active.p}", "/weyl")
+        # torus_weyl_check reads the generators over the algebra's field
         for k, w in enumerate(data["weyl"]):
             try:
                 Mat(w.rows, w.cols, w.entries, active)
             except ZeroDivisionError:
                 _fail(f"a Weyl generator has no value mod {active.p}",
                       f"/weyl/{k}")
+        _located(weyl_action, "/weyl", data["lie"], data["gdga"],
+                 data["weyl"], data["weyl_on_algebra"])
     return data
 
 
@@ -614,6 +610,7 @@ def _parse_int(text: str):
         return text
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stackcoh",

@@ -5,40 +5,35 @@ entries.  A Mat holds reduced nonzero entries only: Mat.__init__ is the
 one place where matrix entries are normalised (coerced into the field by
 Field.coerce, zeros dropped), so every producer, here and in the other
 modules, passes plain Python sums and products and reduces nothing
-itself.  A sparse vector that never becomes a Mat goes through reduced(),
-the same step.  All elimination in the package (Sieve, hence rank, kernels,
-cohomology dimensions and solve_multi, and the filtered kernels of
-spectra._FilteredTotal) goes through two module-level steps: _prepare
-clears a vector to integers over Q (returning the multiplier) or reduces
-it mod p, and _eliminate clears one pivot entry.  Elimination is
-fraction-free over Q: _eliminate forms a*vec - b*w and divides vec and
-its combination by the gcd of all their entries, so there is no rounding
-and no runaway coefficient growth.  Pivoting is deterministic: a stored
-vector's pivot is its smallest index, and an inserted vector is cleared
-against the stored pivots in their insertion order, found from its
-support through a heap rather than by scanning every pivot.  The caller
-picks the pivot order through the indices it inserts, and there are
-three.  Kernels pivot on the smallest row: they insert columns left to
-right, so every kernel and representative basis is reproducible across
-runs (the rank table of spectra inserts them right to left); solve_multi
-pivots in its caller's indices.  A rank does not depend on the order, so
-it is sieved where that is cheapest.  rank sieves a lone matrix (a d_r
-of the page check, say) by rows, top to bottom with column j stored at
-index -j, so each row's pivot is its largest column (de Silva, Morozov
-and Vejdemo-Johansson, "Dualities in persistent (co)homology", Inverse
-Problems 27, 2011).  The differentials of a complex are ranked in one
-ascending pass instead (homalg.CochainComplex.rank_through): the columns
-of D^n go into _column_sieve in the kernel order, and every column at a
-pivot of D^{n-1}'s sieve is skipped.  Rows gain almost nothing from the
-matching clearing: at the truncated top degrees most rows of D^n reduce
-to zero and no degree above clears them.  On the six totals of the
+itself.  A sparse vector that never becomes a Mat goes through
+reduced(), the same step.  All elimination in the package (Sieve, hence
+rank, kernels, cohomology dimensions and solve_multi, and the filtered
+kernels of spectra._FilteredTotal) goes through two module-level steps:
+_prepare clears a vector to integers over Q (returning the multiplier)
+or reduces it mod p, and _eliminate clears one pivot entry.  Elimination
+is fraction-free over Q: _eliminate forms a*vec - b*w and divides vec
+and its combination by the gcd of all their entries, so there is no
+rounding and no runaway coefficient growth.  Pivoting is deterministic:
+a stored vector's pivot is its smallest index, and an inserted vector is
+cleared against the stored pivots in their insertion order, found from
+its support through a heap rather than by scanning every pivot.  The
+caller picks the pivot order through the indices it inserts, and there
+are two.  Kernels and ranks pivot on the smallest row: _column_sieve
+inserts columns left to right, so every kernel and representative basis
+is reproducible across runs (the rank table of spectra inserts them
+right to left).  rank sieves a lone matrix (a d_r of the page check,
+say) so, and the differentials of a complex are ranked in one ascending
+pass (homalg.CochainComplex.rank_through) that skips every column at a
+pivot of D^{n-1}'s sieve.  The pass clears columns because rows gain
+almost nothing from the matching clearing: on the six totals of the
 dims-only S3 runs of perfbench's ss_ranks workload (best of five) the
-rows took 0.21 s, the rows cleared from the degree above 0.20 s, and
-the cleared columns 0.06 s.  The page sieves of spectra and its d_r
-solve store block index i at -i, so a pivot is the largest block index;
-the vectors they keep and the unique coordinates they solve for are
-facts about spans, which no pivot order changes.  A Mat's rank is
-computed at most once and kept on the (immutable) matrix.
+rows took 0.21 s, the rows cleared from the degree above 0.20 s, and the
+cleared columns 0.06 s, as most rows of the truncated top degrees reduce
+to zero with no degree above to clear them.  The page sieves of spectra
+and its d_r solve store block index i at -i, so a pivot is the largest
+block index; the vectors they keep and the unique coordinates they solve
+for are facts about spans, which no pivot order changes.  A Mat's rank
+is computed at most once and kept on the (immutable) matrix.
 """
 
 from __future__ import annotations
@@ -159,7 +154,7 @@ class Mat:
     Two slots are filled lazily and never invalidated, which is safe
     because a Mat is never mutated: _col_cache holds the columns, filled
     by the first columns() call, and _rank the rank, filled by the first
-    rank() call or column sieve, so rank() sieves a matrix at most once.
+    column sieve, so rank() sieves a matrix at most once.
     """
 
     __slots__ = ("rows", "cols", "entries", "field", "_col_cache", "_rank")
@@ -332,8 +327,8 @@ def _eliminate(vec: dict, combo: dict | None, w: dict, cw: dict | None,
 
 
 class Sieve:
-    """Incremental echelon of sparse vectors (columns, or the rows that
-    rank sieves) with optional combination tracking.
+    """Incremental echelon of sparse vectors with optional combination
+    tracking.
 
     Vectors are sparse dicts, prepared by _prepare and reduced by
     _eliminate, so over Q all stored data is integer.  The pivot of a
@@ -419,26 +414,10 @@ def _column_sieve(m: Mat, skip=frozenset()) -> Sieve:
     return sieve
 
 
-def _row_sieve(m: Mat) -> Sieve:
-    """Untracked sieve loaded with the rows of m top to bottom, column j
-    stored at index -j so that a row's pivot is its largest column;
-    fills m._rank."""
-    rows = {}
-    for (i, j), v in m.entries.items():
-        rows.setdefault(i, {})[-j] = v
-    sieve = Sieve(m.field)
-    for i in sorted(rows):
-        sieve.insert(rows[i])
-    m._rank = sieve.rank
-    return sieve
-
-
 def rank(m: Mat) -> int:
-    """Exact rank over the matrix's field, sieved once per matrix.  A
-    matrix that no complex pass has ranked is sieved by rows (see the
-    module docstring)."""
+    """Exact rank over the matrix's field, sieved once per matrix."""
     if m._rank is None:
-        _row_sieve(m)
+        _column_sieve(m)
     return m._rank
 
 

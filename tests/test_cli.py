@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings
 
-from stackcoh.cli import main
+from stackcoh.cli import build_parser, main
 
 from .strategies import fixture_mutations
 from .test_simplicial import MONOID_TABLES
@@ -224,6 +224,34 @@ BAD_INDEX_TABLES = {
 }
 
 
+def _cartan_input(dims, d, iota, lie_der, weyl_on_algebra, p=None):
+    """A circle's Lie data on the graded algebra dims, with W = <w> for
+    one dual generator w (-1, or 1 when p is given) over Q or F_p."""
+    return {"lie": {"dim": 1, "structure": [[[0]]]},
+            "gdga": {"dims": dims, "d": d, "iota": [iota], "L": [lie_der]},
+            "weyl": [[[1 if p else -1]]],
+            "weyl_on_algebra": [weyl_on_algebra],
+            "coefficients": {"field": "Fp", "p": p} if p
+            else {"field": "Q"}}
+
+
+_E11 = [[1, 0], [0, 0]]
+_SWAP = [[0, 1], [1, 0]]
+# Weyl data that torus_weyl_check refuses, each valid piece by piece
+WEYL_REFUSED = {
+    # the pair (1, [[1, 1], [0, 1]]) has order 3, although the dual
+    # generator alone closes to one element
+    "order-of-pairs-divisible-by-p": _cartan_input(
+        [2], [], [], [[[0, 0], [0, 0]]], [[[1, 1], [0, 1]]], p=3),
+    # -1 on degree 1 against 1 on degree 0 does not commute with d = 1
+    "map-not-commuting-with-d": _cartan_input(
+        [1, 1], [[[1]]], [[[0]]], [[[0]], [[0]]], [[[1]], [[-1]]]),
+    # the swap moves the second basis vector, which spans A^g, off A^g
+    "map-leaving-lie-invariants": _cartan_input(
+        [2, 2], [_E11], [_E11], [_E11, _E11], [_SWAP, _SWAP]),
+}
+
+
 class TestIndexTables:
     @pytest.mark.parametrize("case", sorted(BAD_INDEX_TABLES))
     def test_bad_entry_exits_2_with_pointer(self, case, capsys, tmp_path):
@@ -285,6 +313,22 @@ class TestIndexTables:
         assert code == 2
         assert "|W| = 2" in err and "(at /weyl)" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("check_only", [False, True],
+                             ids=["run", "check-only"])
+    @pytest.mark.parametrize("case", sorted(WEYL_REFUSED))
+    def test_refused_weyl_data_exits_2(self, case, check_only, capsys,
+                                       tmp_path):
+        # the torus-Weyl checks run on the input, before any computation
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(WEYL_REFUSED[case]))
+        flags = ["--degrees", "0..2", "--poly-trunc", "2"]
+        code, out, err = run_cli(
+            ["cartan", str(path), *flags,
+             *(["--check-only"] if check_only else [])], capsys)
+        assert code == 2, err
+        assert "(at /weyl" in err
+        assert "Traceback" not in err and out == ""
 
     def test_composite_p_exits_2_with_pointer(self, capsys):
         code, out, err = run_cli(
@@ -539,3 +583,15 @@ class TestEntryPoint:
                 os.path.dirname(__file__), "..", "src")})
         assert proc.returncode == 0
         assert proc.stdout.startswith("degree\tdim")
+
+    def test_parser_built_once(self, capsys):
+        # main reuses one parser, and a reused parser gives each call its
+        # own arguments
+        assert build_parser() is build_parser()
+        first = run_cli(["cohomology", fixture("point.json"),
+                         "--degrees", "0..2"], capsys)
+        second = run_cli(["cohomology", fixture("point.json"),
+                          "--degrees", "0..3", "--format", "json"], capsys)
+        assert first[0] == second[0] == 0
+        assert first[1].startswith("degree\tdim")
+        assert json.loads(second[1])["betti"][-1]["degree"] == 3

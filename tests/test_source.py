@@ -168,14 +168,23 @@ def test_oracles_keep_their_own_bar_formula():
 
 
 def test_convergence_ranks_are_not_the_rank_table():
-    # in dims-only mode E_infinity comes from the rank table's column
-    # sieve; the H^n it is checked against must come from another
-    # elimination: rank sieves rows, and convergence_check reads no pair
-    rank = _functions("exactalg.py")["rank"]
+    # in dims-only mode E_infinity comes from the rank table's sieve; the
+    # H^n it is checked against must come from another elimination, so
+    # convergence_check reads no pair
     check = _functions("spectra.py")["convergence_check"]
-    assert "_column_sieve" not in _names(rank)
     assert _names(check) & {"pairs", "_pairs", "rank_table", "rank_at",
                             "_rank_tables"} == set()
+
+
+def test_one_rank_sieve():
+    # exactalg._column_sieve is the one elimination that ranks a Mat:
+    # another function that fills Mat._rank is a second rank sieve
+    found = sorted({key for key, fn in _definitions()
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr == "_rank"
+                    and isinstance(node.ctx, ast.Store)})
+    assert found == ["exactalg.py:Mat.__init__", "exactalg.py:_column_sieve"]
 
 
 def test_rank_table_and_rank_pass_stay_apart():
