@@ -11,9 +11,13 @@ rank, kernels, cohomology dimensions and solve_multi, and the filtered
 kernels of spectra._FilteredTotal) goes through two module-level steps:
 _prepare clears a vector to integers over Q (returning the multiplier)
 or reduces it mod p, and _eliminate clears one pivot entry.  Elimination
-is fraction-free over Q: _eliminate forms a*vec - b*w and divides vec
-and its combination by the gcd of all their entries, so there is no
-rounding and no runaway coefficient growth.  Pivoting is deterministic:
+is fraction-free over Q (Bareiss, Math. Comp. 22, 1968): when a = w[piv]
+divides b = vec[piv], as it nearly always does, _eliminate subtracts
+(b/a)*w in place, touching only w's support, else it forms a*vec - b*w;
+after the last step _primitive divides vec and its combination once by
+the gcd of all their entries, signed as a gcd division after every step
+would leave them, so there is no rounding and no runaway coefficient
+growth.  Pivoting is deterministic:
 a stored vector's pivot is its smallest index, and an inserted vector is
 cleared against the stored pivots in their insertion order, found from
 its support through a heap rather than by scanning every pivot.  The
@@ -139,10 +143,13 @@ def GF(p: int) -> Field:
 
 def reduced(vec: dict, field: Field) -> dict:
     """vec with every entry coerced into field and the zeros dropped."""
-    coerce = field.coerce
+    p, coerce = field.p, field.coerce
     out = {}
     for k, v in vec.items():
-        v = coerce(v)
+        if type(v) is not int:
+            v = coerce(v)
+        elif p:
+            v %= p
         if v:
             out[k] = v
     return out
@@ -215,18 +222,19 @@ class Mat:
             raise DimensionMismatch(f"{self.shape} * {other.shape}")
         if self.field != other.field:
             raise DimensionMismatch("field mismatch")
+        # column by column, keyed by row: a sum that vanishes in the field
+        # (most of a d^2 product, also mod p) never becomes an entry
+        p = self.field.p
         out: dict = {}
         cols = self.columns()
-        for (k, j), b in other.entries.items():
-            for i, a in cols[k].items():
-                key = (i, j)
-                # drop a running sum that cancels exactly: the d^2 and
-                # commutation products cancel, and dead keys cost memory
-                s = out.get(key, 0) + a * b
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+        for j, col in enumerate(other.columns()):
+            acc: dict = {}
+            for k, b in col.items():
+                for i, a in cols[k].items():
+                    acc[i] = acc.get(i, 0) + a * b
+            for i, s in acc.items():
+                if s % p if p else s:
+                    out[(i, j)] = s
         return Mat(self.rows, other.cols, out, self.field)
 
     def __add__(self, other: "Mat") -> "Mat":
@@ -268,13 +276,16 @@ class Mat:
 
 
 def _prepare(vec: dict, field: Field) -> tuple[dict, int]:
-    """The one preparation of a vector for elimination.
+    """The one preparation of a vector for elimination, into a new dict.
 
     Over Q: (integer vector, lam) with result == lam * vec, lam the lcm
-    of the denominators.  Over F_p: (reduced nonzero entries, 1).
+    of the denominators (1 if all are ints).  Over F_p: (reduced nonzero
+    entries, 1).
     """
     if field.p:
         return reduced(vec, field), 1
+    if all(type(v) is int for v in vec.values()):
+        return {i: v for i, v in vec.items() if v}, 1
     lam = reduce(lcm, (v.denominator for v in vec.values()), 1)
     out = {}
     for i, v in vec.items():
@@ -289,25 +300,29 @@ def _eliminate(vec: dict, combo: dict | None, w: dict, cw: dict | None,
     """The one elimination step: clear vec[piv] with the pivot vector w.
 
     combo (may be None) follows by the same column operation with cw.
-    Over F_p, vec and combo are updated in place over the support of w.
-    Over Q the step builds a*vec - b*w (a = w[piv], b = vec[piv]) as new
-    dicts and divides vec and combo by the gcd of all their entries, so
-    the result is vec - (b/a)*w up to a nonzero integer scalar.
-    Returns (vec, combo).
+    Over F_p, and over Q when a = w[piv] divides b = vec[piv], vec and
+    combo become vec - (b/a)*w in place over the support of w, and the
+    step returns sign(a).  Otherwise it builds a*vec - b*w as new dicts,
+    divides both by the gcd of all their entries and returns 1.  Either
+    way the result is a positive multiple of what a*vec - b*w divided
+    by that gcd would be, times the returned sign; see _primitive.
+    Returns (vec, combo, sign).
     """
     b = vec[piv]
+    a = w[piv]
     pairs = ((vec, w),) if combo is None else ((vec, w), (combo, cw))
-    if p:
-        factor = b * pow(w[piv], p - 2, p) % p
+    if p or b % a == 0:
+        factor = b * pow(a, p - 2, p) % p if p else b // a
         for u, x in pairs:
             for i, y in x.items():
-                s = (u.get(i, 0) - factor * y) % p
+                s = u.get(i, 0) - factor * y
+                if p:
+                    s %= p
                 if s:
                     u[i] = s
                 else:
                     u.pop(i, None)
-        return vec, combo
-    a = w[piv]
+        return vec, combo, (1 if a > 0 else -1)
     out = []
     g = 0
     for u, x in pairs:
@@ -323,15 +338,34 @@ def _eliminate(vec: dict, combo: dict | None, w: dict, cw: dict | None,
         out.append(new)
     if g > 1:
         out = [{i: s // g for i, s in new.items()} for new in out]
-    return out[0], (out[1] if combo is not None else None)
+    return out[0], (out[1] if combo is not None else None), 1
+
+
+def _primitive(vec: dict, combo: dict | None, sign: int, p: int):
+    """(vec, combo) after _eliminate's steps, sign the product of the
+    signs they returned: over Q divided by sign times the gcd of all
+    their entries, which is the pair a gcd division after every step
+    gives.  Unchanged over F_p, or with sign 0 (no step taken)."""
+    if p:
+        return vec, combo
+    g = reduce(gcd, vec.values(), 0)
+    if combo:
+        g = reduce(gcd, combo.values(), g)
+    g *= sign
+    if g in (0, 1):
+        return vec, combo
+    return ({i: v // g for i, v in vec.items()},
+            None if combo is None else {i: v // g for i, v in combo.items()})
 
 
 class Sieve:
     """Incremental echelon of sparse vectors with optional combination
     tracking.
 
-    Vectors are sparse dicts, prepared by _prepare and reduced by
-    _eliminate, so over Q all stored data is integer.  The pivot of a
+    Vectors are sparse dicts, prepared by _prepare, reduced by _eliminate
+    and, if a step was taken, made primitive once by _primitive, so over
+    Q all stored data is integer; a vector and its combination are
+    dicts of the sieve's own, never the caller's.  The pivot of a
     reduced vector is its smallest support index; rank_of maps each pivot
     to its position in order, the insertion order.
 
@@ -366,18 +400,20 @@ class Sieve:
         order, pivots, rank_of = self.order, self.pivots, self.rank_of
         heap = [rank_of[i] for i in vec if i in rank_of]
         heapify(heap)
+        sign = 0
         while heap:
             k = heappop(heap)
             piv = order[k]
             if piv not in vec:
                 continue
             w, cw = pivots[piv]
-            vec, combo = _eliminate(vec, combo, w, cw, piv, p)
+            vec, combo, s = _eliminate(vec, combo, w, cw, piv, p)
+            sign = s * (sign or 1)
             for i in w:
                 j = rank_of.get(i)
                 if j is not None and j > k:
                     heappush(heap, j)
-        return vec, combo
+        return _primitive(vec, combo, sign, p)
 
     def insert(self, vec: dict, combo: dict | None = None):
         """Reduce vec and store it if independent.

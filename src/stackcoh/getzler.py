@@ -187,14 +187,16 @@ def getzler_total_cohomology(a, coeff, degrees, n_top: int | None = None) -> lis
     ceiling: degrees at or above it are refused.
     """
     from .spectra import _as_module
-    from .stackact import as_simplicial_action
+    from .stackact import SimplicialGAction, as_simplicial_action
     degrees = list(degrees)
     if n_top is None:
         n_top = max(degrees) + 2
-    sa = as_simplicial_action(a, n_top)
+    top = min(max([0, *degrees]) + 1, n_top)
+    # a simplicial action must reach n_top; an atlas nerve is built to top
+    sa = as_simplicial_action(
+        a, n_top if isinstance(a, SimplicialGAction) else top)
     module = _as_module(coeff, sa.group)
     ctx = GetzlerContext(sa, module, n_top)
-    top = min(max([0, *degrees]) + 1, n_top)
     dims, diffs = total_differential_matrices(ctx, max_total=top)
     complex_ = CochainComplex(module.field, dims, diffs, boundary_degree=top)
     return [cohomology(complex_, s) for s in degrees]

@@ -228,18 +228,27 @@ def _face_sum(face_maps, rows: int, cols: int, module_dim: int,
               field: Field, twist=None) -> Mat:
     """The alternating face sum  sum_i (-1)^i d_i^*  on module_dim-valued
     cochains; face_maps[i] gives the i-th face of each source cell in
-    order (a table or an iterator).  twist,
-    when given, maps a source cell c to the matrix through which the last
-    face carries the value (a local coefficient system)."""
+    order (a table or an iterator).  twist, when given, maps a source
+    cell c to the matrix through which the last face carries the value
+    (a local coefficient system).  It runs face by face, and a plain
+    face of scalar cochains adds +-1 at (cell, target) directly."""
     entries = {}
-    plain = [((t, t), 1) for t in range(module_dim)]
     last = len(face_maps) - 1 if twist is not None else -1
-    for c, faces in enumerate(zip(*face_maps)):
-        for i, tgt in enumerate(faces):
-            sign = -1 if i % 2 else 1
-            for (r, k), v in twist(c).entries.items() if i == last else plain:
-                key = (c * module_dim + r, tgt * module_dim + k)
-                entries[key] = entries.get(key, 0) + sign * v
+    for i, faces in enumerate(face_maps):
+        sign = -1 if i % 2 else 1
+        if i == last:
+            for c, tgt in enumerate(faces):
+                for (r, k), v in twist(c).entries.items():
+                    key = (c * module_dim + r, tgt * module_dim + k)
+                    entries[key] = entries.get(key, 0) + sign * v
+        elif module_dim == 1:
+            for key in enumerate(faces):
+                entries[key] = entries.get(key, 0) + sign
+        else:
+            for c, tgt in enumerate(faces):
+                for t in range(module_dim):
+                    key = (c * module_dim + t, tgt * module_dim + t)
+                    entries[key] = entries.get(key, 0) + sign
     return Mat(rows, cols, entries, field)
 
 

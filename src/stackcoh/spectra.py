@@ -86,7 +86,8 @@ from .errors import InvariantViolation
 # kernel_basis is not called here; perfbench/layers.py instruments it at
 # this import site.
 from .exactalg import (
-    Mat, Sieve, _eliminate, _prepare, kernel_basis, rank, solve_multi,
+    Mat, Sieve, _eliminate, _prepare, _primitive, kernel_basis, rank,
+    solve_multi,
 )
 from .groupcoh import (
     GModule, action_on_cohomology, bar_complex, module_tensor,
@@ -157,11 +158,14 @@ class _FilteredTotal:
         the rows below F_{t+1} of T^{n+1}, that is to block t, since it
         vanishes below F_t.  Every active column keeps vec == D . combo
         (_prepare and _eliminate act on both), so the images come from
-        the elimination.  A column no elimination touched since the last
-        snapshot shares that snapshot's combo dict; nothing mutates them.
+        the elimination.  A column that a step touched is made primitive
+        (_primitive) before the next snapshot and before it serves as a
+        pivot, so every snapshot and every step is that of a gcd
+        division after each step.  A column no elimination touched since
+        the last snapshot shares that snapshot's combo dict.
 
         The columns of D^n are prepared once per degree and copied here,
-        since elimination over F_p works in place.  The rows are walked
+        since elimination works in place.  The rows are walked
         once, in sorted order: an elimination brings in only rows of w,
         which some column already held, so no row is ever added.  An
         image is built only for a vector with a row in block t.
@@ -186,6 +190,7 @@ class _FilteredTotal:
         k = 0
         snapshots = {}
         shared = {}     # column -> combo copy of the last snapshot
+        signs = {}      # stepped column -> product of its steps' signs
         for t in self._snapshot_ts(p0):
             boundary = self.col_start(n + 1, t)
             while k < len(rows) and rows[k] < boundary:
@@ -195,14 +200,20 @@ class _FilteredTotal:
                              if j in active and r in active[j][0])
                 if not ids:
                     continue
-                w, cw = active.pop(ids[0])
+                w, cw = _primitive(*active.pop(ids[0]),
+                                   signs.pop(ids[0], 0), f.p)
                 for j in ids[1:]:
-                    active[j] = _eliminate(*active[j], w, cw, r, f.p)
+                    vec, combo, s = _eliminate(*active[j], w, cw, r, f.p)
+                    active[j] = vec, combo
+                    signs[j] = s * signs.get(j, 1)
                     shared.pop(j, None)
                     # active[j] may gain rows of w, each a later row of
                     # the walk (no active vector holds a passed row)
                     for i in w:
                         row_index[i].add(j)
+            for j, s in signs.items():
+                active[j] = _primitive(*active[j], s, f.p)
+            signs.clear()
             stop = self.col_start(n + 1, t + 1)
             snapshot = []
             for j, (vec, combo) in active.items():

@@ -364,8 +364,10 @@ def equivariant_cohomology(a, field: Field, degrees, n_top: int | None = None,
     degrees = list(degrees)
     if n_top is None:
         n_top = max(degrees) + 2
-    sa = as_simplicial_action(a, n_top)
     top = min(max([0, *degrees]) + 1, n_top)
+    # a simplicial action must reach n_top; an atlas nerve is built to top
+    sa = as_simplicial_action(
+        a, n_top if isinstance(a, SimplicialGAction) else top)
     complex_diag = cochains(borel_object(sa, top), field)
     dims = [cohomology(complex_diag, n) for n in degrees]
     del complex_diag    # not held while the totalization is built

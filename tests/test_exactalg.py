@@ -3,14 +3,16 @@
 import itertools
 import time
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stackcoh.errors import NoSolution
 from stackcoh.exactalg import (
-    GF, QQ, Mat, Sieve, _cohomology_dim, _eliminate, _prepare, kernel_basis,
-    mat_from_columns, rank, reduced, solve_multi,
+    GF, QQ, Mat, Sieve, _cohomology_dim, _eliminate, _prepare, _primitive,
+    kernel_basis, mat_from_columns, rank, reduced, solve_multi,
 )
 from stackcoh.groupcoh import kron
 from stackcoh.homalg import DoubleComplex, TotalLayout
@@ -348,9 +350,14 @@ def elimination_steps(draw, field):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_elimination_step_matches_fraction_reference(field, data):
+    # the step gives lam * (vec - (b/a) w) for an integer lam: lam = 1 in
+    # place (over F_p, and over Q when a divides b) with the sign of a
+    # reported, else sign(lam) = sign(a) with 1 reported; _primitive
+    # then gives what the eager step gives
     vec, combo, w, cw, piv = data.draw(elimination_steps(field))
     p = field.p
-    factor = _quotient(vec[piv], w[piv], p)
+    a, b = w[piv], vec[piv]
+    factor = _quotient(b, a, p)
 
     def reference(u, x):
         out = {}
@@ -363,10 +370,14 @@ def test_elimination_step_matches_fraction_reference(field, data):
 
     ref_vec = reference(vec, w)
     ref_combo = reference(combo, cw) if combo is not None else {}
-    got_vec, got_combo = _eliminate(
+    got_vec, got_combo, sign = _eliminate(
         dict(vec), dict(combo) if combo is not None else None, w, cw, piv, p)
     assert piv not in got_vec
     assert (got_combo is None) == (combo is None)
+    in_place = bool(p) or b % a == 0
+    assert sign == (1 if not in_place or a > 0 else -1)
+    assert _primitive(got_vec, got_combo, sign, p) == eager_step(
+        dict(vec), dict(combo) if combo is not None else None, w, cw, piv, p)
     got_combo = got_combo or {}
     lead = next(iter(ref_vec or ref_combo), None)
     if lead is None:
@@ -374,14 +385,37 @@ def test_elimination_step_matches_fraction_reference(field, data):
         return
     got_lead = (got_vec if ref_vec else got_combo)[lead]
     lam = _quotient(got_lead, (ref_vec or ref_combo)[lead], p)
-    assert lam
+    assert lam == 1 if in_place else lam * a > 0
     assert got_vec == _scaled(ref_vec, lam, p)
     assert got_combo == _scaled(ref_combo, lam, p)
 
 
+def eager_step(vec, combo, w, cw, piv, p):
+    """Reference: the elimination step that builds a*vec - b*w over Q as
+    new dicts and divides it, with its combination, by the gcd of all
+    their entries at every step (over F_p: vec - (b/a)*w, reduced)."""
+    a, b = w[piv], vec[piv]
+    pairs = ((vec, w),) if combo is None else ((vec, w), (combo, cw))
+    out = []
+    for u, x in pairs:
+        new = {}
+        for i in u.keys() | x.keys():
+            s = a * u.get(i, 0) - b * x.get(i, 0)
+            if p:
+                s = s * pow(a, p - 2, p) % p
+            if s:
+                new[i] = s
+        out.append(new)
+    g = 0 if p else reduce(gcd, (v for new in out for v in new.values()), 0)
+    if g > 1:
+        out = [{i: s // g for i, s in new.items()} for new in out]
+    return out[0], (out[1] if combo is not None else None)
+
+
 class ScanSieve:
     """Reference sieve: reduce against every stored pivot in insertion
-    order, testing each one for membership in the vector."""
+    order, testing each one for membership in the vector, with the eager
+    step."""
 
     def __init__(self, field):
         self.field = field
@@ -395,7 +429,7 @@ class ScanSieve:
         for piv in self.order:
             if piv in vec:
                 w, cw = self.pivots[piv]
-                vec, combo = _eliminate(vec, combo, w, cw, piv, self.field.p)
+                vec, combo = eager_step(vec, combo, w, cw, piv, self.field.p)
         if vec:
             piv = min(vec)
             self.pivots[piv] = (vec, combo)
@@ -404,11 +438,11 @@ class ScanSieve:
 
 
 @st.composite
-def sieve_inputs(draw, field):
+def sieve_inputs(draw, field, bound=4):
     """Columns of a random sparse matrix, plus extra vectors drawn as
     sums of earlier columns (so some inserts land in the span)."""
     rows = draw(st.integers(1, 9))
-    entry = st.integers(-4, 4).filter(bool)
+    entry = st.integers(-bound, bound).filter(bool)
     cols = []
     for _ in range(draw(st.integers(1, 12))):
         keys = draw(st.sets(st.integers(0, rows - 1), max_size=rows))
@@ -423,22 +457,88 @@ def sieve_inputs(draw, field):
     return [reduced(col, field) for col in cols]
 
 
-@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["QQ", "GF2", "GF3"])
-@pytest.mark.parametrize("tracked", [False, True],
-                         ids=["untracked", "tracked"])
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_heap_sieve_equals_pivot_scan(field, tracked, data):
-    # the heap-driven pivot lookup must replay the scan step for step
-    cols = data.draw(sieve_inputs(field))
+def assert_sieve_replays_scan(field, cols, tracked) -> list:
+    """Insert cols into a Sieve and a ScanSieve, comparing after every
+    insert; returns the residuals."""
     heap, scan = Sieve(field), ScanSieve(field)
+    residuals = []
     for j, col in enumerate(cols):
         got = heap.insert(dict(col), {j: 1} if tracked else None)
         want = scan.insert(dict(col), {j: 1} if tracked else None)
         assert got == want
         assert heap.order == scan.order
         assert heap.pivots == scan.pivots
+        residuals.append(got[0])
     assert heap.rank_of == {piv: k for k, piv in enumerate(heap.order)}
+    return residuals
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["QQ", "GF2", "GF3"])
+@pytest.mark.parametrize("tracked", [False, True],
+                         ids=["untracked", "tracked"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_heap_sieve_equals_pivot_scan(field, tracked, data):
+    # the heap-driven pivot lookup and the in-place steps must replay the
+    # eager scan step for step
+    assert_sieve_replays_scan(field, data.draw(sieve_inputs(field)), tracked)
+
+
+@pytest.mark.parametrize("tracked", [False, True],
+                         ids=["untracked", "tracked"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_in_place_steps_equal_eager_steps_over_q(tracked, data):
+    # wider entries than the scan test, so that a divides b less often
+    assert_sieve_replays_scan(QQ, data.draw(sieve_inputs(QQ, bound=7)),
+                              tracked)
+
+
+@pytest.mark.parametrize("tracked", [False, True],
+                         ids=["untracked", "tracked"])
+def test_in_place_rule_cases(tracked, monkeypatch):
+    # one fixed input through the cases the lazy rule must get right: a
+    # negative a in place, an a that does not divide b, and residuals
+    # that end empty after them
+    from stackcoh import exactalg
+    steps = []
+    step = exactalg._eliminate
+
+    def watched(vec, combo, w, cw, piv, p):
+        steps.append((w[piv], vec[piv]))
+        return step(vec, combo, w, cw, piv, p)
+    monkeypatch.setattr(exactalg, "_eliminate", watched)
+    cols = [{0: -1, 1: 2, 2: 1}, {1: 3, 2: 1}, {0: 1, 1: 4, 2: 1},
+            {0: 2, 1: 4, 2: 3}, {0: 1, 1: -1, 2: 5}]
+    residuals = assert_sieve_replays_scan(QQ, cols, tracked)
+    assert steps[:5] == [(-1, 1), (3, 6), (-1, 2), (3, 8), (-1, 1)]
+    assert steps[5] == (3, 1) and len(steps) == 7
+    assert residuals[2] == residuals[4] == {}
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["QQ", "GF2", "GF3"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_insert_leaves_the_callers_dicts(field, data):
+    # the in-place steps touch only the dicts the sieve made itself
+    cols = data.draw(sieve_inputs(field))
+    combos = [{j: 1, j + 1: -2} for j in range(len(cols))]
+    before = [(dict(col), dict(combo)) for col, combo in zip(cols, combos)]
+    tracked, untracked = Sieve(field), Sieve(field)
+    for col, combo in zip(cols, combos):
+        tracked.insert(col, combo)
+        untracked.insert(col)
+    assert list(zip(cols, combos)) == before
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=["GF2", "GF3"])
+def test_products_vanishing_mod_p_are_zero(field):
+    # every integer sum of this product is a nonzero multiple of p
+    p = field.p
+    a = Mat(2, p, {(i, k): 1 for i in range(2) for k in range(p)}, field)
+    b = Mat(p, 3, {(k, j): j + 1 for k in range(p) for j in range(3)}, field)
+    prod = a * b
+    assert prod.is_zero() and prod.shape == (2, 3)
 
 
 @pytest.mark.parametrize("field", [QQ, F2, F3, F5],

@@ -36,6 +36,27 @@ class TestCochainComplex:
         with pytest.raises(InvariantViolation, match="d.d != 0"):
             CochainComplex(QQ, (1, 2, 1), (d_in, d_out))
 
+    def test_one_corrupted_entry_of_an_f2_total_is_refused(self):
+        # flip one entry of D^1 of a Borel total over F_2 at a row where
+        # D^2 has a nonzero column: D^2 D^1 gains that column
+        from stackcoh.groupcoh import trivial_module
+        from stackcoh.models import corpus_by_name
+        from stackcoh.spectra import borel_double_complex
+        from stackcoh.stackact import as_simplicial_action
+        sa = as_simplicial_action(
+            corpus_by_name("z2_pair2_swap_f2").action(4), 4)
+        tot = total_complex(borel_double_complex(
+            sa, trivial_module(sa.group, F2), 4))
+        d1, d2 = tot.diffs[1], tot.diffs[2]
+        i = next(k for k, col in enumerate(d2.columns()) if col)
+        entries = dict(d1.entries)
+        if entries.pop((i, 0), None) is None:
+            entries[(i, 0)] = 1
+        diffs = list(tot.diffs)
+        diffs[1] = Mat(d1.rows, d1.cols, entries, F2)
+        with pytest.raises(InvariantViolation, match=r"d\.d != 0 at degree 1"):
+            CochainComplex(F2, tot.dims, tuple(diffs))
+
     def test_shape_checked(self):
         # a 3 x 1 map into degree 1 of dimension 2
         with pytest.raises(InvariantViolation, match="shape"):

@@ -1,16 +1,17 @@
 """Semi-simplicial sets, groupoids, nerves, diagonals."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stackcoh.errors import (
     InvariantViolation, SimplicialIdentityFailure, TruncationMismatch,
 )
-from stackcoh.exactalg import GF, QQ
+from stackcoh.exactalg import GF, QQ, Mat
 from stackcoh.homalg import cohomology, total_complex
 from stackcoh.models import s3_natural_perms
 from stackcoh.simplicial import (
-    BiSemiSimplicialSet, FiniteGroupoid, SemiSimplicialSet, cochains,
-    cycle_space, diagonal, nerve, pair_groupoid, total_cochains,
+    BiSemiSimplicialSet, FiniteGroupoid, SemiSimplicialSet, _face_sum,
+    cochains, cycle_space, diagonal, nerve, pair_groupoid, total_cochains,
     trivial_groupoid,
 )
 from stackcoh.stackact import (
@@ -244,3 +245,42 @@ def test_semisimplicial_rejects_bad_identity():
     bad_faces = ((), ((0,), (0,)), ((0,), (0,)))
     with pytest.raises(SimplicialIdentityFailure):
         SemiSimplicialSet(cells, bad_faces)
+
+
+def per_cell_face_sum(face_maps, rows, cols, module_dim, field, twist=None):
+    """Reference: the face sum cell by cell, each cell over its faces."""
+    entries = {}
+    plain = [((t, t), 1) for t in range(module_dim)]
+    last = len(face_maps) - 1 if twist is not None else -1
+    for c, faces in enumerate(zip(*face_maps)):
+        for i, tgt in enumerate(faces):
+            sign = -1 if i % 2 else 1
+            for (r, k), v in twist(c).entries.items() if i == last else plain:
+                key = (c * module_dim + r, tgt * module_dim + k)
+                entries[key] = entries.get(key, 0) + sign * v
+    return Mat(rows, cols, entries, field)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, GF(3)], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("module_dim", [1, 2])
+@pytest.mark.parametrize("twisted", [False, True],
+                         ids=["plain", "twisted"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_face_sum_equals_per_cell_loop(field, module_dim, twisted, data):
+    # random face tables, repeated targets included, as tables and as
+    # iterators; the twist is a random matrix per source cell
+    cells = data.draw(st.integers(0, 5))
+    targets = data.draw(st.integers(1, 4))
+    faces = data.draw(st.lists(
+        st.lists(st.integers(0, targets - 1), min_size=cells,
+                 max_size=cells), min_size=1, max_size=4))
+    entry = st.integers(-3, 3)
+    mats = [Mat.from_rows([[data.draw(entry) for _ in range(module_dim)]
+                           for _ in range(module_dim)], field)
+            for _ in range(cells)]
+    twist = mats.__getitem__ if twisted else None
+    shape = (cells * module_dim, targets * module_dim, module_dim, field)
+    want = per_cell_face_sum(faces, *shape, twist)
+    assert _face_sum(tuple(faces), *shape, twist) == want
+    assert _face_sum(tuple(iter(f) for f in faces), *shape, twist) == want

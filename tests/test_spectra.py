@@ -26,6 +26,7 @@ from stackcoh.stackact import (
 
 from .strategies import build_double_complex, fields, piece_lists
 from .test_cartan import rotation_algebra
+from .test_exactalg import eager_step
 from .test_stackact import z2_cycle4
 
 F2 = GF(2)
@@ -207,6 +208,26 @@ class TestProjectedSubquotients:
                         assert all(i >= low for i in full)
                         assert image == {i: v for i, v in full.items()
                                          if i < stop}
+
+    @settings(max_examples=40, deadline=None)
+    @given(piece_lists, st.randoms(use_true_random=False))
+    def test_kernels_equal_eager_kernels(self, pieces, rng):
+        # the in-place steps over Q, with a column normalised before each
+        # snapshot and before it is a pivot, give the snapshots of the
+        # eager step, which divides by the gcd at every step
+        dc, _ = build_double_complex(pieces, QQ, rng)
+
+        def snapshots():
+            ft = _FilteredTotal(dc)
+            return {(n, p0): ft.kernels(n, p0)
+                    for n, dim in ft.layout.total_dims.items() if dim
+                    for p0 in range(ft.pmin, ft.pmax + 1)}
+
+        got = snapshots()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "_eliminate",
+                       lambda *args: (*eager_step(*args), 1))
+            assert got == snapshots()
 
     @pytest.mark.parametrize("field", [QQ, F2])
     @pytest.mark.parametrize("runner", [discrete_borel_ss, atlas_ss],

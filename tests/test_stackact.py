@@ -291,7 +291,7 @@ class TestBuiltToAskedDegrees:
 
     def test_nothing_above_the_asked_degrees_is_built(self, monkeypatch):
         from stackcoh import getzler, stackact
-        levels, blocks = [], []
+        levels, blocks, nerves = [], [], []
 
         def watch(module, name, read):
             original = getattr(module, name)
@@ -302,20 +302,26 @@ class TestBuiltToAskedDegrees:
                 return built
             monkeypatch.setattr(module, name, watched)
 
+        watch(stackact, "nerve", lambda s: nerves.append(s.trunc))
         watch(stackact, "borel_object", lambda s: levels.append(s.trunc))
         watch(stackact, "borel_bisimplicial", lambda b: blocks.append(
             max(p + n for (p, n), cells in b.cells.items() if cells)))
         watch(getzler, "borel_double_complex", lambda dc: blocks.append(
             max(p + n for (p, n), dim in dc.dims.items() if dim)))
         d = 2
+        atlases = 0
         for name in self.NAMES:
             inst = corpus_by_name(name)
-            self.both_routes(inst.action(d + 3), inst.field, range(d + 1),
-                             d + 3)
+            action = inst.action(d + 3)
+            atlases += isinstance(action, GroupoidAction)
+            self.both_routes(action, inst.field, range(d + 1), d + 3)
         # one diagonal, one bisimplicial and one Getzler object per
-        # instance, each reaching exactly total degree d + 1
+        # instance, each reaching exactly total degree d + 1, and one
+        # atlas nerve per route of a groupoid action, to level d + 1
         assert levels == [d + 1] * len(self.NAMES)
         assert blocks == [d + 1] * 2 * len(self.NAMES)
+        assert atlases == 3
+        assert nerves == [d + 1] * 2 * atlases
 
     @pytest.mark.parametrize("name", NAMES)
     def test_betti_numbers_at_two_ceilings(self, name):
