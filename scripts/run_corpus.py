@@ -42,8 +42,7 @@ def main():
         for label, runner in (("E2/borel", discrete_borel_ss),
                               ("E1/atlas", atlas_ss)):
             t0 = time.time()
-            run = runner(ss_action, inst.field, ss_top,
-                         dims_only=inst.dims_only)
+            run = runner(ss_action, inst.field, ss_top)
             ident_ok = all(row["ok"] for row in run.identification)
             conv_ok = run.convergence["ok"]
             failures += 0 if (ident_ok and conv_ok) else 1

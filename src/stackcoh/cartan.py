@@ -496,7 +496,7 @@ class TorusWeylReport:
 
 def weyl_action(lie: LieAlgebraData, algebra: GDGA, weyl_dual_gens: list,
                 weyl_algebra_gens: list):
-    """The input checks of torus_weyl_check, which build no Cartan model.
+    """Check Weyl data and close W once; torus_weyl_check reads the result.
 
     weyl_dual_gens: generators acting on the dual of the Lie algebra;
     weyl_algebra_gens: matching generators acting degree-wise on the
@@ -507,8 +507,9 @@ def weyl_action(lie: LieAlgebraData, algebra: GDGA, weyl_dual_gens: list,
     reduction is injective on a finite group of p-integral matrices
     (Minkowski).  Each algebra map must preserve A^g and commute with d,
     and |W|, the order of the closure of the (dual, algebra) pairs, must
-    be invertible in the field.  Returns A^g, and the generators and the
-    elements of W as pairs (dual over the algebra's field, maps on A^g).
+    be invertible in the field.  Returns what torus_weyl_check reads: A^g,
+    and the generators and elements of W as pairs (dual over the algebra's
+    field, maps on A^g).
     """
     if len(weyl_dual_gens) != len(weyl_algebra_gens):
         raise InvariantViolation(
@@ -549,21 +550,19 @@ def weyl_action(lie: LieAlgebraData, algebra: GDGA, weyl_dual_gens: list,
     return inv, gens, group
 
 
-def torus_weyl_check(lie: LieAlgebraData, algebra: GDGA, poly_trunc: int,
-                     weyl_dual_gens: list, weyl_algebra_gens: list,
+def torus_weyl_check(lie: LieAlgebraData, weyl: tuple, poly_trunc: int,
                      degrees) -> TorusWeylReport:
     """Invariant-series comparison for a torus with Weyl symmetry, on the
-    generators that weyl_action checks.  The cohomology of the W-invariant
-    subcomplex is compared against the E_infinity of the invariant double
-    complex, and E_1 against dim (S^p (x) H^{q-p})^W, the rank of the sum
-    over W of S^p(w) (x) H^{q-p}(w), which is |W| times the averaging
-    projector.
+    checked data and closed W that weyl_action returned (weyl).  The
+    cohomology of the W-invariant subcomplex is compared against the
+    E_infinity of the invariant double complex, and E_1 against dim (S^p
+    (x) H^{q-p})^W, the rank of the sum over W of S^p(w) (x) H^{q-p}(w),
+    which is |W| times the averaging projector.
     """
     from .spectra import pages
     from .groupcoh import kron
-    inv, gens, group = weyl_action(lie, algebra, weyl_dual_gens,
-                                   weyl_algebra_gens)
-    f = algebra.field
+    inv, gens, group = weyl
+    f = inv.field
     dc = cartan_double_complex(lie, inv, poly_trunc)
 
     # block action of W on the double complex; the invariant blocks are

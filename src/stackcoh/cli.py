@@ -389,24 +389,25 @@ def parse_input(payload: dict, field: Field | None = None) -> dict:
 
         data["weyl"] = _array(payload["weyl"], (None,), "/weyl", weyl_matrix)
         # generators of finite order can still generate an infinite group;
-        # the cartan job closes them under products, so that is done here
-        _located(mulclose_mats, "/weyl", [(w,) for w in data["weyl"]])
+        # with weyl_on_algebra, weyl_action's closure of the pairs refuses it
+        if "weyl_on_algebra" not in payload:
+            _located(mulclose_mats, "/weyl", [(w,) for w in data["weyl"]])
     if "weyl_on_algebra" in payload:
         _requires(data, ("lie", "gdga", "weyl"), "/weyl_on_algebra")
         squares = [(n, n) for n in data["gdga"].dims]
-        data["weyl_on_algebra"] = _array(
+        maps = _array(
             payload["weyl_on_algebra"], (len(data["weyl"]),),
             "/weyl_on_algebra",
             lambda v, at: _matrices(v, squares, active, at))
-        # torus_weyl_check reads the generators over the algebra's field
+        # weyl_action reads the generators over the algebra's field
         for k, w in enumerate(data["weyl"]):
             try:
                 Mat(w.rows, w.cols, w.entries, active)
             except ZeroDivisionError:
                 _fail(f"a Weyl generator has no value mod {active.p}",
                       f"/weyl/{k}")
-        _located(weyl_action, "/weyl", data["lie"], data["gdga"],
-                 data["weyl"], data["weyl_on_algebra"])
+        data["weyl_on_algebra"] = _located(weyl_action, "/weyl", data["lie"],
+                                           data["gdga"], data["weyl"], maps)
     return data
 
 
@@ -515,10 +516,8 @@ def run(job: JobSpec, data: dict) -> dict:
             series = invariant_polynomials(lie, data["weyl"], job.poly_trunc)
             report["invariant_polynomials"] = series
             if "weyl_on_algebra" in data:
-                check = torus_weyl_check(lie, algebra, job.poly_trunc,
-                                         data["weyl"],
-                                         data["weyl_on_algebra"],
-                                         degrees=job.degrees)
+                check = torus_weyl_check(lie, data["weyl_on_algebra"],
+                                         job.poly_trunc, job.degrees)
                 report["torus_weyl"] = {
                     "series": check.series,
                     "e_infinity": check.series_e_infinity,

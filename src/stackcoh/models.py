@@ -4,9 +4,8 @@ Each corpus instance fixes a group action, a coefficient field, a degree
 budget, and (where a closed form is known) the expected equivariant
 Betti numbers.  Expected values marked "quotient" follow from free-action
 collapse (the homotopy quotient is the honest quotient); "tower" values
-come from the bar-resolution oracle over the one-point atlas; the heavy
-flag routes spectral runs through the dims-only path and a reduced
-truncation so the whole corpus stays inside the runtime budget.
+come from the bar-resolution oracle over the one-point atlas.  The full
+spectral runs may take a smaller degree budget (ss_deg_max).
 """
 
 from __future__ import annotations
@@ -79,7 +78,6 @@ class CorpusInstance:
     deg_max: int           # certified degrees 0..deg_max for Betti tables
     expected: list | None  # frozen equivariant dims, or None
     ss_deg_max: int | None = None   # degree budget for spectral runs
-    dims_only: bool = False         # route pages through the rank formula
 
     @property
     def ss_budget(self) -> int:
@@ -110,7 +108,7 @@ CORPUS = [
     CorpusInstance(
         "s3_point_q",
         _const(trivial_action(symmetric_group(3), trivial_groupoid(1))),
-        QQ, 2, [1, 0, 0], dims_only=True),
+        QQ, 2, [1, 0, 0]),
     CorpusInstance(
         "s3_point_f2",
         _const(trivial_action(symmetric_group(3), trivial_groupoid(1))),
@@ -140,7 +138,7 @@ CORPUS = [
     CorpusInstance(
         "z3_cycle3_q",
         lambda n_top: cycle_rotation_action(3, 1, 3, n_top),
-        QQ, 3, [1, 1, 0, 0], dims_only=True),
+        QQ, 3, [1, 1, 0, 0]),
     CorpusInstance(
         "z2_pair2_swap_q",
         _const(pair_swap_action()),
@@ -153,7 +151,7 @@ CORPUS = [
         "s3_3pts_q",
         _const(set_action_on_trivial_groupoid(symmetric_group(3),
                                               s3_natural_perms())),
-        QQ, 2, [1, 0, 0], dims_only=True),
+        QQ, 2, [1, 0, 0]),
 ]
 
 

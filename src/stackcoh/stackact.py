@@ -334,7 +334,7 @@ def borel_bisimplicial(sa: SimplicialGAction, n_top: int | None = None,
 
     cells, faces_h, faces_v = {}, {}, {}
     for p in range(n_top + 1):
-        tup = _tuples(g, p)
+        tup = _tuples(g, p) if kept(p, 0) else ()
         for n in range(n_top + 1):
             cells[(p, n)] = tuple((gs, x) for gs in tup
                                   for x in range(s.size(n))) \

@@ -10,6 +10,7 @@ eliminations for the Cartan models.
 from stackcoh.cartan import (
     abelian_lie, cartan_E1, cartan_cohomology, cartan_double_complex,
     invariants_subalgebra, invariant_polynomials, torus_weyl_check,
+    weyl_action,
 )
 from stackcoh.exactalg import GF, QQ, Mat, kernel_basis, rank
 from stackcoh.getzler import dbar_matrix, GetzlerContext, getzler_total_cohomology
@@ -95,34 +96,39 @@ def diagonal_dims_match(bis, bo, n_top):
     return True
 
 
-def test_criterion_4_discrete_group_e2_identification():
+# the instances once run dims-only: their rank-table pages stay checked
+# against the full ones here
+RANK_TABLE_CROSS_CHECKED = ("s3_point_q", "z3_cycle3_q", "s3_3pts_q")
+
+
+def full_corpus_runs(runner):
+    """Run runner in full on every corpus instance at its acceptance
+    budget; each run's identification must be non-empty and ok, and its
+    convergence ok."""
     checked = 0
     for inst in CORPUS:
         n_top = inst.ss_budget + 2
         action = inst.action(n_top)
-        run = discrete_borel_ss(action, inst.field, n_top,
-                                dims_only=inst.dims_only)
-        if not inst.dims_only:
-            assert run.identification, inst.name
-            assert all(row["ok"] for row in run.identification), inst.name
-        else:
-            # dims-only runs still verify E2 entrywise via the oracle
-            assert all(row["ok"] for row in run.identification), inst.name
+        run = runner(action, inst.field, n_top)
+        assert run.identification, inst.name
+        assert all(row["ok"] for row in run.identification), inst.name
         assert run.convergence["ok"], inst.name
+        if inst.name in RANK_TABLE_CROSS_CHECKED:
+            ranks = runner(action, inst.field, n_top, dims_only=True)
+            assert [p.entries for p in ranks.pages] == \
+                [p.entries for p in run.pages], inst.name
         checked += 1
+    return checked
+
+
+def test_criterion_4_discrete_group_e2_identification():
+    checked = full_corpus_runs(discrete_borel_ss)
     assert checked >= 10
     report(4, f"discrete-group E2 identification on {checked} instances")
 
 
 def test_criterion_5_level_quotient_e1_identification():
-    checked = 0
-    for inst in CORPUS:
-        n_top = inst.ss_budget + 2
-        action = inst.action(n_top)
-        run = atlas_ss(action, inst.field, n_top, dims_only=inst.dims_only)
-        assert all(row["ok"] for row in run.identification), inst.name
-        assert run.convergence["ok"], inst.name
-        checked += 1
+    checked = full_corpus_runs(atlas_ss)
     assert checked >= 10
     report(5, f"level-quotient E1 identification on {checked} instances")
 
@@ -193,10 +199,10 @@ def test_criterion_8_cartan_e1_and_convergence():
 
 def test_criterion_9_borel_isomorphism_series():
     lie = abelian_lie(1)
-    check = torus_weyl_check(lie, point_algebra(), 6,
-                             [Mat.from_rows([[-1]], QQ)],
-                             [(Mat.identity(1, QQ),)],
-                             degrees=range(9))
+    check = torus_weyl_check(
+        lie, weyl_action(lie, point_algebra(), [Mat.from_rows([[-1]], QQ)],
+                         [(Mat.identity(1, QQ),)]), 6,
+        degrees=range(9))
     assert check.ok
     expected = [1, 0, 0, 0, 1, 0, 0, 0, 1]
     assert check.series == expected

@@ -8,7 +8,7 @@ from stackcoh.cartan import (
     GDGA, LieAlgebraData, abelian_lie, cartan_E1, cartan_cohomology,
     cartan_double_complex, invariant_polynomials, invariants_subalgebra,
     matrix_order, monomials, mulclose_mats, sym_power_matrix,
-    torus_weyl_check, validate_gdga,
+    torus_weyl_check, validate_gdga, weyl_action,
 )
 from stackcoh.errors import (
     InvariantViolation, NonEquivariantInput, NonInvertibleOrder,
@@ -320,8 +320,9 @@ class TestInvariantsFromGenerators:
                 return found[-1]
 
             monkeypatch.setattr(cartan, "joint_kernel", recording)
-            report = torus_weyl_check(lie, algebra, 3, dual_gens,
-                                      algebra_gens, degrees=range(6))
+            report = torus_weyl_check(
+                lie, weyl_action(lie, algebra, dual_gens, algebra_gens), 3,
+                degrees=range(6))
             monkeypatch.setattr(cartan, "joint_kernel", real)
             assert report.ok
             return found, report.series
@@ -349,9 +350,10 @@ class TestInvariantsFromGenerators:
         assert invariant_polynomials(lie, gens, 4) == [1, 0, 1, 0, 2]
         assert closures == []
         kernel_calls.clear()
-        report = torus_weyl_check(lie, algebra, 4, gens,
-                                  [(Mat.identity(1, QQ),)] * 3,
-                                  degrees=range(9))
+        report = torus_weyl_check(
+            lie, weyl_action(lie, algebra, gens,
+                             [(Mat.identity(1, QQ),)] * 3), 4,
+            degrees=range(9))
         assert report.ok
         assert report.series == [1, 0, 0, 0, 1, 0, 0, 0, 2]
         # one call per degree of A for A^g, with one L_a each, then one
@@ -372,8 +374,9 @@ class TestInvariantsFromGenerators:
                            Mat.from_rows([[-1]], field))
                           for perm, signs in (((0, 1), (-1, 1)),
                                               ((1, 0), (1, 1)))]
-            report = torus_weyl_check(lie2, algebra, 4, dual, on_algebra,
-                                      degrees=range(7))
+            report = torus_weyl_check(
+                lie2, weyl_action(lie2, algebra, dual, on_algebra), 4,
+                degrees=range(7))
             assert report.ok
             return report.series, report.e1_matches
 
@@ -388,10 +391,10 @@ class TestInvariantsFromGenerators:
             algebra = GDGA(field, (1,), (), ((),),
                            ((Mat.zero(1, 1, field),),),
                            mul={(0, 0): [[{0: 1}]]})
-            return torus_weyl_check(LIE1, algebra, 3,
-                                    [Mat.from_rows([[-1]], QQ)],
-                                    [(Mat.identity(1, field),)],
-                                    degrees=range(4))
+            return torus_weyl_check(
+                LIE1, weyl_action(LIE1, algebra, [Mat.from_rows([[-1]], QQ)],
+                                  [(Mat.identity(1, field),)]), 3,
+                degrees=range(4))
 
         assert check(GF(3)).series == check(QQ).series == [1, 0, 0, 0]
         with pytest.raises(NonInvertibleOrder):
@@ -403,15 +406,18 @@ class TestInvariantsFromGenerators:
         algebra = GDGA(GF(2), (1,), (), ((),), ((Mat.zero(1, 1, GF(2)),),),
                        mul={(0, 0): [[{0: 1}]]})
         with pytest.raises(InvariantViolation, match="F_2"):
-            torus_weyl_check(LIE1, algebra, 3,
-                             [Mat.from_rows([[-1]], GF(2))],
-                             [(Mat.identity(1, GF(2)),)], degrees=range(4))
+            torus_weyl_check(
+                LIE1, weyl_action(LIE1, algebra,
+                                  [Mat.from_rows([[-1]], GF(2))],
+                                  [(Mat.identity(1, GF(2)),)]), 3,
+                degrees=range(4))
 
     def test_unequal_generator_counts_rejected(self):
         with pytest.raises(InvariantViolation):
-            torus_weyl_check(LIE1, point_algebra(), 3,
-                             [Mat.from_rows([[-1]], QQ)], [],
-                             degrees=range(4))
+            torus_weyl_check(
+                LIE1, weyl_action(LIE1, point_algebra(),
+                                  [Mat.from_rows([[-1]], QQ)], []), 3,
+                degrees=range(4))
 
 
 def naive_order(w, limit):
@@ -455,22 +461,25 @@ class TestMatrixOrder:
 
 class TestTorusWeylCheck:
     def test_su2_point_series(self):
-        report = torus_weyl_check(LIE1, point_algebra(), 6,
-                                  [Mat.from_rows([[-1]], QQ)],
-                                  [(Mat.identity(1, QQ),)],
-                                  degrees=range(9))
+        report = torus_weyl_check(
+            LIE1, weyl_action(LIE1, point_algebra(),
+                              [Mat.from_rows([[-1]], QQ)],
+                              [(Mat.identity(1, QQ),)]), 6,
+            degrees=range(9))
         assert report.ok
         assert report.series == [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
     def test_trivial_weyl_identical_series(self):
-        report = torus_weyl_check(LIE1, trivial_circle(), 4, [], [],
-                                  degrees=range(6))
+        report = torus_weyl_check(
+            LIE1, weyl_action(LIE1, trivial_circle(), [], []), 4,
+            degrees=range(6))
         assert report.ok
         assert report.series == report.series_e_infinity
 
     def test_free_circle_trivial_weyl(self):
-        report = torus_weyl_check(LIE1, free_circle(), 5, [], [],
-                                  degrees=range(6))
+        report = torus_weyl_check(
+            LIE1, weyl_action(LIE1, free_circle(), [], []), 5,
+            degrees=range(6))
         assert report.ok
         assert report.series == [1, 0, 0, 0, 0, 0]
 
@@ -482,14 +491,16 @@ class TestTorusWeylCheck:
         algebra = GDGA(QQ, (1, 1), d, iota, lie_der)
         bad_maps = [(Mat.identity(1, QQ), Mat.from_rows([[-1]], QQ))]
         with pytest.raises(NonEquivariantInput):
-            torus_weyl_check(LIE1, algebra, 3, [Mat.identity(1, QQ)],
-                             bad_maps, degrees=range(3))
+            torus_weyl_check(
+                LIE1, weyl_action(LIE1, algebra, [Mat.identity(1, QQ)],
+                                  bad_maps), 3, degrees=range(3))
 
     def test_weyl_restricted_to_lie_invariants(self):
         w = Mat.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 1]], QQ)
-        report = torus_weyl_check(LIE1, rotation_algebra(), 3,
-                                  [Mat.from_rows([[-1]], QQ)], [(w, w)],
-                                  degrees=range(6))
+        report = torus_weyl_check(
+            LIE1, weyl_action(LIE1, rotation_algebra(),
+                              [Mat.from_rows([[-1]], QQ)], [(w, w)]), 3,
+            degrees=range(6))
         assert report.ok
         assert report.series == [1, 1, 0, 0, 1, 1]
 
@@ -497,6 +508,7 @@ class TestTorusWeylCheck:
         # swapping x and z moves the invariant z line off itself
         w = Mat.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]], QQ)
         with pytest.raises(NonEquivariantInput):
-            torus_weyl_check(LIE1, rotation_algebra(), 3,
-                             [Mat.identity(1, QQ)], [(w, w)],
-                             degrees=range(3))
+            torus_weyl_check(
+                LIE1, weyl_action(LIE1, rotation_algebra(),
+                                  [Mat.identity(1, QQ)], [(w, w)]), 3,
+                degrees=range(3))

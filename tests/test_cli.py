@@ -237,7 +237,7 @@ def _cartan_input(dims, d, iota, lie_der, weyl_on_algebra, p=None):
 
 _E11 = [[1, 0], [0, 0]]
 _SWAP = [[0, 1], [1, 0]]
-# Weyl data that torus_weyl_check refuses, each valid piece by piece
+# Weyl data that weyl_action refuses, each valid piece by piece
 WEYL_REFUSED = {
     # the pair (1, [[1, 1], [0, 1]]) has order 3, although the dual
     # generator alone closes to one element
@@ -249,6 +249,15 @@ WEYL_REFUSED = {
     # the swap moves the second basis vector, which spans A^g, off A^g
     "map-leaving-lie-invariants": _cartan_input(
         [2, 2], [_E11], [_E11], [_E11, _E11], [_SWAP, _SWAP]),
+    # two reflections of order 2 whose product has infinite order, with
+    # their maps on the point: the closure of the pairs is infinite
+    "infinite-group-with-maps": {
+        "lie": {"dim": 2, "structure": [[[0, 0], [0, 0]]] * 2},
+        "gdga": {"dims": [1], "d": [], "iota": [[], []],
+                 "L": [[[[0]]]] * 2},
+        "weyl": [[[-1, 0], [0, 1]], [[-1, 1], [0, 1]]],
+        "weyl_on_algebra": [[[[1]]]] * 2,
+        "coefficients": {"field": "Q"}},
 }
 
 
@@ -329,6 +338,23 @@ class TestIndexTables:
         assert code == 2, err
         assert "(at /weyl" in err
         assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("check_only", [False, True],
+                             ids=["run", "check-only"])
+    def test_weyl_closed_once_per_run(self, check_only, capsys, monkeypatch):
+        # parse_input closes W in weyl_action; the job reads its result
+        from stackcoh import cartan, cli
+        closures = []
+        real = cartan.mulclose_mats
+        for module in (cartan, cli):
+            monkeypatch.setattr(module, "mulclose_mats", lambda g: (
+                closures.append(len(g)), real(g))[1])
+        code, out, err = run_cli(
+            ["cartan", fixture("cartan_b4.json"), "--degrees", "0..5",
+             "--poly-trunc", "3", *(["--check-only"] if check_only else [])],
+            capsys)
+        assert code == 0, err
+        assert len(closures) == 1
 
     def test_composite_p_exits_2_with_pointer(self, capsys):
         code, out, err = run_cli(

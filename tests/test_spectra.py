@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stackcoh import exactalg, homalg, spectra
-from stackcoh.cartan import abelian_lie, torus_weyl_check
+from stackcoh.cartan import abelian_lie, torus_weyl_check, weyl_action
 from stackcoh.errors import InvariantViolation
 from stackcoh.exactalg import GF, QQ, Mat, Sieve, rank, solve_multi
 from stackcoh.groupcoh import trivial_module
@@ -700,9 +700,11 @@ def _two_term():
 
 def _torus_weyl():
     w = Mat.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 1]], QQ)
-    return torus_weyl_check(abelian_lie(1), rotation_algebra(), 3,
-                            [Mat.from_rows([[-1]], QQ)], [(w, w)],
-                            degrees=range(6))
+    lie = abelian_lie(1)
+    return torus_weyl_check(
+        lie, weyl_action(lie, rotation_algebra(),
+                         [Mat.from_rows([[-1]], QQ)], [(w, w)]), 3,
+        degrees=range(6))
 
 
 ONE_TOTAL_RUNS = {

@@ -291,7 +291,7 @@ class TestBuiltToAskedDegrees:
 
     def test_nothing_above_the_asked_degrees_is_built(self, monkeypatch):
         from stackcoh import getzler, stackact
-        levels, blocks, nerves = [], [], []
+        levels, blocks, nerves, tuple_lengths = [], [], [], []
 
         def watch(module, name, read):
             original = getattr(module, name)
@@ -303,6 +303,8 @@ class TestBuiltToAskedDegrees:
             monkeypatch.setattr(module, name, watched)
 
         watch(stackact, "nerve", lambda s: nerves.append(s.trunc))
+        # _tuples(g, p) lists the p-tuples of G, never empty
+        watch(stackact, "_tuples", lambda t: tuple_lengths.append(len(t[0])))
         watch(stackact, "borel_object", lambda s: levels.append(s.trunc))
         watch(stackact, "borel_bisimplicial", lambda b: blocks.append(
             max(p + n for (p, n), cells in b.cells.items() if cells)))
@@ -322,6 +324,8 @@ class TestBuiltToAskedDegrees:
         assert blocks == [d + 1] * 2 * len(self.NAMES)
         assert atlases == 3
         assert nerves == [d + 1] * 2 * atlases
+        # and no group tuples for a p whose blocks are all cut
+        assert max(tuple_lengths) <= d + 1
 
     @pytest.mark.parametrize("name", NAMES)
     def test_betti_numbers_at_two_ceilings(self, name):
