@@ -446,13 +446,9 @@ def _action_for(data):
 
 
 def _pages_rows(page_list):
-    rows = []
-    for page in page_list:
-        for (p, q) in sorted(page.entries):
-            rows.append({"p": p, "q": q, "r": page.r,
-                         "dim": page.entries[(p, q)],
-                         "boundary": (p, q) in page.flags})
-    return rows
+    return [{"p": p, "q": q, "r": page.r, "dim": page.entries[(p, q)],
+             "boundary": (p, q) in page.flags}
+            for page in page_list for (p, q) in sorted(page.entries)]
 
 
 def run(job: JobSpec, data: dict) -> dict:

@@ -14,11 +14,17 @@ independent.  A generator lies in the span of the boundaries and the
 earlier generators exactly when its projection does, so these are the
 representatives a sieve over whole T^n vectors would pick; for the same
 reason the block sieve may pivot on its largest block index, which costs
-less here.  Two shortcuts leave every output as it was.  A block sieve
-that holds dim(p, q) pivots spans the block, so nothing more goes into
-it.  kernel_at clamps the filtration start at pmin and the target at
-pmax + 1, so a later page often hands a block the very snapshot lists of
-the page before; that block keeps the earlier page's sieve.
+less here.  Two stops leave every output as it was.  The boundaries go
+in until the sieve holds b_rank pivots, the rank of their block-p
+images, and the generators until it holds z_rank = dim proj_p Z_r^p;
+the sieve then spans proj_p Z_r^p, which holds the boundaries, so every
+later vector would reduce to zero and pick no rep.  Each target is a
+difference of two snapshot lengths, since the map (z -> proj_p(Dz) on
+the boundary snapshot, proj_p on Z_r^p) has the next snapshot
+(Z_{r-1}^{p+1} for Z_r^p) as its kernel; a list that runs out first is
+an InvariantViolation.  kernel_at clamps the filtration start at pmin
+and the target at pmax + 1, so a later page often hands a block the
+very snapshot lists of the page before; that block keeps its sieve.
 Representatives stay in full T^n coordinates.  d_r is solved in the
 target block (p + r, q - r + 1), in the page sieve's -i coordinates:
 the coordinates of each image in the projected representatives there,
@@ -27,11 +33,9 @@ solve may pivot like the page sieve.
 
 A progressive kernel elimination per (degree, filtration start) yields
 every Z_r in one pass and keeps representative bases, so d_r matrices are
-reproducible and can be compared entrywise against oracles.  It keeps
-D . z next to each kernel vector z (the elimination acts on both), stored
-for the one block that the pages read, so no image is multiplied out
-again.  It walks the rows of D^n once, in sorted order, over columns
-prepared once per degree.  An independent rank-table formula provides a
+reproducible and can be compared entrywise against oracles; it keeps
+D . z, for the one block the pages read, next to each kernel vector z
+(see _FilteredTotal.kernels).  An independent rank-table formula provides a
 dims-only fast path; the two agree by property test.  Both routes share
 only the arithmetic: the filtered kernels reduce rows in filtration
 order with exactalg._prepare and exactalg._eliminate, the rank table
@@ -227,6 +231,8 @@ class _FilteredTotal:
         return snapshots
 
     def kernel_at(self, n: int, p0: int, t: int) -> list:
+        """The snapshot F_{p0} cap D^{-1} F_t, with p0 clamped at pmin and
+        t at p0 and pmax + 1; p0 = pmax + 1 reads the empty F_{pmax+1}."""
         p0 = max(p0, self.pmin)
         t = min(max(t, p0), self.pmax + 1)
         return self.kernels(n, p0)[t]
@@ -331,32 +337,37 @@ class SSRunReport:
             all(row["ok"] for row in self.identification)
 
 
-def _sieve_block(field, dim: int, stop: int, boundaries, generators):
-    """The page sieve of a block of dimension dim whose T^n indices end
-    below stop: (independent projected boundaries, reps, projected reps,
-    images of the reps).
+def _sieve_block(field, stop: int, boundaries, b_rank: int, generators,
+                 z_rank: int):
+    """The page sieve of a block whose T^n indices end below stop:
+    (independent projected boundaries, reps, projected reps, images of
+    the reps).
 
-    Block index i goes in at -i, so a pivot is the largest index (the
-    module docstring says why no output depends on that); a sieve with
-    dim pivots spans the block, so nothing more goes in.  All but the
-    reps are returned in these -i coordinates, for the d_r solve.
+    Block index i goes in at -i, so a pivot is the largest index; the
+    boundaries go in up to b_rank pivots, the generators up to z_rank
+    (the module docstring says why no output depends on either).  All
+    but the reps are returned in these -i coordinates, for the d_r solve.
     """
     sieve = Sieve(field)
     b_independent, reps, proj, images = [], [], [], []
     for _, img in boundaries:
-        if sieve.rank == dim:
+        if sieve.rank == b_rank:
             break
         b = {-i: v for i, v in img.items()}
         if b and sieve.insert(b)[0]:
             b_independent.append(b)
     for combo, img in generators:
-        if sieve.rank == dim:
+        if sieve.rank == z_rank:
             break
         z = {-j: v for j, v in combo.items() if j < stop}
         if z and sieve.insert(z)[0]:
             reps.append(combo)
             proj.append(z)
             images.append({-i: v for i, v in img.items()})
+    if len(b_independent) != b_rank or sieve.rank != z_rank:
+        raise InvariantViolation(f"block sieve of rank {len(b_independent)}"
+                                 f" + {len(reps)}, kernels give {b_rank} "
+                                 f"and {z_rank - b_rank}")
     return b_independent, reps, proj, images
 
 
@@ -400,9 +411,13 @@ def pages(dc: DoubleComplex, filtration: str = "columns",
             last = sieved.get((p, q))
             if last is None or last[0] is not boundaries or \
                     last[1] is not generators:
+                # each map's kernel is the next snapshot (module docstring)
+                b_rank = len(boundaries) - len(ft.kernel_at(
+                    n - 1, p - r + 1, p + 1)) if boundaries else 0
+                z_rank = len(generators) - len(ft.kernel_at(n, p + 1, p + r))
                 last = sieved[(p, q)] = (boundaries, generators, _sieve_block(
-                    work.field, work.dim(p, q), ft.col_start(n, p + 1),
-                    boundaries, generators))
+                    work.field, ft.col_start(n, p + 1), boundaries, b_rank,
+                    generators, z_rank))
             b_independent, entry_reps, proj, images = last[2]
             entries[(p, q)] = len(entry_reps)
             reps[(p, q)] = entry_reps
@@ -470,11 +485,9 @@ def convergence_check(page_list: list, total: CochainComplex) -> dict:
         raise InvariantViolation("final page is not stabilized")
     by_degree = {}
     for (p, q), dim in last.entries.items():
-        n = p + q
-        by_degree.setdefault(n, {"sum": 0, "flagged": False})
-        by_degree[n]["sum"] += dim
-        if (p, q) in last.flags:
-            by_degree[n]["flagged"] = True
+        row = by_degree.setdefault(p + q, {"sum": 0, "flagged": False})
+        row["sum"] += dim
+        row["flagged"] |= (p, q) in last.flags
     rows = []
     ok = True
     for n in sorted(by_degree):

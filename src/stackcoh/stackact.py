@@ -435,24 +435,14 @@ def orbit_space(sa: SimplicialGAction) -> SemiSimplicialSet:
         cells.append(tuple(s.cells[n][r] for r in level_reps))
     faces = [()]
     for n in range(1, s.trunc + 1):
-        level_faces = []
-        for i in range(n + 1):
-            fm = []
-            for r in reps[n]:
-                fm.append(orbit_of[n - 1][s.face(n, i, r)])
-            level_faces.append(tuple(fm))
-        faces.append(tuple(level_faces))
+        faces.append(tuple(tuple(orbit_of[n - 1][s.face(n, i, r)]
+                                 for r in reps[n]) for i in range(n + 1)))
     return SemiSimplicialSet(tuple(cells), tuple(faces))
 
 
 def is_free(sa: SimplicialGAction) -> bool:
     g = sa.group
-    e = g.identity
-    for n in range(sa.space.trunc + 1):
-        for gi in range(g.order):
-            if gi == e:
-                continue
-            for c in range(sa.space.size(n)):
-                if sa.act(gi, n, c) == c:
-                    return False
-    return True
+    return not any(sa.act(gi, n, c) == c
+                   for n in range(sa.space.trunc + 1)
+                   for gi in range(g.order) if gi != g.identity
+                   for c in range(sa.space.size(n)))

@@ -234,36 +234,128 @@ class TestProjectedSubquotients:
                              ids=["borel", "atlas"])
     def test_page_sieves_reuse_and_stop(self, runner, field, monkeypatch):
         # the filtration clamps on this complex, so later pages hand some
-        # blocks the same snapshots, and some block sieves fill up
-        sieves, dims = [], []
-        sieve_block = spectra._sieve_block
+        # blocks the same snapshots; each block sieve stops at the rank of
+        # its phase, checked here independently, and so before the block
+        # dimension would stop it
+        fts, sieves, dim_stops = [], [], []
+        init, sieve_block = spectra._FilteredTotal.__init__, \
+            spectra._sieve_block
 
         class RecordingSieve(exactalg.Sieve):
             def __init__(self, field):
                 super().__init__(field)
-                self.dim = dims[-1]
-                self.full_inserts = 0
+                self.target, self.inserts, self.late_inserts = None, 0, 0
                 sieves.append(self)
 
             def insert(self, vec, combo=None):
-                self.full_inserts += self.rank == self.dim
+                self.inserts += 1
+                self.late_inserts += self.rank >= self.target
                 return super().insert(vec, combo)
 
-        def recording_sieve_block(field, dim, *args):
-            dims.append(dim)
-            return sieve_block(field, dim, *args)
+        def phase(items, target):
+            for item in items:
+                sieves[-1].target = target
+                yield item
+
+        def recording_init(self, dc):
+            init(self, dc)
+            fts.append(self)
+
+        def recording_sieve_block(field, stop, boundaries, b_rank,
+                                  generators, z_rank):
+            b_vecs = [img for _, img in boundaries]
+            z_vecs = [{j: v for j, v in combo.items() if j < stop}
+                      for combo, _ in generators]
+            assert b_rank == column_rank(b_vecs, stop, field)
+            assert z_rank == column_rank(b_vecs + z_vecs, stop, field)
+            dim_stops.append(inserts_until_full(fts[-1], generators,
+                                                b_vecs + z_vecs))
+            return sieve_block(field, stop, phase(boundaries, b_rank), b_rank,
+                               phase(generators, z_rank), z_rank)
 
         monkeypatch.setattr(spectra, "Sieve", RecordingSieve)
+        monkeypatch.setattr(spectra._FilteredTotal, "__init__",
+                            recording_init)
         monkeypatch.setattr(spectra, "_sieve_block", recording_sieve_block)
         rep = runner(z2_cycle4(3), field, 3)
         assert rep.ok
-        blocks = len(rep.dc.dims)
-        assert len(sieves) == len(dims) < len(rep.pages) * blocks
-        assert any(s.dim and s.rank == s.dim for s in sieves)
-        assert sum(s.full_inserts for s in sieves) == 0
         monkeypatch.undo()
+        blocks = len(rep.dc.dims)
+        assert len(sieves) == len(dim_stops) < len(rep.pages) * blocks
+        assert sum(s.late_inserts for s in sieves) == 0
+        assert sum(s.inserts for s in sieves) < sum(dim_stops)
         assert_pages_match_full_coordinates(
             rep.dc, "rows" if runner is atlas_ss else "columns")
+
+    @settings(max_examples=25, deadline=None)
+    @given(piece_lists, st.sampled_from([QQ, F2, F3]),
+           st.randoms(use_true_random=False))
+    def test_stop_ranks_equal_explicit_ranks(self, pieces, field, rng):
+        # every count a page sieve stops at, against an independent rank
+        dc, _ = build_double_complex(pieces, field, rng)
+        for work in (dc, dc.transpose()):
+            ft = _FilteredTotal(work)
+            for n, dim in ft.layout.total_dims.items():
+                if not dim:
+                    continue
+                d = ft.dmat(n)
+                for p0 in range(ft.pmin, ft.pmax + 1):
+                    snaps = ft.kernels(n, p0)
+                    for t in ft._snapshot_ts(p0)[:-1]:
+                        # D z for z in snapshot t, cut to block t
+                        stop = ft.col_start(n + 1, t + 1)
+                        images = [{i: v for i, v in d.mul_vec(combo).items()
+                                   if i < stop} for combo, _ in snaps[t]]
+                        assert len(snaps[t]) - len(snaps[t + 1]) == \
+                            column_rank(images, stop, field)
+            for p in range(ft.pmin, ft.pmax + 1):
+                for n in ft.layout.total_dims:
+                    stop = ft.col_start(n, p + 1)
+                    for r in range(stabilization_page(work) + 1):
+                        gens = ft.kernel_at(n, p, p + r)
+                        z_rank = len(gens) - len(ft.kernel_at(n, p + 1, p + r))
+                        proj = [{j: v for j, v in combo.items() if j < stop}
+                                for combo, _ in gens]
+                        assert z_rank == column_rank(proj, stop, field)
+
+    @pytest.mark.parametrize("key", [(1, 1, 1), (1, 0, 2), (2, 0, 2)])
+    def test_short_snapshot_refused(self, key, monkeypatch):
+        # one vector missing from one kernel snapshot: the kernel runs
+        # and the block sieve disagree, and no page is returned
+        kernels = spectra._FilteredTotal.kernels
+
+        def dropping(self, n, p0):
+            fresh = (n, max(p0, self.pmin)) not in self._kernels
+            snapshots = kernels(self, n, p0)
+            if fresh and (n, max(p0, self.pmin)) == key[:2]:
+                del snapshots[key[2]][-1]
+            return snapshots
+
+        monkeypatch.setattr(spectra._FilteredTotal, "kernels", dropping)
+        with pytest.raises(InvariantViolation, match="block sieve"):
+            pages(zigzag(QQ), "columns")
+
+
+def column_rank(vecs, rows, field):
+    """exactalg.rank of the matrix with the sparse columns vecs."""
+    return rank(Mat(rows, len(vecs), {(i, k): v for k, vec in enumerate(vecs)
+                                      for i, v in vec.items()}, field))
+
+
+def inserts_until_full(ft, generators, vecs):
+    """Inserts of the block sieve of generators if it took the projected
+    vecs and stopped only at the block dimension."""
+    n, p = next(key for key, snapshots in ft._kernels.items()
+                if any(s is generators for s in snapshots.values()))
+    dim = ft.dc.dim(p, n - p)
+    sieve, count = Sieve(ft.field), 0
+    for vec in vecs:
+        if sieve.rank == dim:
+            break
+        if vec:
+            count += 1
+            sieve.insert(vec)
+    return count
 
 
 def corner_rank(ft, n, p0, t):
