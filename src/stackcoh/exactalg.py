@@ -17,27 +17,28 @@ divides b = vec[piv], as it nearly always does, _eliminate subtracts
 after the last step _primitive divides vec and its combination once by
 the gcd of all their entries, signed as a gcd division after every step
 would leave them, so there is no rounding and no runaway coefficient
-growth.  Pivoting is deterministic:
-a stored vector's pivot is its smallest index, and an inserted vector is
-cleared against the stored pivots in their insertion order, found from
-its support through a heap rather than by scanning every pivot.  The
-caller picks the pivot order through the indices it inserts, and there
-are two.  Kernels and ranks pivot on the smallest row: _column_sieve
-inserts columns left to right, so every kernel and representative basis
-is reproducible across runs (the rank table of spectra inserts them
-right to left).  rank sieves a lone matrix (a d_r of the page check,
-say) so, and the differentials of a complex are ranked in one ascending
-pass (homalg.CochainComplex.rank_through) that skips every column at a
-pivot of D^{n-1}'s sieve.  The pass clears columns because rows gain
-almost nothing from the matching clearing: on the six totals of the
-dims-only S3 runs of perfbench's ss_ranks workload (best of five) the
-rows took 0.21 s, the rows cleared from the degree above 0.20 s, and the
-cleared columns 0.06 s, as most rows of the truncated top degrees reduce
-to zero with no degree above to clear them.  The page sieves of spectra
-and its d_r solve store block index i at -i, so a pivot is the largest
-block index; the vectors they keep and the unique coordinates they solve
-for are facts about spans, which no pivot order changes.  A Mat's rank
-is computed at most once and kept on the (immutable) matrix.
+growth.  A stored vector's pivot is its least key, and an insert is
+top-reduced, as in the persistence reduction (Edelsbrunner, Letscher and
+Zomorodian, DCG 28, 2002): while its least key is a pivot, that pivot's
+vector clears it.  A pivot vector's support lies at or above its key,
+so a step brings in only larger keys, and the residual's emptiness, its
+least key and its dependency (unique up to a scalar) are those of the
+full reduction: all that any caller reads.  The caller picks the pivot
+order through the keys it inserts, and there are two.  Kernels and ranks
+pivot on the smallest row: _column_sieve inserts columns left to right,
+so every kernel and representative basis is reproducible (the rank table
+of spectra inserts them right to left).  rank sieves a lone matrix so,
+and the differentials of a complex are ranked in one ascending pass
+(homalg.CochainComplex.rank_through) that skips every column at a pivot
+of D^{n-1}'s sieve.  Rows would gain almost nothing from the matching
+clearing, as most rows of the truncated top degrees reduce to zero with
+no degree above to clear them (on the six totals of perfbench's ss_ranks
+workload: rows 0.21 s, cleared rows 0.20 s, cleared columns 0.06 s).
+The page sieves of spectra and its d_r solve store block index i at -i,
+so a pivot is the largest block index; the vectors they keep and the
+unique coordinates they solve for are facts about spans, which no pivot
+order changes.  A Mat's rank is computed at most once and kept on the
+(immutable) matrix.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .errors import DimensionMismatch, InvariantViolation, NoSolution
 
@@ -346,7 +347,7 @@ def _primitive(vec: dict, combo: dict | None, sign: int, p: int):
     signs they returned: over Q divided by sign times the gcd of all
     their entries, which is the pair a gcd division after every step
     gives.  Unchanged over F_p, or with sign 0 (no step taken)."""
-    if p:
+    if p or not sign:
         return vec, combo
     g = reduce(gcd, vec.values(), 0)
     if combo:
@@ -365,19 +366,10 @@ class Sieve:
     Vectors are sparse dicts, prepared by _prepare, reduced by _eliminate
     and, if a step was taken, made primitive once by _primitive, so over
     Q all stored data is integer; a vector and its combination are
-    dicts of the sieve's own, never the caller's.  The pivot of a
-    reduced vector is its smallest support index; rank_of maps each pivot
-    to its position in order, the insertion order.
-
-    An inserted vector is cleared against the stored pivots in insertion
-    order.  _reduce finds them by support: it heapifies the ranks of the
-    pivots present in the vector, pops them smallest first, skips a pivot
-    the vector no longer holds, and after each step pushes the ranks of
-    the later pivots that the pivot vector w brought in.  A stored pivot
-    vector holds no earlier pivot index (it was cleared against all of
-    them), so w brings in no pivot already passed, and the steps are
-    exactly those of a scan of every pivot in order: the same pivots,
-    residuals and combinations, over Q and F_p.
+    dicts of the sieve's own, never the caller's.  pivots maps the least
+    key of each stored vector to (vec, combo), in insertion order.  An
+    insert is only top-reduced, so a stored vector may hold later pivot
+    keys; the module docstring says why no output depends on them.
 
     Either every insert into a sieve passes a combo or none does.
     Tracked pivots maintain the invariant  A . combo == vec  where A is the
@@ -386,37 +378,47 @@ class Sieve:
 
     def __init__(self, field: Field):
         self.field = field
-        self.pivots: dict = {}   # pivot index -> (vec, combo)
-        self.order: list = []    # pivot indices in insertion order
-        self.rank_of: dict = {}  # pivot index -> its position in order
+        self.pivots: dict = {}   # least key -> (vec, combo)
 
     @property
     def rank(self) -> int:
-        return len(self.order)
+        return len(self.pivots)
 
     def _reduce(self, vec: dict, combo: dict | None):
-        """Reduce a prepared vector against all pivots: (vec, combo)."""
+        """Top-reduce a prepared vector: (vec, combo).  A free least key
+        costs one lookup; otherwise a heap holds the pivot keys of vec
+        and the larger ones each step brings in, so the loop ends, and
+        free, a lower bound of vec's free keys, is looked up again only
+        once it is below the next pivot key and gone from vec."""
+        pivots = self.pivots
+        if not vec or min(vec) not in pivots:
+            return vec, combo
         p = self.field.p
-        order, pivots, rank_of = self.order, self.pivots, self.rank_of
-        heap = [rank_of[i] for i in vec if i in rank_of]
+        heap = list(vec.keys() & pivots.keys())
         heapify(heap)
-        sign = 0
+        free = min(vec.keys() - pivots.keys(), default=inf)
+        sign = 1
         while heap:
             k = heappop(heap)
-            piv = order[k]
-            if piv not in vec:
+            if k not in vec:
                 continue
-            w, cw = pivots[piv]
-            vec, combo, s = _eliminate(vec, combo, w, cw, piv, p)
-            sign = s * (sign or 1)
+            if free < k and free not in vec:
+                free = min(vec.keys() - pivots.keys(), default=inf)
+            if free < k:
+                break
+            w, cw = pivots[k]
+            vec, combo, s = _eliminate(vec, combo, w, cw, k, p)
+            sign *= s
             for i in w:
-                j = rank_of.get(i)
-                if j is not None and j > k:
-                    heappush(heap, j)
+                if i in pivots:
+                    if i > k:
+                        heappush(heap, i)
+                elif i < free:
+                    free = i
         return _primitive(vec, combo, sign, p)
 
     def insert(self, vec: dict, combo: dict | None = None):
-        """Reduce vec and store it if independent.
+        """Top-reduce vec and store it at its least key if not empty.
 
         Returns (residual, combo); an empty residual means vec was in the
         span and, when tracking, combo gives the dependency.
@@ -426,10 +428,7 @@ class Sieve:
             combo = {i: v * lam for i, v in combo.items()}
         vec, combo = self._reduce(vec, combo)
         if vec:
-            piv = min(vec)
-            self.pivots[piv] = (vec, combo)
-            self.rank_of[piv] = len(self.order)
-            self.order.append(piv)
+            self.pivots[min(vec)] = (vec, combo)
         return vec, combo
 
 

@@ -437,6 +437,28 @@ class ScanSieve:
         return vec, combo
 
 
+class TopSieve:
+    """Reference top reduction: while the least key of the vector is a
+    stored pivot, clear it with the eager step; store what is left at its
+    least key."""
+
+    def __init__(self, field):
+        self.field = field
+        self.pivots = {}
+
+    def insert(self, vec, combo=None):
+        vec, lam = _prepare(vec, self.field)
+        if combo is not None:
+            combo = {i: v * lam for i, v in combo.items()}
+        while vec and min(vec) in self.pivots:
+            piv = min(vec)
+            w, cw = self.pivots[piv]
+            vec, combo = eager_step(vec, combo, w, cw, piv, self.field.p)
+        if vec:
+            self.pivots[min(vec)] = (vec, combo)
+        return vec, combo
+
+
 @st.composite
 def sieve_inputs(draw, field, bound=4):
     """Columns of a random sparse matrix, plus extra vectors drawn as
@@ -457,19 +479,33 @@ def sieve_inputs(draw, field, bound=4):
     return [reduced(col, field) for col in cols]
 
 
-def assert_sieve_replays_scan(field, cols, tracked) -> list:
-    """Insert cols into a Sieve and a ScanSieve, comparing after every
-    insert; returns the residuals."""
-    heap, scan = Sieve(field), ScanSieve(field)
+def assert_sieve_replays_references(field, cols, tracked) -> list:
+    """Insert cols into a Sieve, a TopSieve and a ScanSieve, comparing
+    after every insert; returns the residuals.
+
+    The Sieve must replay the eager top reduction exactly (residuals,
+    combos and stored pivots), and agree with the full scan on all that
+    its callers read: whether the residual is empty, its least key, the
+    pivot keys in insertion order, the rank and, up to a scalar, the
+    combo of a dependent insert."""
+    p = field.p
+    sieve, top, scan = Sieve(field), TopSieve(field), ScanSieve(field)
     residuals = []
     for j, col in enumerate(cols):
-        got = heap.insert(dict(col), {j: 1} if tracked else None)
-        want = scan.insert(dict(col), {j: 1} if tracked else None)
-        assert got == want
-        assert heap.order == scan.order
-        assert heap.pivots == scan.pivots
-        residuals.append(got[0])
-    assert heap.rank_of == {piv: k for k, piv in enumerate(heap.order)}
+        got = sieve.insert(dict(col), {j: 1} if tracked else None)
+        assert got == top.insert(dict(col), {j: 1} if tracked else None)
+        assert sieve.pivots == top.pivots
+        vec, combo = got
+        full, full_combo = scan.insert(dict(col), {j: 1} if tracked else None)
+        assert bool(vec) == bool(full)
+        assert min(vec, default=None) == min(full, default=None)
+        assert list(sieve.pivots) == scan.order
+        assert sieve.rank == len(scan.order)
+        if tracked and not vec:
+            lead = min(full_combo)
+            lam = _quotient(combo[lead], full_combo[lead], p)
+            assert combo == _scaled(full_combo, lam, p)
+        residuals.append(vec)
     return residuals
 
 
@@ -479,9 +515,10 @@ def assert_sieve_replays_scan(field, cols, tracked) -> list:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_heap_sieve_equals_pivot_scan(field, tracked, data):
-    # the heap-driven pivot lookup and the in-place steps must replay the
-    # eager scan step for step
-    assert_sieve_replays_scan(field, data.draw(sieve_inputs(field)), tracked)
+    # the heap-driven top reduction and the in-place steps must replay the
+    # eager top reduction step for step, and read as the full scan does
+    assert_sieve_replays_references(field, data.draw(sieve_inputs(field)),
+                                    tracked)
 
 
 @pytest.mark.parametrize("tracked", [False, True],
@@ -490,8 +527,21 @@ def test_heap_sieve_equals_pivot_scan(field, tracked, data):
 @given(data=st.data())
 def test_in_place_steps_equal_eager_steps_over_q(tracked, data):
     # wider entries than the scan test, so that a divides b less often
-    assert_sieve_replays_scan(QQ, data.draw(sieve_inputs(QQ, bound=7)),
-                              tracked)
+    assert_sieve_replays_references(QQ, data.draw(sieve_inputs(QQ, bound=7)),
+                                    tracked)
+
+
+def _watched_steps(monkeypatch) -> list:
+    """(w[piv], vec[piv], piv) of every _eliminate call from here on."""
+    from stackcoh import exactalg
+    steps = []
+    step = exactalg._eliminate
+
+    def watched(vec, combo, w, cw, piv, p):
+        steps.append((w[piv], vec[piv], piv))
+        return step(vec, combo, w, cw, piv, p)
+    monkeypatch.setattr(exactalg, "_eliminate", watched)
+    return steps
 
 
 @pytest.mark.parametrize("tracked", [False, True],
@@ -500,20 +550,38 @@ def test_in_place_rule_cases(tracked, monkeypatch):
     # one fixed input through the cases the lazy rule must get right: a
     # negative a in place, an a that does not divide b, and residuals
     # that end empty after them
-    from stackcoh import exactalg
-    steps = []
-    step = exactalg._eliminate
-
-    def watched(vec, combo, w, cw, piv, p):
-        steps.append((w[piv], vec[piv]))
-        return step(vec, combo, w, cw, piv, p)
-    monkeypatch.setattr(exactalg, "_eliminate", watched)
+    steps = _watched_steps(monkeypatch)
     cols = [{0: -1, 1: 2, 2: 1}, {1: 3, 2: 1}, {0: 1, 1: 4, 2: 1},
             {0: 2, 1: 4, 2: 3}, {0: 1, 1: -1, 2: 5}]
-    residuals = assert_sieve_replays_scan(QQ, cols, tracked)
+    residuals = assert_sieve_replays_references(QQ, cols, tracked)
+    steps = [(a, b) for a, b, _ in steps]
     assert steps[:5] == [(-1, 1), (3, 6), (-1, 2), (3, 8), (-1, 1)]
     assert steps[5] == (3, 1) and len(steps) == 7
     assert residuals[2] == residuals[4] == {}
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["QQ", "GF2", "GF3"])
+def test_free_least_key_takes_no_step(field, monkeypatch):
+    # the least key 1 has no pivot, so the insert is stored as it is,
+    # although its key 2 is a pivot
+    sieve = Sieve(field)
+    sieve.insert({0: 1})
+    sieve.insert({2: 1})
+    steps = _watched_steps(monkeypatch)
+    assert sieve.insert({1: 1, 2: 1}) == ({1: 1, 2: 1}, None)
+    assert steps == [] and list(sieve.pivots) == [0, 2, 1]
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["QQ", "GF2", "GF3"])
+def test_cancelled_free_key_is_looked_up_again(field, monkeypatch):
+    # the step at key 0 cancels the free key 1, which leaves the pivot
+    # key 2 least, so the insert reduces to zero
+    sieve = Sieve(field)
+    sieve.insert({0: 1, 1: 1})
+    sieve.insert({2: 1})
+    steps = _watched_steps(monkeypatch)
+    assert sieve.insert({0: 1, 1: 1, 2: 1}) == ({}, None)
+    assert [piv for _, _, piv in steps] == [0, 2] and sieve.rank == 2
 
 
 @pytest.mark.parametrize("field", [QQ, F2, F3], ids=["QQ", "GF2", "GF3"])
