@@ -389,21 +389,22 @@ class Sieve:
         costs one lookup; otherwise a heap holds the pivot keys of vec
         and the larger ones each step brings in, so the loop ends, and
         free, a lower bound of vec's free keys, is looked up again only
-        once it is below the next pivot key and gone from vec."""
+        once it is below the next pivot key and gone from vec.  Both set
+        operations walk vec, not the pivots (keys() - keys() walks both)."""
         pivots = self.pivots
         if not vec or min(vec) not in pivots:
             return vec, combo
         p = self.field.p
         heap = list(vec.keys() & pivots.keys())
         heapify(heap)
-        free = min(vec.keys() - pivots.keys(), default=inf)
+        free = min(set(vec).difference(pivots), default=inf)
         sign = 1
         while heap:
             k = heappop(heap)
             if k not in vec:
                 continue
             if free < k and free not in vec:
-                free = min(vec.keys() - pivots.keys(), default=inf)
+                free = min(set(vec).difference(pivots), default=inf)
             if free < k:
                 break
             w, cw = pivots[k]
