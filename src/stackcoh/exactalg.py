@@ -368,7 +368,7 @@ class Sieve:
     Q all stored data is integer; a vector and its combination are
     dicts of the sieve's own, never the caller's.  pivots maps the least
     key of each stored vector to (vec, combo), in insertion order.  An
-    insert is only top-reduced, so a stored vector may hold later pivot
+    insert is only top-reduced, so a stored vector may hold larger pivot
     keys; the module docstring says why no output depends on them.
 
     Either every insert into a sieve passes a combo or none does.
